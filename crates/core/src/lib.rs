@@ -59,9 +59,7 @@ pub mod prelude {
     };
     pub use crate::site::{lifetime_report, LifetimeCarbonReport, Site};
     pub use crate::sweep::{
-        calibrated_trace, set_threads, sweep, sweep_seeded, try_sweep, try_sweep_memo_with_ctl,
-        try_sweep_resumable, try_sweep_resumable_retry, try_sweep_retry_with_ctl, try_sweep_seeded,
-        try_sweep_seeded_with_ctl, PointError, PointRun,
+        calibrated_trace, set_threads, sweep, PointRun, SweepJournal, SweepPlan,
     };
     pub use sustain_carbon_model::metrics::DesignMetric;
     pub use sustain_carbon_model::system::SystemInventory;

@@ -1,30 +1,40 @@
-//! Shared sweep driver for the experiment suite.
+//! Shared sweep execution for the experiments, the service and the CLI.
 //!
 //! Every experiment in this workspace is a *sweep*: a list of points
 //! (thresholds, regions, policies, years, …) mapped independently to
-//! result rows. This module provides the single implementation behind
-//! all of them:
+//! result rows. There are two ways to run one:
 //!
-//! * [`sweep`] fans the points out over the Rayon thread pool. The
-//!   pool's `collect` reassembles results in input order, so a parallel
-//!   sweep is **bit-for-bit identical** to a serial run regardless of
-//!   thread count (asserted in `tests/sweep_determinism.rs`).
-//! * [`sweep_seeded`] additionally derives one deterministic sub-seed
-//!   per point from a master seed — a SplitMix-seeded xoshiro stream
-//!   from [`sustain_sim_core::rng`], keyed by the point index — for
-//!   experiments whose points need independent randomness. The
-//!   derivation is pre-computed serially, so the seed a point receives
-//!   never depends on scheduling.
-//! * [`try_sweep_retry_with_ctl`] / [`try_sweep_resumable_retry`] add
-//!   the self-healing layer (DESIGN.md §11): transiently-failed points
-//!   re-execute under a deterministic [`RetryPolicy`], and points that
-//!   exhaust their attempts are quarantined as journal tombstones so a
-//!   resume never re-runs known-poison work unless `--retry-failed`
-//!   asks it to.
+//! * [`sweep`] fans infallible points out over the Rayon thread pool.
+//!   The pool's `collect` reassembles results in input order, so a
+//!   parallel sweep is **bit-for-bit identical** to a serial run
+//!   regardless of thread count (asserted in `tests/sweep_determinism.rs`).
+//! * [`SweepPlan::run`] executes fallible points through one pipeline.
+//!   Each point runs behind a fault boundary (the `sweep::point` fault
+//!   site plus `catch_unwind`), so a panic becomes that point's typed
+//!   [`SimError::Faulted`] while every other point completes. Around
+//!   that boundary the plan applies three stages, in order:
+//!   1. **dedupe** — slots sharing `(canonical hash, seed)` compute once
+//!      and the outcome fans back out in input order. A point's seed is
+//!      [`point_seed`]`(master, i)` under a master seed (pre-computed
+//!      serially, so it never depends on scheduling) and its
+//!      [`CanonicalHash`] without one, so only seedless plans collapse
+//!      duplicates;
+//!   2. **retry** — each computation runs under the plan's
+//!      [`RetryPolicy`]: transient failures re-execute with backoff
+//!      jittered from the point's seed, so retry schedules replay too;
+//!   3. **journal** — with a [`SweepJournal`], every terminal outcome is
+//!      appended to an fsync'd JSON-lines file: a row, or a quarantine
+//!      tombstone for a point that failed for good. A rerun replays
+//!      rows, skips tombstones unless `retry_failed`, and runs only the
+//!      rest, so a sweep killed mid-run resumes byte-identically
+//!      (asserted in `tests/sweep_resume.rs`).
+//!
+//!   The plan's [`RunCtl`] is checked before every attempt; a cancelled
+//!   plan fails as a whole with [`SimError::Cancelled`] reporting
+//!   `N/M sweep points completed`.
 //! * [`calibrated_trace`] resolves a `(region profile, days, seed)` key
 //!   through the process-wide [`TraceCache`], so a sweep whose points
-//!   share a grid window synthesizes and calibrates that trace exactly
-//!   once instead of once per point.
+//!   share a grid window synthesizes and calibrates that trace once.
 //!
 //! The worker thread count is controlled by [`set_threads`] (the CLI's
 //! `--threads` flag) or the [`THREADS_ENV`] environment variable; `0`
@@ -40,14 +50,13 @@
 //! oversubscribing the host (asserted in the vendored `rayon` shim's
 //! `nested_pipelines_share_the_budget_and_stay_ordered` test).
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 use sustain_grid::region::RegionProfile;
 use sustain_grid::synth::generate_calibrated_arc;
 use sustain_grid::trace::CarbonTrace;
@@ -137,208 +146,45 @@ where
     points.par_iter().map(f).collect()
 }
 
-/// The deterministic sub-seed [`sweep_seeded`] hands to point `index`
-/// under `master_seed`. Exposed so tests and callers that unroll a
-/// sweep manually can reproduce the exact per-point seeds.
+/// The deterministic sub-seed a [`SweepPlan`] with master seed
+/// `master_seed` hands to point `index`. Exposed so callers that bake
+/// seeds into their points (`service::sweep_scenarios`) reproduce the
+/// exact per-point seeds.
 pub fn point_seed(master_seed: u64, index: u64) -> u64 {
     let mut stream = RngStream::new(master_seed).derive_idx(index);
     rand::RngCore::next_u64(&mut stream)
 }
 
-/// Like [`sweep`], but each point also receives an independent
-/// deterministic sub-seed derived from `master_seed` and its index
-/// (see [`point_seed`]). Use this for sweeps whose points must draw
-/// *different* randomness; sweeps that deliberately share one master
-/// seed across points (paired comparisons) should keep passing it
-/// through [`sweep`] unchanged.
-pub fn sweep_seeded<P, R, F>(master_seed: u64, points: &[P], f: F) -> Vec<R>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> R + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    (0..points.len())
-        .into_par_iter()
-        .map(|i| f(&points[i], seeds[i]))
-        .collect()
+/// A crash-resumable checkpoint journal for a [`SweepPlan`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepJournal {
+    /// The JSON-lines journal file; created on first use.
+    pub path: PathBuf,
+    /// Re-run quarantined (tombstoned) points instead of reporting
+    /// their recorded error — the CLI's `sweep --retry-failed`.
+    pub retry_failed: bool,
 }
 
-/// Structured failure of one sweep point, produced by [`try_sweep`] /
-/// [`try_sweep_seeded`] when the point's closure panics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PointError {
-    /// Index of the failed point in the input slice.
-    pub index: usize,
-    /// Rendered panic payload (the `panic!`/`assert!` message, or a
-    /// placeholder for non-string payloads).
-    pub message: String,
+/// One fallible sweep: the points and the stages to run them through
+/// (see the module docs). Build it with [`SweepPlan::new`] and struct
+/// update syntax, e.g. `SweepPlan { master_seed: Some(7),
+/// ..SweepPlan::new(&points, &ctl) }`.
+pub struct SweepPlan<'a, P> {
+    /// The points, one result slot each.
+    pub points: &'a [P],
+    /// Derive per-point seeds from this master seed; `None` seeds each
+    /// point with its canonical hash, which makes duplicates collapse.
+    pub master_seed: Option<u64>,
+    /// Cancellation control, checked before every attempt.
+    pub ctl: &'a RunCtl,
+    /// Per-point retry policy for transient failures.
+    pub retry: RetryPolicy,
+    /// Optional checkpoint journal.
+    pub journal: Option<SweepJournal>,
 }
 
-impl std::fmt::Display for PointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep point {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for PointError {}
-
-impl From<PointError> for SimError {
-    fn from(e: PointError) -> SimError {
-        SimError::Faulted {
-            unit: format!("sweep point {}", e.index),
-            message: e.message,
-        }
-    }
-}
-
-/// Renders a caught panic payload: `&str` and `String` payloads (the
-/// output of `panic!`/`assert!` with a message) are preserved verbatim.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Fault-isolated [`sweep`]: each point runs inside
-/// `catch_unwind(AssertUnwindSafe(..))`, so one poisoned point yields a
-/// per-point [`PointError`] while every other point completes. Results
-/// come back in input order (same order-preserving pool as [`sweep`]),
-/// so a run with no failing points is bit-for-bit identical to
-/// `sweep(points, f).into_iter().map(Ok).collect()`.
-///
-/// The default panic hook still prints the panic message of a caught
-/// point to stderr; install a quiet hook if that noise matters.
-pub fn try_sweep<P, R, F>(points: &[P], f: F) -> Vec<Result<R, PointError>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P) -> R + Sync,
-{
-    (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            catch_unwind(AssertUnwindSafe(|| f(&points[index]))).map_err(|payload| PointError {
-                index,
-                message: panic_message(payload),
-            })
-        })
-        .collect()
-}
-
-/// Fault-isolated [`sweep_seeded`]: per-point deterministic sub-seeds
-/// (identical to [`sweep_seeded`]'s, see [`point_seed`]) plus the
-/// per-point panic isolation of [`try_sweep`].
-pub fn try_sweep_seeded<P, R, F>(master_seed: u64, points: &[P], f: F) -> Vec<Result<R, PointError>>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> R + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            catch_unwind(AssertUnwindSafe(|| f(&points[index], seeds[index]))).map_err(|payload| {
-                PointError {
-                    index,
-                    message: panic_message(payload),
-                }
-            })
-        })
-        .collect()
-}
-
-/// Runs one point body under the sweep's fault boundary: the
-/// `sweep::point` fault site, then `catch_unwind` so a panic (organic
-/// or injected) becomes a typed [`SimError::Faulted`] for this point
-/// while every other point completes.
-fn run_point<R>(index: usize, body: impl FnOnce() -> Result<R, SimError>) -> Result<R, SimError> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        sustain_sim_core::faultpoint!(infallible "sweep::point");
-        body()
-    })) {
-        Ok(result) => result,
-        Err(payload) => Err(SimError::from(PointError {
-            index,
-            message: panic_message(payload),
-        })),
-    }
-}
-
-/// Builds the outer [`SimError::Cancelled`] for a cancelled sweep,
-/// appending partial-progress stats to the reason. `at_sim_time` is
-/// zero: the sweep clock, not any single point's simulation clock.
-fn sweep_cancelled(reason: String, completed: usize, total: usize) -> SimError {
-    SimError::Cancelled {
-        at_sim_time: SimTime::ZERO,
-        reason: format!("{reason}; {completed}/{total} sweep points completed"),
-    }
-}
-
-/// Cancellable [`try_sweep_seeded`]: per-point deterministic sub-seeds
-/// and fault isolation, plus a cooperative cancellation control checked
-/// before every point (points already in flight finish or observe `ctl`
-/// themselves via the bucket checks inside the simulation loop).
-///
-/// The closure is fallible so each point can propagate its own typed
-/// [`SimError`] (a per-point cancellation, a validation failure) into
-/// its slot; panics are still caught and become
-/// [`SimError::Faulted`]. On cancellation the whole call returns
-/// [`SimError::Cancelled`] whose reason carries how many points
-/// completed. With an unlimited control and no failures this is
-/// bit-for-bit `try_sweep_seeded` modulo the error type.
-pub fn try_sweep_seeded_with_ctl<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    ctl: &RunCtl,
-    f: F,
-) -> Result<Vec<Result<R, SimError>>, SimError>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    let completed = AtomicUsize::new(0);
-    let results: Vec<Result<R, SimError>> = (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            if let Some(reason) = ctl.cancelled_reason() {
-                return Err(SimError::Cancelled {
-                    at_sim_time: SimTime::ZERO,
-                    reason,
-                });
-            }
-            let result = run_point(index, || f(&points[index], seeds[index]));
-            if result.is_ok() {
-                completed.fetch_add(1, Ordering::Relaxed);
-            }
-            result
-        })
-        .collect();
-    match ctl.cancelled_reason() {
-        Some(reason) => Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        )),
-        None => Ok(results),
-    }
-}
-
-/// One point's outcome from a retrying sweep driver: the final result
-/// plus how many attempts it took to get there.
+/// One point's outcome from [`SweepPlan::run`]: the final result plus
+/// how many attempts it took to get there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointRun<R> {
     /// The point's final result after retries (the last error when the
@@ -346,79 +192,143 @@ pub struct PointRun<R> {
     pub result: Result<R, SimError>,
     /// Executed attempts: `1` = first-try success, `> 1` = healed or
     /// exhausted after retries, `0` = never ran (pre-cancelled, or
-    /// replayed/skipped from a journal).
+    /// replayed from a journal row). A skipped tombstone reports the
+    /// attempts it recorded.
     pub attempts: usize,
 }
 
-/// Self-healing [`try_sweep_seeded_with_ctl`]: each point runs under
-/// `policy`, re-executing [`sustain_sim_core::error::Transience::Transient`]
-/// failures (injected faults, caught panics) with deterministic
-/// backoff jittered from the point's own derived seed — so the retry
-/// schedule, like the results, replays bit-for-bit.
-///
-/// Because point functions are pure in `(point, seed)` — the same
-/// contract the memoization layer's canonical-hash dedup relies on — a
-/// successful retry is byte-identical to a first-try success: with all
-/// faults transient and enough attempts, the output equals the
-/// fault-free run's exactly (asserted in `tests/self_healing.rs`).
-///
-/// `ctl` is honored between attempts and mid-backoff; `Cancelled` and
-/// permanent errors are never retried. Per-point attempt counts come
-/// back in [`PointRun`].
-pub fn try_sweep_retry_with_ctl<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    ctl: &RunCtl,
-    policy: &RetryPolicy,
-    f: F,
-) -> Result<Vec<PointRun<R>>, SimError>
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    let completed = AtomicUsize::new(0);
-    let runs: Vec<PointRun<R>> = (0..points.len())
-        .into_par_iter()
-        .map(|index| {
-            let (result, attempts) = retry::run_with_retry(policy, seeds[index], ctl, || {
-                run_point(index, || f(&points[index], seeds[index]))
-            });
-            if result.is_ok() {
-                completed.fetch_add(1, Ordering::Relaxed);
+/// How the journal stage turns a row into JSON and back.
+type RowCodec<R> = (fn(&R) -> Value, fn(&Value) -> Result<R, DeError>);
+
+impl<'a, P: Sync + CanonicalHash> SweepPlan<'a, P> {
+    /// A plan with no master seed, no retries and no journal.
+    pub fn new(points: &'a [P], ctl: &'a RunCtl) -> Self {
+        SweepPlan {
+            points,
+            master_seed: None,
+            ctl,
+            retry: RetryPolicy::none(),
+            journal: None,
+        }
+    }
+
+    /// Runs `f(point, seed)` for every point through the plan's stages
+    /// and returns one [`PointRun`] per point, in input order.
+    ///
+    /// `f` must be pure in `(point, seed)`: dedupe, retry and journal
+    /// replay all substitute one evaluation for another. The outer
+    /// `Err` is a cancelled plan, a journal that belongs to a different
+    /// sweep (a typed [`ConfigError`]), or a journal I/O failure;
+    /// everything else lands in its point's slot.
+    pub fn run<R, F>(&self, f: F) -> Result<Vec<PointRun<R>>, SimError>
+    where
+        R: Send + Clone + Serialize + Deserialize,
+        F: Fn(&P, u64) -> Result<R, SimError> + Sync,
+    {
+        self.execute(f, Some((R::to_value, R::from_value)))
+    }
+
+    /// [`run`](Self::run) with the journal codec passed in, so the
+    /// journal-free [`try_sweep_memo_with_ctl`] needs no serde bounds.
+    fn execute<R, F>(&self, f: F, codec: Option<RowCodec<R>>) -> Result<Vec<PointRun<R>>, SimError>
+    where
+        R: Send + Clone,
+        F: Fn(&P, u64) -> Result<R, SimError> + Sync,
+    {
+        let points = self.points;
+        let hashes: Vec<u64> = points.iter().map(CanonicalHash::canonical_hash).collect();
+        let seeds: Vec<u64> = match self.master_seed {
+            Some(master) => (0..points.len() as u64)
+                .map(|i| point_seed(master, i))
+                .collect(),
+            None => hashes.clone(),
+        };
+
+        // Journal stage, replay half: rows replay verbatim; tombstones
+        // replay their recorded error unless `retry_failed`.
+        let (mut slots, journal): (Replayed<R>, _) = match (&self.journal, codec) {
+            (Some(journal), Some((encode, decode))) => {
+                let (replayed, file) = isolate(
+                    || open_journal(&journal.path, &seeds, decode),
+                    |message| journal_io_error("journal replay panicked", message),
+                )?;
+                let slots = replayed
+                    .into_iter()
+                    .map(|slot| slot.filter(|run| run.result.is_ok() || !journal.retry_failed))
+                    .collect();
+                let file = Mutex::new(file);
+                (slots, Some(JournalWriter { file, encode }))
             }
-            PointRun { result, attempts }
-        })
-        .collect();
-    match ctl.cancelled_reason() {
-        Some(reason) => Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        )),
-        None => Ok(runs),
+            _ => ((0..points.len()).map(|_| None).collect(), None),
+        };
+        let skipped = slots
+            .iter()
+            .flatten()
+            .filter(|run| run.result.is_err())
+            .count();
+
+        // Dedupe stage: group the slots still to run by (hash, seed);
+        // each group computes once, through its first slot.
+        let mut groups: Vec<Vec<usize>> = Vec::new();
+        let mut group_of: HashMap<(u64, u64), usize> = HashMap::new();
+        for index in (0..points.len()).filter(|&i| slots[i].is_none()) {
+            let group = *group_of
+                .entry((hashes[index], seeds[index]))
+                .or_insert_with(|| {
+                    groups.push(Vec::new());
+                    groups.len() - 1
+                });
+            groups[group].push(index);
+        }
+
+        // Retry stage around the fault boundary, then the journal's
+        // append half for each terminal outcome.
+        let fresh: Vec<(PointRun<R>, Result<(), SimError>)> = groups
+            .par_iter()
+            .map(|group| {
+                let (index, seed) = (group[0], seeds[group[0]]);
+                let (result, attempts) = retry::run_with_retry(&self.retry, seed, self.ctl, || {
+                    run_point(index, || f(&points[index], seed))
+                });
+                let journaled = match &journal {
+                    Some(journal) => journal.record(group, seed, &result, attempts),
+                    None => Ok(()),
+                };
+                (PointRun { result, attempts }, journaled)
+            })
+            .collect();
+        let mut journal_failure = None;
+        for (group, (run, journaled)) in groups.iter().zip(fresh) {
+            journal_failure = journal_failure.or(journaled.err());
+            for &index in group {
+                slots[index] = Some(run.clone());
+            }
+        }
+
+        if let Some(e) = journal_failure {
+            return Err(e);
+        }
+        let runs: Vec<PointRun<R>> = slots
+            .into_iter()
+            .map(|slot| slot.unwrap_or_else(|| unreachable!("every slot is replayed or run")))
+            .collect();
+        if let Some(reason) = self.ctl.cancelled_reason() {
+            let completed = runs.iter().filter(|run| run.result.is_ok()).count();
+            let total = runs.len();
+            return Err(SimError::Cancelled {
+                at_sim_time: SimTime::ZERO,
+                reason: format!("{reason}; {completed}/{total} sweep points completed"),
+            });
+        }
+        (0..skipped).for_each(|_| retry::note_tombstone_skip());
+        Ok(runs)
     }
 }
 
-/// Content-addressed variant of [`try_sweep_seeded_with_ctl`] for pure
-/// point functions: duplicate points collapse to one computation.
-///
-/// The driver fingerprints every point with [`CanonicalHash`] up front,
-/// computes only the first occurrence of each distinct fingerprint (in
-/// parallel, with the same `sweep::point` fault boundary and per-point
-/// cancellation checks), then fans each result back out to every slot
-/// that shares the fingerprint — output order is exactly input order,
-/// and unique points produce bit-identical results to the non-memo
-/// driver.
-///
-/// Unlike the seeded drivers, `f` receives **no** per-point sub-seed:
-/// deduplicating by content is only sound when the point value is the
-/// entire input (any seed must already be baked into `P`, as
-/// `service::sweep_scenarios` does). Duplicate slots of a *failed*
-/// representative share its error verbatim.
+/// Content-addressed sweep over pure, seedless points: a
+/// [`SweepPlan::new`] plan (no retries, no journal), so duplicate
+/// points compute once and share their result — an error included.
+/// `f` receives no seed: the point value is its entire input.
 pub fn try_sweep_memo_with_ctl<P, R, F>(
     points: &[P],
     ctl: &RunCtl,
@@ -429,53 +339,51 @@ where
     R: Send + Clone,
     F: Fn(&P) -> Result<R, SimError> + Sync,
 {
-    // Fingerprint serially (hashing is trivial next to a point run) and
-    // pick the first slot of each distinct fingerprint as representative.
-    let fingerprints: Vec<u64> = points.iter().map(|p| p.canonical_hash()).collect();
-    let mut representative: HashMap<u64, usize> = HashMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for (index, &fp) in fingerprints.iter().enumerate() {
-        representative.entry(fp).or_insert_with(|| {
-            unique.push(index);
-            index
-        });
-    }
+    SweepPlan::new(points, ctl)
+        .execute(|point, _| f(point), None)
+        .map(|runs| runs.into_iter().map(|run| run.result).collect())
+}
 
-    let unique_results: Vec<Result<R, SimError>> = unique
-        .par_iter()
-        .map(|&index| {
-            if let Some(reason) = ctl.cancelled_reason() {
-                return Err(SimError::Cancelled {
-                    at_sim_time: SimTime::ZERO,
-                    reason,
-                });
-            }
-            run_point(index, || f(&points[index]))
-        })
-        .collect();
-    let by_rep: HashMap<usize, &Result<R, SimError>> =
-        unique.iter().copied().zip(unique_results.iter()).collect();
+/// Runs `body` behind a fault boundary: a panic (organic or injected)
+/// becomes the typed error `on_panic` builds from its message.
+fn isolate<T>(
+    body: impl FnOnce() -> Result<T, SimError>,
+    on_panic: impl FnOnce(String) -> SimError,
+) -> Result<T, SimError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        // `panic!`/`assert!` messages arrive as `&str` or `String`.
+        let message = match payload.downcast_ref::<&str>() {
+            Some(s) => s.to_string(),
+            None => payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        };
+        Err(on_panic(message))
+    })
+}
 
-    // Fan back out in input order; duplicates clone their representative.
-    let results: Vec<Result<R, SimError>> = fingerprints
-        .iter()
-        .map(|fp| {
-            let rep = representative[fp];
-            // Every representative is in the map by construction.
-            by_rep[&rep].clone()
-        })
-        .collect();
-    match ctl.cancelled_reason() {
-        Some(reason) => {
-            let completed = results.iter().filter(|r| r.is_ok()).count();
-            Err(sweep_cancelled(reason, completed, points.len()))
-        }
-        None => Ok(results),
-    }
+/// Runs one point body under the sweep's fault boundary: the
+/// `sweep::point` fault site, then [`isolate`], so a panic becomes a
+/// typed [`SimError::Faulted`] for this point alone.
+fn run_point<R>(index: usize, body: impl FnOnce() -> Result<R, SimError>) -> Result<R, SimError> {
+    isolate(
+        || {
+            sustain_sim_core::faultpoint!(infallible "sweep::point");
+            body()
+        },
+        |message| SimError::Faulted {
+            unit: format!("sweep point {index}"),
+            message,
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
-// Crash-resumable sweeps: the checkpoint journal
+// The checkpoint journal: one JSON line per terminal point outcome,
+// `{"index":I,"seed":S,"hash":"H","payload":ROW}` or
+// `{"index":I,"seed":S,"hash":"H","tombstone":ERROR,"attempts":N}`,
+// where H is the FNV-1a hash of the payload or tombstone JSON.
 // ---------------------------------------------------------------------------
 
 /// FNV-1a 64-bit, used to fingerprint journaled point payloads. Stable
@@ -496,92 +404,89 @@ fn journal_io_error(action: &str, err: impl std::fmt::Display) -> SimError {
     }
 }
 
-/// Appends one journal record — a completed point (`body_key =
-/// "payload"`) or a quarantine tombstone (`body_key = "tombstone"`,
-/// with the attempt count it burned) — and fsyncs it: the line is only
-/// trusted on replay if its hash (over the body JSON) matches, so a
-/// torn final line from a crash mid-write is detected and re-run,
-/// never half-replayed.
-fn append_journal_record(
-    file: &Mutex<File>,
-    index: usize,
-    seed: u64,
-    body_key: &str,
-    body: Value,
-    attempts: Option<usize>,
-) -> Result<(), SimError> {
-    // Fault sites fire before taking the lock: a panic-mode fault must
-    // not poison the file mutex other points still append through.
-    sustain_sim_core::faultpoint!("sweep::journal_write").map_err(SimError::from)?;
-    let body_json = serde_json::to_string(&body)
-        .map_err(|e| journal_io_error("serializing journal payload", e))?;
-    let mut fields = vec![
-        ("index".to_string(), Value::U64(index as u64)),
-        ("seed".to_string(), Value::U64(seed)),
-        (
-            "hash".to_string(),
-            Value::Str(format!("{:016x}", fnv1a_64(body_json.as_bytes()))),
-        ),
-        (body_key.to_string(), body),
-    ];
-    if let Some(n) = attempts {
-        fields.push(("attempts".to_string(), Value::U64(n as u64)));
+/// The append half of an open journal.
+struct JournalWriter<R> {
+    file: Mutex<File>,
+    encode: fn(&R) -> Value,
+}
+
+impl<R> JournalWriter<R> {
+    /// Journals one computation's terminal outcome for every slot that
+    /// shares it: a row, or a quarantine tombstone with the attempts it
+    /// burned. Cancelled points are never journaled — a shutdown
+    /// mid-sweep must not quarantine healthy work.
+    fn record(
+        &self,
+        slots: &[usize],
+        seed: u64,
+        result: &Result<R, SimError>,
+        attempts: usize,
+    ) -> Result<(), SimError> {
+        let (key, body, attempts) = match result {
+            Ok(row) => ("payload", (self.encode)(row), String::new()),
+            Err(SimError::Cancelled { .. }) => return Ok(()),
+            Err(terminal) => {
+                retry::note_quarantine();
+                let attempts = format!(",\"attempts\":{attempts}");
+                ("tombstone", terminal.to_value(), attempts)
+            }
+        };
+        let body = serde_json::to_string(&body)
+            .map_err(|e| journal_io_error("serializing journal payload", e))?;
+        let hash = fnv1a_64(body.as_bytes());
+        slots.iter().try_for_each(|index| {
+            let line = format!(
+                "{{\"index\":{index},\"seed\":{seed},\"hash\":\"{hash:016x}\",\"{key}\":{body}{attempts}}}\n"
+            );
+            // Appends run inside their own fault boundary: an injected
+            // panic here must stay isolated too.
+            isolate(
+                || self.append(&line),
+                |message| journal_io_error("journal append panicked", message),
+            )
+        })
     }
-    let line = serde_json::to_string(&Value::Object(fields))
-        .map_err(|e| journal_io_error("serializing journal entry", e))?;
-    sustain_sim_core::faultpoint!("sweep::journal_sync").map_err(SimError::from)?;
-    let mut guard = file.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    guard
-        .write_all(format!("{line}\n").as_bytes())
-        .map_err(|e| journal_io_error("appending journal line", e))?;
-    guard
-        .sync_data()
-        .map_err(|e| journal_io_error("fsyncing journal", e))
+
+    /// Appends and fsyncs one line. A line is only trusted on replay if
+    /// its hash matches, so a line torn by a crash mid-write is
+    /// detected and re-run, never half-replayed.
+    fn append(&self, line: &str) -> Result<(), SimError> {
+        // Fault sites fire before taking the lock: a panic-mode fault
+        // must not poison the file mutex other points still append
+        // through.
+        sustain_sim_core::faultpoint!("sweep::journal_write").map_err(SimError::from)?;
+        sustain_sim_core::faultpoint!("sweep::journal_sync").map_err(SimError::from)?;
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
+        file.write_all(line.as_bytes())
+            .map_err(|e| journal_io_error("appending journal line", e))?;
+        file.sync_data()
+            .map_err(|e| journal_io_error("fsyncing journal", e))
+    }
 }
 
-/// Appends one completed point to the journal (see
-/// [`append_journal_record`]).
-fn append_journal_entry(
-    file: &Mutex<File>,
-    index: usize,
-    seed: u64,
-    payload: Value,
-) -> Result<(), SimError> {
-    append_journal_record(file, index, seed, "payload", payload, None)
-}
-
-/// What a validated journal line resolves to on replay.
-#[derive(Debug)]
-enum ReplayedSlot<R> {
-    /// A completed point: the row replays verbatim.
-    Row(R),
-    /// A quarantined point: the recorded terminal error and the
-    /// attempts it burned before being tombstoned.
-    Tombstone { error: SimError, attempts: usize },
-}
-
-/// One validated line of the journal: either a completed-point record
-/// (`"payload"`) or a quarantine tombstone (`"tombstone"`). Both are
-/// validated identically — index range, derived-seed match, body hash —
-/// so a tombstone from a foreign journal is rejected exactly like a
-/// corrupt row.
-fn parse_journal_line<R: Deserialize>(
+/// Validates one journal line against this sweep's derived seeds and
+/// resolves it to its point's replayed outcome: a row (0 attempts) or
+/// a tombstone's recorded error and attempts. Rows and tombstones are
+/// validated identically — index range, seed match, body hash — so a
+/// tombstone from a foreign journal is rejected like a corrupt row.
+fn parse_journal_line<R>(
     line: &str,
-    points_len: usize,
     seeds: &[u64],
-) -> Result<(usize, ReplayedSlot<R>), String> {
+    decode: fn(&Value) -> Result<R, DeError>,
+) -> Result<(usize, PointRun<R>), String> {
     let value: Value = serde_json::from_str(line).map_err(|e| format!("unparseable JSON: {e}"))?;
-    let index = value["index"]
-        .as_u64()
-        .ok_or("missing or non-integer \"index\"")? as usize;
-    if index >= points_len {
+    let field = |key: &str| {
+        value[key]
+            .as_u64()
+            .ok_or(format!("missing or non-integer {key:?}"))
+    };
+    let (index, seed) = (field("index")? as usize, field("seed")?);
+    if index >= seeds.len() {
         return Err(format!(
-            "point index {index} out of range for a {points_len}-point sweep"
+            "point index {index} out of range for a {}-point sweep",
+            seeds.len()
         ));
     }
-    let seed = value["seed"]
-        .as_u64()
-        .ok_or("missing or non-integer \"seed\"")?;
     if seed != seeds[index] {
         return Err(format!(
             "seed {seed} at point {index} does not match this sweep's derived seed \
@@ -590,10 +495,8 @@ fn parse_journal_line<R: Deserialize>(
         ));
     }
     let hash = value["hash"].as_str().ok_or("missing \"hash\"")?;
-    let (body, is_tombstone) = match value.get("tombstone") {
-        Some(tombstone) => (tombstone, true),
-        None => (&value["payload"], false),
-    };
+    let tombstone = value.get("tombstone");
+    let body = tombstone.unwrap_or(&value["payload"]);
     let body_json =
         serde_json::to_string(body).map_err(|e| format!("payload re-serialization: {e}"))?;
     let expected = format!("{:016x}", fnv1a_64(body_json.as_bytes()));
@@ -602,401 +505,77 @@ fn parse_journal_line<R: Deserialize>(
             "hash mismatch at point {index}: journal says {hash}, payload hashes to {expected}"
         ));
     }
-    if is_tombstone {
-        let error =
-            SimError::from_value(body).map_err(|e| format!("tombstone at point {index}: {e:?}"))?;
-        let attempts = value["attempts"]
-            .as_u64()
-            .ok_or("tombstone missing \"attempts\"")? as usize;
-        return Ok((index, ReplayedSlot::Tombstone { error, attempts }));
-    }
-    let row = R::from_value(body).map_err(|e| format!("payload at point {index}: {e:?}"))?;
-    Ok((index, ReplayedSlot::Row(row)))
+    let run = match tombstone {
+        Some(error) => PointRun {
+            result: Err(SimError::from_value(error)
+                .map_err(|e| format!("tombstone at point {index}: {e:?}"))?),
+            attempts: field("attempts")? as usize,
+        },
+        None => PointRun {
+            result: Ok(decode(body).map_err(|e| format!("payload at point {index}: {e:?}"))?),
+            attempts: 0,
+        },
+    };
+    Ok((index, run))
 }
 
-/// Per-point replayed slots plus the byte length of the journal's
-/// valid prefix (see [`replay_journal`]).
-type ReplayedJournal<R> = (Vec<Option<ReplayedSlot<R>>>, u64);
+/// Each point's replayed outcome, if the journal has one.
+type Replayed<R> = Vec<Option<PointRun<R>>>;
 
-/// Replays a checkpoint journal: `replayed[i] = Some(row)` for every
-/// point with a valid journal line, plus the byte length of the valid
-/// prefix (everything up to and including the last parseable line). A
-/// missing file is an empty journal. The *final* line is allowed to be
-/// torn (a crash mid-append) and is simply re-run; any earlier
-/// malformed or mismatched line is a typed [`ConfigError`] — it means
-/// the journal belongs to a different sweep or was corrupted, and
-/// silently re-running would mask that.
-fn replay_journal<R: Deserialize>(
+/// Opens (creating if needed) the journal at `path` for appending and
+/// replays it: `replayed[i]` is point `i`'s last valid line, so a
+/// point re-run under `--retry-failed` supersedes its tombstone.
+///
+/// The *final* line may be torn by a crash mid-append: it is dropped
+/// from the file, so the point re-runs and a second crash-and-resume
+/// cannot find it mid-file. Any earlier malformed or mismatched line is
+/// a typed [`ConfigError`] — the journal belongs to a different sweep
+/// or was corrupted, and silently re-running would mask that.
+fn open_journal<R>(
     path: &Path,
-    points_len: usize,
     seeds: &[u64],
-) -> Result<ReplayedJournal<R>, SimError> {
+    decode: fn(&Value) -> Result<R, DeError>,
+) -> Result<(Replayed<R>, File), SimError> {
     sustain_sim_core::faultpoint!("sweep::journal_replay").map_err(SimError::from)?;
-    let mut replayed: Vec<Option<ReplayedSlot<R>>> = (0..points_len).map(|_| None).collect();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((replayed, 0)),
-        Err(e) => return Err(journal_io_error("reading journal", e)),
-    };
-    // Each non-blank line paired with the byte offset just past it, so
-    // the caller can truncate a torn tail before appending.
-    let mut lines: Vec<(u64, &str)> = Vec::new();
-    let mut offset = 0u64;
-    for raw in text.split_inclusive('\n') {
-        offset += raw.len() as u64;
-        let line = raw.trim();
-        if !line.is_empty() {
-            lines.push((offset, line));
-        }
-    }
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .append(true)
+        .create(true)
+        .open(path)
+        .map_err(|e| journal_io_error("opening journal", e))?;
+    let mut text = String::new();
+    file.read_to_string(&mut text)
+        .map_err(|e| journal_io_error("reading journal", e))?;
+    // Non-blank lines, each with the byte offset just past it.
+    let lines: Vec<(u64, &str)> = text
+        .split_inclusive('\n')
+        .scan(0u64, |end, raw| {
+            *end += raw.len() as u64;
+            Some((*end, raw.trim()))
+        })
+        .filter(|(_, line)| !line.is_empty())
+        .collect();
+    let mut replayed: Replayed<R> = seeds.iter().map(|_| None).collect();
     let mut valid_bytes = 0u64;
     for (pos, (end, line)) in lines.iter().enumerate() {
-        match parse_journal_line::<R>(line, points_len, seeds) {
-            // Later lines supersede earlier ones: a point re-run under
-            // `--retry-failed` appends its fresh outcome after its
-            // tombstone, and the fresh outcome wins on the next replay.
-            Ok((index, slot)) => {
-                replayed[index] = Some(slot);
+        match parse_journal_line(line, seeds, decode) {
+            Ok((index, run)) => {
+                replayed[index] = Some(run);
                 valid_bytes = *end;
             }
-            // A torn final line is the expected crash artifact; the
-            // point simply re-runs (and the tail is truncated away).
             Err(_) if pos + 1 == lines.len() => {}
             Err(message) => {
-                return Err(SimError::Config(ConfigError::new(
-                    "SweepJournal",
-                    format!("line {}", pos + 1),
-                    message,
-                )))
+                let line = format!("line {}", pos + 1);
+                return Err(ConfigError::new("SweepJournal", line, message).into());
             }
         }
     }
-    Ok((replayed, valid_bytes))
-}
-
-/// Crash-resumable [`try_sweep_seeded_with_ctl`]: every completed point
-/// is appended to an fsync'd JSON-lines journal at `journal_path`
-/// (index, derived seed, payload hash, payload), and points already in
-/// the journal are **replayed instead of re-run** — so a sweep killed
-/// mid-run and restarted with the same journal produces byte-identical
-/// results to an uninterrupted run (asserted by the kill-and-resume
-/// test in `tests/sweep_resume.rs`).
-///
-/// Failed points are *not* journaled: a resume retries them (and a
-/// tombstone written by the quarantining driver
-/// [`try_sweep_resumable_retry`] is likewise re-run here, not
-/// honored). The journal is validated against this sweep's derived
-/// seeds and payload hashes; a journal from a different sweep is a
-/// typed [`ConfigError`], not silent wrong results.
-pub fn try_sweep_resumable<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    journal_path: &Path,
-    ctl: &RunCtl,
-    f: F,
-) -> Result<Vec<Result<R, SimError>>, SimError>
-where
-    P: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    // Replay runs inside the same fault boundary as appends: an
-    // injected (or organic) panic while reading the journal must
-    // surface as a typed error, not an unwind out of the sweep.
-    let (replayed, valid_bytes) = catch_unwind(AssertUnwindSafe(|| {
-        replay_journal::<R>(journal_path, points.len(), &seeds)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(journal_io_error(
-            "journal replay panicked",
-            panic_message(payload),
-        ))
-    })?;
-    // A torn final line (crash mid-append) is re-run, so drop it from
-    // the file before appending: otherwise a *second* crash-and-resume
-    // would find the torn line mid-file and reject the journal as
-    // corrupted.
-    match std::fs::metadata(journal_path) {
-        Ok(meta) if meta.len() > valid_bytes => {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(journal_path)
-                .map_err(|e| journal_io_error("opening journal to drop a torn tail", e))?;
-            file.set_len(valid_bytes)
-                .map_err(|e| journal_io_error("truncating a torn journal tail", e))?;
-            file.sync_data()
-                .map_err(|e| journal_io_error("fsyncing a truncated journal", e))?;
-        }
-        _ => {}
+    if text.len() as u64 > valid_bytes {
+        file.set_len(valid_bytes)
+            .and_then(|()| file.sync_data())
+            .map_err(|e| journal_io_error("truncating a torn journal tail", e))?;
     }
-    let missing: Vec<usize> = (0..points.len())
-        .filter(|&i| !matches!(replayed[i], Some(ReplayedSlot::Row(_))))
-        .collect();
-
-    let file = Mutex::new(
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(journal_path)
-            .map_err(|e| journal_io_error("opening journal", e))?,
-    );
-    let journal_failure: Mutex<Option<SimError>> = Mutex::new(None);
-    let completed = AtomicUsize::new(points.len() - missing.len());
-
-    let fresh: Vec<(usize, Result<R, SimError>)> = missing
-        .par_iter()
-        .map(|&index| {
-            if let Some(reason) = ctl.cancelled_reason() {
-                return (
-                    index,
-                    Err(SimError::Cancelled {
-                        at_sim_time: SimTime::ZERO,
-                        reason,
-                    }),
-                );
-            }
-            let result = run_point(index, || f(&points[index], seeds[index]));
-            if let Ok(row) = &result {
-                completed.fetch_add(1, Ordering::Relaxed);
-                // Journal appends run inside their own fault boundary:
-                // an injected panic here must stay isolated too.
-                let appended = catch_unwind(AssertUnwindSafe(|| {
-                    append_journal_entry(&file, index, seeds[index], row.to_value())
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(journal_io_error(
-                        "journal append panicked",
-                        panic_message(payload),
-                    ))
-                });
-                if let Err(e) = appended {
-                    let mut slot = journal_failure
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    if slot.is_none() {
-                        *slot = Some(e);
-                    }
-                }
-            }
-            (index, result)
-        })
-        .collect();
-
-    if let Some(e) = journal_failure
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .take()
-    {
-        return Err(e);
-    }
-    if let Some(reason) = ctl.cancelled_reason() {
-        return Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        ));
-    }
-
-    let mut slots: Vec<Option<Result<R, SimError>>> = replayed
-        .into_iter()
-        .map(|slot| match slot {
-            Some(ReplayedSlot::Row(row)) => Some(Ok(row)),
-            // Tombstones from the quarantining driver count as missing
-            // here: this driver's contract is "failed points re-run".
-            Some(ReplayedSlot::Tombstone { .. }) | None => None,
-        })
-        .collect();
-    for (index, result) in fresh {
-        slots[index] = Some(result);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                unreachable!("every sweep point is either replayed or freshly run")
-            })
-        })
-        .collect())
-}
-
-/// Self-healing, quarantining [`try_sweep_resumable`]: the resumable
-/// journal plus the retry layer plus **poison-point quarantine**.
-///
-/// Fresh points run under `policy` (transient failures re-execute with
-/// deterministic backoff, exactly as in [`try_sweep_retry_with_ctl`]).
-/// A point that *exhausts* its attempts — or fails permanently — is
-/// written to the journal as a hash-validated **tombstone** record
-/// carrying its terminal [`SimError`] and attempt count, so a resume
-/// skips known-poison work deterministically instead of re-running it
-/// forever. Passing `retry_failed = true` (the CLI's
-/// `sweep --retry-failed`) re-runs tombstoned points instead; their
-/// fresh outcome is appended after the tombstone and supersedes it on
-/// the next replay. `Cancelled` points are never journaled and never
-/// tombstoned: a shutdown mid-sweep must not quarantine healthy work.
-///
-/// Replayed successes come back with `attempts == 0`; skipped
-/// tombstones surface the recorded error with the recorded attempt
-/// count. Everything else about the journal contract (fsync'd
-/// JSON-lines, torn-tail tolerance and truncation, foreign-journal
-/// rejection as a typed [`ConfigError`]) is shared with
-/// [`try_sweep_resumable`].
-pub fn try_sweep_resumable_retry<P, R, F>(
-    master_seed: u64,
-    points: &[P],
-    journal_path: &Path,
-    ctl: &RunCtl,
-    policy: &RetryPolicy,
-    retry_failed: bool,
-    f: F,
-) -> Result<Vec<PointRun<R>>, SimError>
-where
-    P: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&P, u64) -> Result<R, SimError> + Sync,
-{
-    let seeds: Vec<u64> = (0..points.len() as u64)
-        .map(|i| point_seed(master_seed, i))
-        .collect();
-    let (replayed, valid_bytes) = catch_unwind(AssertUnwindSafe(|| {
-        replay_journal::<R>(journal_path, points.len(), &seeds)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(journal_io_error(
-            "journal replay panicked",
-            panic_message(payload),
-        ))
-    })?;
-    match std::fs::metadata(journal_path) {
-        Ok(meta) if meta.len() > valid_bytes => {
-            let file = std::fs::OpenOptions::new()
-                .write(true)
-                .open(journal_path)
-                .map_err(|e| journal_io_error("opening journal to drop a torn tail", e))?;
-            file.set_len(valid_bytes)
-                .map_err(|e| journal_io_error("truncating a torn journal tail", e))?;
-            file.sync_data()
-                .map_err(|e| journal_io_error("fsyncing a truncated journal", e))?;
-        }
-        _ => {}
-    }
-    let rerun = |slot: &Option<ReplayedSlot<R>>| match slot {
-        None => true,
-        Some(ReplayedSlot::Row(_)) => false,
-        Some(ReplayedSlot::Tombstone { .. }) => retry_failed,
-    };
-    let missing: Vec<usize> = (0..points.len()).filter(|&i| rerun(&replayed[i])).collect();
-
-    let file = Mutex::new(
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(journal_path)
-            .map_err(|e| journal_io_error("opening journal", e))?,
-    );
-    let journal_failure: Mutex<Option<SimError>> = Mutex::new(None);
-    let completed = AtomicUsize::new(
-        replayed
-            .iter()
-            .filter(|slot| matches!(slot, Some(ReplayedSlot::Row(_))))
-            .count(),
-    );
-    let record_journal_failure = |e: SimError| {
-        let mut slot = journal_failure
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    };
-
-    let fresh: Vec<(usize, PointRun<R>)> = missing
-        .par_iter()
-        .map(|&index| {
-            let (result, attempts) = retry::run_with_retry(policy, seeds[index], ctl, || {
-                run_point(index, || f(&points[index], seeds[index]))
-            });
-            // Journal the terminal outcome — success row or quarantine
-            // tombstone — inside its own fault boundary. Cancellations
-            // are deliberately not journaled.
-            let record = match &result {
-                Ok(row) => {
-                    completed.fetch_add(1, Ordering::Relaxed);
-                    Some(("payload", row.to_value(), None))
-                }
-                Err(SimError::Cancelled { .. }) => None,
-                Err(terminal) => {
-                    retry::note_quarantine();
-                    Some(("tombstone", terminal.to_value(), Some(attempts)))
-                }
-            };
-            if let Some((key, body, recorded_attempts)) = record {
-                let appended = catch_unwind(AssertUnwindSafe(|| {
-                    append_journal_record(&file, index, seeds[index], key, body, recorded_attempts)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(journal_io_error(
-                        "journal append panicked",
-                        panic_message(payload),
-                    ))
-                });
-                if let Err(e) = appended {
-                    record_journal_failure(e);
-                }
-            }
-            (index, PointRun { result, attempts })
-        })
-        .collect();
-
-    if let Some(e) = journal_failure
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .take()
-    {
-        return Err(e);
-    }
-    if let Some(reason) = ctl.cancelled_reason() {
-        return Err(sweep_cancelled(
-            reason,
-            completed.load(Ordering::Relaxed),
-            points.len(),
-        ));
-    }
-
-    let mut slots: Vec<Option<PointRun<R>>> = replayed
-        .into_iter()
-        .map(|slot| match slot {
-            Some(ReplayedSlot::Row(row)) => Some(PointRun {
-                result: Ok(row),
-                attempts: 0,
-            }),
-            Some(ReplayedSlot::Tombstone { error, attempts }) => {
-                if retry_failed {
-                    None
-                } else {
-                    retry::note_tombstone_skip();
-                    Some(PointRun {
-                        result: Err(error),
-                        attempts,
-                    })
-                }
-            }
-            None => None,
-        })
-        .collect();
-    for (index, run) in fresh {
-        slots[index] = Some(run);
-    }
-    Ok(slots
-        .into_iter()
-        .map(|slot| {
-            slot.unwrap_or_else(|| {
-                unreachable!("every sweep point is replayed, skipped, or freshly run")
-            })
-        })
-        .collect())
+    Ok((replayed, file))
 }
 
 /// Calibrated carbon trace for `(profile, days, seed)`, served from the
@@ -1013,140 +592,122 @@ pub fn calibrated_trace(profile: &RegionProfile, days: usize, seed: u64) -> Arc<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
     use sustain_grid::region::Region;
+    use sustain_sim_core::ctl::CancelToken;
+
+    fn temp_journal(tag: &str) -> PathBuf {
+        let name = format!("sustain-sweep-journal-{}-{tag}.jsonl", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// A plan under master seed 11 with `attempts` per point, journaled
+    /// to `(path, retry_failed)` when given.
+    fn plan<'a>(
+        points: &'a [u64],
+        ctl: &'a RunCtl,
+        attempts: usize,
+        journal: Option<(&Path, bool)>,
+    ) -> SweepPlan<'a, u64> {
+        SweepPlan {
+            master_seed: Some(11),
+            retry: RetryPolicy::new(attempts, Duration::ZERO),
+            journal: journal.map(|(path, retry_failed)| SweepJournal {
+                path: path.to_path_buf(),
+                retry_failed,
+            }),
+            ..SweepPlan::new(points, ctl)
+        }
+    }
+
+    fn rows<R: Clone + std::fmt::Debug>(runs: &[PointRun<R>]) -> Vec<R> {
+        runs.iter().map(|run| run.result.clone().unwrap()).collect()
+    }
+
+    fn poison(p: u64) -> SimError {
+        SimError::Faulted {
+            unit: format!("point {p}"),
+            message: "poison".into(),
+        }
+    }
 
     #[test]
     fn sweep_matches_serial_map() {
         let points: Vec<u64> = (0..257).collect();
         let f = |&x: &u64| (x * x).wrapping_mul(0x9E37_79B9) as f64 / 7.0;
         let serial: Vec<f64> = points.iter().map(f).collect();
-        let parallel = sweep(&points, f);
-        assert_eq!(serial, parallel);
+        assert_eq!(serial, sweep(&points, f));
     }
 
     #[test]
-    fn sweep_seeded_is_deterministic_and_seeds_differ() {
-        let points = ["a", "b", "c", "d"];
-        let first = sweep_seeded(42, &points, |p, seed| (p.to_string(), seed));
-        let second = sweep_seeded(42, &points, |p, seed| (p.to_string(), seed));
-        assert_eq!(first, second);
-        for (i, (label, seed)) in first.iter().enumerate() {
-            assert_eq!(label, points[i]);
-            assert_eq!(*seed, point_seed(42, i as u64));
-        }
-        let mut seeds: Vec<u64> = first.iter().map(|(_, s)| *s).collect();
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), points.len(), "per-point seeds must differ");
-        let other = sweep_seeded(43, &points, |_, seed| seed);
-        assert_ne!(other, first.iter().map(|(_, s)| *s).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn memo_sweep_collapses_duplicates_and_preserves_order() {
-        use std::sync::atomic::AtomicUsize;
-        let points: Vec<u64> = vec![3, 7, 3, 9, 7, 3];
+    fn dedupe_computes_each_distinct_point_once() {
+        let points = [3u64, 7, 3, 5, 7, 3, 5];
         let ctl = RunCtl::unlimited();
-        let computed = AtomicUsize::new(0);
-        let results = try_sweep_memo_with_ctl(&points, &ctl, |&x| {
-            computed.fetch_add(1, Ordering::Relaxed);
-            Ok(x * 100)
-        })
-        .unwrap();
-        assert_eq!(computed.load(Ordering::Relaxed), 3, "3 distinct points");
-        let rows: Vec<u64> = results.into_iter().map(Result::unwrap).collect();
-        assert_eq!(rows, vec![300, 700, 300, 900, 700, 300]);
-    }
-
-    #[test]
-    fn memo_sweep_matches_non_memo_on_distinct_points() {
-        let points: Vec<u64> = (0..33).collect();
-        let ctl = RunCtl::unlimited();
-        let memo = try_sweep_memo_with_ctl(&points, &ctl, |&x| Ok::<_, SimError>(x * 3)).unwrap();
-        let plain =
-            try_sweep_seeded_with_ctl(1, &points, &ctl, |&x, _seed| Ok::<_, SimError>(x * 3))
-                .unwrap();
-        let memo: Vec<u64> = memo.into_iter().map(Result::unwrap).collect();
-        let plain: Vec<u64> = plain.into_iter().map(Result::unwrap).collect();
-        assert_eq!(memo, plain);
-    }
-
-    #[test]
-    fn memo_sweep_duplicates_share_a_failed_representative() {
-        let points: Vec<u64> = vec![5, 6, 5];
-        let ctl = RunCtl::unlimited();
-        let results = try_sweep_memo_with_ctl(&points, &ctl, |&x| {
-            if x == 5 {
-                Err(SimError::InvalidInput {
-                    message: "five is out".into(),
-                })
-            } else {
-                Ok(x)
+        let calls = AtomicUsize::new(0);
+        let f = |&x: &u64, seed| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            match x {
+                5 => Err(SimError::invalid_input("five is out")),
+                _ => Ok((x * 100, seed)),
             }
-        })
-        .unwrap();
-        assert!(results[0].is_err());
-        assert!(results[1].is_ok());
-        assert_eq!(results[0], results[2], "duplicate shares the error");
-    }
-
-    #[test]
-    fn try_sweep_isolates_panicking_points() {
-        let points: Vec<u64> = (0..9).collect();
-        let results = try_sweep(&points, |&x| {
-            assert!(x != 4, "injected failure at four");
-            x * 10
-        });
-        assert_eq!(results.len(), points.len());
-        for (i, r) in results.iter().enumerate() {
-            if i == 4 {
-                let err = r.as_ref().unwrap_err();
-                assert_eq!(err.index, 4);
-                assert!(err.message.contains("injected failure"), "{err}");
-            } else {
-                assert_eq!(*r, Ok(i as u64 * 10));
-            }
-        }
-    }
-
-    #[test]
-    fn try_sweep_matches_sweep_when_nothing_panics() {
-        let points: Vec<u64> = (0..64).collect();
-        let f = |&x: &u64| (x * x).wrapping_mul(0x9E37_79B9) as f64 / 7.0;
-        let plain = sweep(&points, f);
-        let tried = try_sweep(&points, f);
-        assert_eq!(
-            tried.into_iter().map(Result::unwrap).collect::<Vec<_>>(),
-            plain
-        );
-    }
-
-    #[test]
-    fn try_sweep_seeded_uses_same_seeds_and_isolates() {
-        let points = ["a", "b", "c"];
-        let results = try_sweep_seeded(42, &points, |p, seed| {
-            assert!(*p != "b", "poisoned point");
-            seed
-        });
-        assert_eq!(results[0], Ok(point_seed(42, 0)));
-        assert!(results[1].is_err());
-        assert_eq!(results[2], Ok(point_seed(42, 2)));
-        let again = try_sweep_seeded(42, &points, |p, seed| {
-            assert!(*p != "b", "poisoned point");
-            seed
-        });
-        assert_eq!(results, again, "fault isolation must stay deterministic");
-    }
-
-    #[test]
-    fn point_error_converts_to_sim_error() {
-        let e = PointError {
-            index: 7,
-            message: "boom".into(),
         };
-        assert_eq!(e.to_string(), "sweep point 7 panicked: boom");
-        let s: SimError = e.into();
-        assert!(s.to_string().contains("sweep point 7"));
+        let runs = SweepPlan::new(&points, &ctl).run(f).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 3, "3 distinct points");
+        let results: Vec<_> = runs.iter().map(|run| run.result.clone().ok()).collect();
+        let expected = points.map(|x| (x != 5).then(|| (x * 100, x.canonical_hash())));
+        assert_eq!(results, expected, "fanned back out in input order");
+        assert!(runs[3].result.is_err());
+        assert_eq!(runs[3], runs[6], "duplicates share the failed result");
+
+        // A master seed gives every slot its own seed: nothing collapses.
+        calls.store(0, Ordering::Relaxed);
+        let seeded = plan(&points, &ctl, 1, None).run(f).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), points.len());
+        assert_eq!(seeded[2].result, Ok((300, point_seed(11, 2))));
+
+        // Cancellation counts completed slots, not computations.
+        let token = CancelToken::new();
+        let ctl = RunCtl::unlimited().with_token(token.clone());
+        let err = SweepPlan::new(&[4u64, 4, 4], &ctl)
+            .run(|&x, _| {
+                token.cancel("shutdown requested");
+                Ok(x)
+            })
+            .unwrap_err();
+        let expected = "shutdown requested; 3/3 sweep points completed";
+        assert!(err.to_string().contains(expected), "{err}");
+        let err = SweepPlan::new(&points, &ctl).run(f).unwrap_err();
+        assert!(err.to_string().contains("; 0/7 sweep points"), "{err}");
+    }
+
+    #[test]
+    fn plan_isolates_panics_and_typed_errors_per_point() {
+        let points: Vec<u64> = (0..5).collect();
+        let ctl = RunCtl::unlimited();
+        let run = || {
+            let f = |&p: &u64, seed| {
+                assert!(p != 1, "injected panic");
+                match p {
+                    3 => Err(SimError::invalid_input("point three rejected")),
+                    _ => Ok(seed),
+                }
+            };
+            plan(&points, &ctl, 1, None).run(f).unwrap()
+        };
+        let runs = run();
+        assert_eq!(runs[0].result, Ok(point_seed(11, 0)));
+        let panicked = SimError::Faulted {
+            unit: "sweep point 1".into(),
+            message: "injected panic".into(),
+        };
+        assert_eq!(runs[1].result, Err(panicked));
+        let rejected = SimError::invalid_input("point three rejected");
+        assert_eq!(runs[3].result, Err(rejected));
+        assert_eq!(runs[4].result, Ok(point_seed(11, 4)));
+        assert_eq!(runs, run(), "fault isolation must stay deterministic");
     }
 
     #[test]
@@ -1169,453 +730,197 @@ mod tests {
         assert!(effective_threads() >= 1);
     }
 
+    /// Replayed rows are bit-identical to computed ones (floats
+    /// included), and a torn tail re-runs just its point.
     #[test]
-    fn with_ctl_matches_try_sweep_seeded_when_unlimited() {
-        let points: Vec<u64> = (0..16).collect();
-        let ctl = RunCtl::unlimited();
-        let via_ctl = try_sweep_seeded_with_ctl(7, &points, &ctl, |&p, seed| Ok(p ^ seed))
-            .expect("unlimited ctl never cancels");
-        let plain = try_sweep_seeded(7, &points, |&p, seed| p ^ seed);
-        assert_eq!(via_ctl.len(), plain.len());
-        for (a, b) in via_ctl.iter().zip(plain.iter()) {
-            assert_eq!(a.as_ref().unwrap(), b.as_ref().unwrap());
-        }
-    }
-
-    #[test]
-    fn with_ctl_reports_partial_progress_on_cancellation() {
-        use sustain_sim_core::ctl::CancelToken;
-        let points: Vec<u64> = (0..8).collect();
-        let token = CancelToken::new();
-        token.cancel("shutdown requested");
-        let ctl = RunCtl::unlimited().with_token(token);
-        let err = try_sweep_seeded_with_ctl(7, &points, &ctl, |&p, _| Ok(p)).unwrap_err();
-        match &err {
-            SimError::Cancelled { reason, .. } => {
-                assert!(reason.contains("shutdown requested"), "{reason}");
-                assert!(reason.contains("/8 sweep points completed"), "{reason}");
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn with_ctl_isolates_panics_and_typed_errors_per_point() {
-        let points: Vec<u64> = (0..5).collect();
-        let ctl = RunCtl::unlimited();
-        let results = try_sweep_seeded_with_ctl(7, &points, &ctl, |&p, _| {
-            assert!(p != 1, "injected panic");
-            if p == 3 {
-                return Err(SimError::invalid_input("point three rejected"));
-            }
-            Ok(p)
-        })
-        .expect("no outer cancellation");
-        assert_eq!(results[0], Ok(0));
-        assert!(matches!(&results[1], Err(SimError::Faulted { .. })));
-        assert_eq!(results[2], Ok(2));
-        assert!(matches!(&results[3], Err(SimError::InvalidInput { .. })));
-        assert_eq!(results[4], Ok(4));
-    }
-
-    fn temp_journal(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "sustain-sweep-journal-{}-{tag}.jsonl",
-            std::process::id()
-        ))
-    }
-
-    #[test]
-    fn resumable_sweep_journals_and_replays_byte_identically() {
-        let path = temp_journal("roundtrip");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..6).collect();
-        let ctl = RunCtl::unlimited();
-        let f = |&p: &u64, seed: u64| Ok((p as f64 + 0.125) * (seed % 97) as f64 / 7.0);
-        let first = try_sweep_resumable(11, &points, &path, &ctl, f).expect("first run");
-        let journal = std::fs::read_to_string(&path).expect("journal exists");
-        assert_eq!(journal.lines().count(), points.len());
-        for line in journal.lines() {
-            let v: Value = serde_json::from_str(line).expect("journal line is JSON");
-            let index = v["index"].as_u64().expect("index");
-            assert_eq!(v["seed"].as_u64(), Some(point_seed(11, index)));
-        }
-        // Second run replays every point: same values, nothing re-run
-        // (the closure would panic if called again).
-        let replayed = try_sweep_resumable(
-            11,
-            &points,
-            &path,
-            &ctl,
-            |_: &u64, _| -> Result<f64, SimError> {
-                panic!("no point should re-run from a complete journal")
-            },
-        )
-        .expect("replay run");
-        let first_json = serde_json::to_string(
-            &first
-                .iter()
-                .map(|r| *r.as_ref().unwrap())
-                .collect::<Vec<f64>>(),
-        )
-        .unwrap();
-        let replay_json = serde_json::to_string(
-            &replayed
-                .iter()
-                .map(|r| *r.as_ref().unwrap())
-                .collect::<Vec<f64>>(),
-        )
-        .unwrap();
-        assert_eq!(first_json, replay_json, "replay must be byte-identical");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn resumable_sweep_retries_failed_points_and_heals() {
-        let path = temp_journal("heal");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..5).collect();
-        let ctl = RunCtl::unlimited();
-        let broken = try_sweep_resumable(11, &points, &path, &ctl, |&p, seed| {
-            assert!(p != 2, "injected crash at point two");
-            Ok(p * 1000 + seed % 100)
-        })
-        .expect("run with one failed point");
-        assert!(broken[2].is_err());
-        let journal_lines = std::fs::read_to_string(&path).unwrap().lines().count();
-        assert_eq!(journal_lines, 4, "failed points are not journaled");
-        // Resume without the injected failure: only point 2 runs.
-        let reruns = AtomicUsize::new(0);
-        let healed = try_sweep_resumable(11, &points, &path, &ctl, |&p, seed| {
-            reruns.fetch_add(1, Ordering::Relaxed);
-            Ok(p * 1000 + seed % 100)
-        })
-        .expect("healing run");
-        assert_eq!(reruns.load(Ordering::Relaxed), 1);
-        let direct = try_sweep_seeded(11, &points, |&p, seed| p * 1000 + seed % 100);
-        for (h, d) in healed.iter().zip(direct.iter()) {
-            assert_eq!(h.as_ref().unwrap(), d.as_ref().unwrap());
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_final_journal_line_is_rerun_not_an_error() {
+    fn torn_tail_reruns_one_point_and_is_truncated_so_a_second_crash_resumes() {
         let path = temp_journal("torn");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..3).collect();
-        let ctl = RunCtl::unlimited();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 2)).expect("seed the journal");
-        // Tear the final line mid-write, as a crash would.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let torn: String = text[..text.len() - 20].to_string();
-        std::fs::write(&path, &torn).unwrap();
-        let reruns = AtomicUsize::new(0);
-        let resumed = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| {
-            reruns.fetch_add(1, Ordering::Relaxed);
-            Ok(p * 2)
-        })
-        .expect("torn line tolerated");
-        assert_eq!(
-            reruns.load(Ordering::Relaxed),
-            1,
-            "only the torn point re-runs"
-        );
-        for (i, r) in resumed.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 2));
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_so_a_second_crash_still_resumes() {
-        let path = temp_journal("torn-twice");
-        std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..4).collect();
         let ctl = RunCtl::unlimited();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 3)).expect("seed the journal");
-        // Crash one: tear the final line, resume.
+        let reruns = AtomicUsize::new(0);
+        let f = |&p: &u64, _| {
+            reruns.fetch_add(1, Ordering::Relaxed);
+            Ok(p as f64 / 3.0 + 0.1)
+        };
+        let journaled = || plan(&points, &ctl, 1, Some((&path, false)));
+        journaled().run(f).expect("seed the journal");
+        for crash in 0..2 {
+            let text = std::fs::read_to_string(&path).unwrap();
+            std::fs::write(&path, &text[..text.len() - 15]).unwrap();
+            reruns.store(0, Ordering::Relaxed);
+            let resumed = journaled()
+                .run(f)
+                .unwrap_or_else(|e| panic!("resume after crash {crash}: {e}"));
+            assert_eq!(reruns.load(Ordering::Relaxed), 1, "only the torn point");
+            let expected: Vec<f64> = points.iter().map(|&p| p as f64 / 3.0 + 0.1).collect();
+            assert_eq!(rows(&resumed), expected);
+            // The torn line is gone: every remaining line parses.
+            for line in std::fs::read_to_string(&path).unwrap().lines() {
+                serde_json::from_str::<Value>(line).expect("no torn line survives");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Journal text in the format earlier releases wrote (one row, one
+    /// tombstone, a torn final line) must keep resuming: the line format
+    /// is a compatibility contract with users' `--journal` files.
+    #[test]
+    fn journal_format_is_stable_across_releases() {
+        let path = temp_journal("format");
+        let points: Vec<u64> = vec![10, 20, 30];
+        let ctl = RunCtl::unlimited();
+        let row =
+            r#"{"index":0,"seed":16019205026014419424,"hash":"4568b718181c937c","payload":100}"#;
+        let tombstone = r#"{"index":1,"seed":6943326612830245061,"hash":"dab3ad97746f3f91","tombstone":{"Faulted":{"unit":"point 20","message":"poison"}},"attempts":2}"#;
+        let rerun =
+            r#"{"index":2,"seed":12584744290078674339,"hash":"57288d1822492c52","payload":300}"#;
+        std::fs::write(&path, format!("{row}\n{tombstone}\n{}", &rerun[..50])).unwrap();
+        let calls = Mutex::new(Vec::new());
+        let f = |&p: &u64, _| {
+            calls.lock().unwrap().push(p);
+            Ok(p * 10)
+        };
+        let runs = plan(&points, &ctl, 2, Some((&path, false))).run(f).unwrap();
+        assert_eq!(
+            *calls.lock().unwrap(),
+            vec![30],
+            "row replays, tombstone skips"
+        );
+        assert_eq!((runs[0].result.clone(), runs[0].attempts), (Ok(100), 0));
+        assert_eq!(runs[1].result, Err(poison(20)));
+        assert_eq!(runs[1].attempts, 2, "recorded attempts replay");
+        assert_eq!((runs[2].result.clone(), runs[2].attempts), (Ok(300), 1));
+        // The torn tail was truncated before the re-run point appended.
         let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &text[..text.len() - 15]).unwrap();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 3)).expect("first resume");
-        // The torn line must be gone: every remaining line parses, so a
-        // second crash-and-resume cannot mistake it for corruption.
-        let healed = std::fs::read_to_string(&path).unwrap();
-        for line in healed.lines().filter(|l| !l.trim().is_empty()) {
-            serde_json::from_str::<serde_json::Value>(line)
-                .unwrap_or_else(|e| panic!("unparseable post-resume line {line:?}: {e}"));
-        }
-        // Crash two: tear again, resume again — still healable.
-        std::fs::write(&path, &healed[..healed.len() - 15]).unwrap();
-        let resumed = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p * 3))
-            .expect("second resume after a second torn tail");
-        for (i, r) in resumed.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 3));
-        }
+        assert_eq!(text, format!("{row}\n{tombstone}\n{rerun}\n"));
+        // `retry_failed` re-runs exactly the tombstoned point.
+        let runs = plan(&points, &ctl, 2, Some((&path, true))).run(f).unwrap();
+        assert_eq!(*calls.lock().unwrap(), vec![30, 20]);
+        assert_eq!(rows(&runs), vec![100, 200, 300]);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn journal_from_a_different_sweep_is_rejected() {
         let path = temp_journal("mismatch");
-        std::fs::remove_file(&path).ok();
         let points: Vec<u64> = (0..3).collect();
         let ctl = RunCtl::unlimited();
-        try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p)).expect("seed the journal");
-        // Same journal, different master seed: derived seeds mismatch.
-        let err = try_sweep_resumable(12, &points, &path, &ctl, |&p, _| Ok(p)).unwrap_err();
-        match &err {
-            SimError::Config(e) => {
-                assert_eq!(e.context, "SweepJournal");
-                assert!(e.message.contains("different sweep"), "{e}");
-            }
-            other => panic!("expected Config, got {other:?}"),
-        }
-        // A corrupted *non-final* line is also a hard error.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines[0] = "{\"index\":0,\"seed\":1,\"hash\":\"beef\",\"payload\":0}";
-        let patched = format!("{}\n", lines.join("\n"));
-        std::fs::write(&path, patched).unwrap();
-        let err = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| Ok(p)).unwrap_err();
-        assert!(matches!(err, SimError::Config(_)), "{err:?}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn retry_sweep_heals_transient_failures_byte_identically() {
-        use std::collections::HashMap;
-        let points: Vec<u64> = (0..6).collect();
-        let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(3, std::time::Duration::ZERO);
-        // Every point fails transiently on its first attempt; the
-        // healed output must equal the fault-free run's exactly.
-        let failures: Mutex<HashMap<usize, usize>> = Mutex::new(HashMap::new());
-        let runs = try_sweep_retry_with_ctl(7, &points, &ctl, &policy, |&p, seed| {
-            let mut guard = failures.lock().unwrap();
-            let count = guard.entry(p as usize).or_insert(0);
-            *count += 1;
-            if *count == 1 {
-                return Err(SimError::Faulted {
-                    unit: format!("point {p}"),
-                    message: "injected transient".into(),
-                });
-            }
-            Ok(p * 1000 + seed % 100)
-        })
-        .expect("no outer cancellation");
-        let clean = try_sweep_seeded(7, &points, |&p, seed| p * 1000 + seed % 100);
-        for (run, direct) in runs.iter().zip(clean.iter()) {
-            assert_eq!(run.result.as_ref().unwrap(), direct.as_ref().unwrap());
-            assert_eq!(run.attempts, 2, "one failure, one healing retry");
-        }
-    }
-
-    #[test]
-    fn retry_sweep_exhausts_attempts_and_keeps_other_points() {
-        let points: Vec<u64> = (0..4).collect();
-        let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(2, std::time::Duration::ZERO);
-        let runs = try_sweep_retry_with_ctl(7, &points, &ctl, &policy, |&p, _| {
-            if p == 2 {
-                return Err(SimError::Faulted {
-                    unit: "point 2".into(),
-                    message: "always faults".into(),
-                });
-            }
-            Ok(p)
-        })
-        .expect("no outer cancellation");
-        assert!(runs[2].result.is_err());
-        assert_eq!(runs[2].attempts, 2, "budget of 2 fully spent");
-        for (i, run) in runs.iter().enumerate() {
-            if i != 2 {
-                assert_eq!(run.result.as_ref().unwrap(), &(i as u64));
-                assert_eq!(run.attempts, 1);
-            }
-        }
-    }
-
-    #[test]
-    fn retry_sweep_never_retries_permanent_or_cancelled_points() {
-        let points: Vec<u64> = (0..3).collect();
-        let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(5, std::time::Duration::ZERO);
-        let calls = AtomicUsize::new(0);
-        let runs = try_sweep_retry_with_ctl(7, &points, &ctl, &policy, |&p, _| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            match p {
-                0 => Err(SimError::invalid_input("bad point")),
-                1 => Err(SimError::Cancelled {
-                    at_sim_time: SimTime::ZERO,
-                    reason: "per-point deadline".into(),
-                }),
-                _ => Ok(p),
-            }
-        })
-        .expect("no outer cancellation");
-        assert_eq!(calls.load(Ordering::Relaxed), 3, "one call per point");
-        assert_eq!(runs[0].attempts, 1);
-        assert_eq!(runs[1].attempts, 1);
-        assert!(matches!(
-            &runs[0].result,
-            Err(SimError::InvalidInput { .. })
-        ));
-        assert!(matches!(&runs[1].result, Err(SimError::Cancelled { .. })));
-    }
-
-    #[test]
-    fn quarantined_points_are_tombstoned_and_skipped_on_resume() {
-        let path = temp_journal("tombstone");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..5).collect();
-        let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(2, std::time::Duration::ZERO);
-        let poison = |&p: &u64, seed: u64| {
-            if p == 3 {
-                return Err(SimError::Faulted {
-                    unit: "point 3".into(),
-                    message: "poison".into(),
-                });
-            }
-            Ok(p * 10 + seed % 10)
+        let f = |&p: &u64, _| if p == 1 { Err(poison(p)) } else { Ok(p) };
+        let journaled = || plan(&points, &ctl, 1, Some((&path, false)));
+        journaled().run(f).expect("seed the journal");
+        let config_error = |plan: SweepPlan<'_, u64>| match plan.run(f) {
+            Err(SimError::Config(e)) if e.context == "SweepJournal" => e.message,
+            other => panic!("expected a SweepJournal config error, got {other:?}"),
         };
-        let first = try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, poison)
-            .expect("first run");
-        assert!(first[3].result.is_err());
-        assert_eq!(first[3].attempts, 2);
-        // The journal holds 4 rows + 1 tombstone, all hash-validated.
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text.lines().count(), 5);
-        let tombstones: Vec<&str> = text.lines().filter(|l| l.contains("tombstone")).collect();
-        assert_eq!(tombstones.len(), 1);
-        let v: Value = serde_json::from_str(tombstones[0]).unwrap();
-        assert_eq!(v["index"].as_u64(), Some(3));
-        assert_eq!(v["attempts"].as_u64(), Some(2));
-        // Resume: the tombstone is skipped deterministically — the
-        // closure must not run for point 3 even though it would now
-        // succeed.
-        let reruns = AtomicUsize::new(0);
-        let resumed =
-            try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, seed| {
-                reruns.fetch_add(1, Ordering::Relaxed);
-                Ok(p * 10 + seed % 10)
-            })
-            .expect("resume");
-        assert_eq!(reruns.load(Ordering::Relaxed), 0, "nothing re-runs");
-        assert!(resumed[3].result.is_err());
-        assert_eq!(resumed[3].attempts, 2, "recorded attempt count replays");
-        let recorded = resumed[3].result.as_ref().unwrap_err();
-        assert!(recorded.to_string().contains("poison"), "{recorded}");
-        // --retry-failed re-runs the tombstoned point; its fresh
-        // success supersedes the tombstone for every later replay.
-        let healed =
-            try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, true, |&p, seed| {
-                Ok(p * 10 + seed % 10)
-            })
-            .expect("retry-failed run");
-        assert_eq!(
-            healed[3].result.as_ref().unwrap(),
-            &(30 + point_seed(11, 3) % 10)
-        );
-        let after = try_sweep_resumable_retry(
-            11,
-            &points,
-            &path,
-            &ctl,
-            &policy,
-            false,
-            |_: &u64, _| -> Result<u64, SimError> { panic!("fully journaled: nothing re-runs") },
-        )
-        .expect("post-heal replay");
-        assert!(after.iter().all(|run| run.result.is_ok()));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn tombstones_from_a_foreign_journal_are_rejected() {
-        let path = temp_journal("foreign-tombstone");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..3).collect();
-        let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(1, std::time::Duration::ZERO);
-        try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, _| {
-            if p == 1 {
-                Err(SimError::Faulted {
-                    unit: "point 1".into(),
-                    message: "poison".into(),
-                })
-            } else {
-                Ok(p)
-            }
-        })
-        .expect("seed the journal");
-        // A different master seed must reject the whole journal,
+        // Same journal, different master seed: derived seeds mismatch,
         // tombstone lines included.
-        let err =
-            try_sweep_resumable_retry(12, &points, &path, &ctl, &policy, false, |&p, _| Ok(p))
-                .unwrap_err();
-        assert!(matches!(&err, SimError::Config(e) if e.context == "SweepJournal"));
-        // A tampered tombstone body (hash no longer matches) is corrupt.
-        // Replay accepts lines in any order, so rewrite the journal
-        // with the tombstone *first* — corruption of a non-final line
+        let foreign = SweepPlan {
+            master_seed: Some(12),
+            ..journaled()
+        };
+        assert!(config_error(foreign).contains("different sweep"));
+        // A tampered tombstone body is corrupt; as a *non-final* line it
         // is a hard typed error, never silently re-run.
         let text = std::fs::read_to_string(&path).unwrap();
         let (tombstones, rows): (Vec<&str>, Vec<&str>) =
             text.lines().partition(|l| l.contains("tombstone"));
         assert_eq!(tombstones.len(), 1, "exactly one quarantined point");
         let doctored = tombstones[0].replace("poison", "doctored");
-        assert_ne!(doctored, tombstones[0]);
-        let mut reordered = vec![doctored.as_str()];
-        reordered.extend(rows);
-        std::fs::write(&path, format!("{}\n", reordered.join("\n"))).unwrap();
-        let err =
-            try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, _| Ok(p))
-                .unwrap_err();
-        match &err {
-            SimError::Config(e) => {
-                assert_eq!(e.context, "SweepJournal");
-                assert!(e.message.contains("hash mismatch"), "{e}");
-            }
-            other => panic!("expected Config, got {other:?}"),
-        }
+        std::fs::write(&path, format!("{doctored}\n{}\n", rows.join("\n"))).unwrap();
+        assert!(config_error(journaled()).contains("hash mismatch"));
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn plain_resumable_driver_reruns_tombstoned_points() {
-        let path = temp_journal("tombstone-compat");
-        std::fs::remove_file(&path).ok();
-        let points: Vec<u64> = (0..3).collect();
+    fn retry_heals_transient_failures_byte_identically() {
+        let points: Vec<u64> = (0..6).collect();
         let ctl = RunCtl::unlimited();
-        let policy = RetryPolicy::new(1, std::time::Duration::ZERO);
-        try_sweep_resumable_retry(11, &points, &path, &ctl, &policy, false, |&p, _| {
-            if p == 1 {
-                Err(SimError::Faulted {
-                    unit: "point 1".into(),
-                    message: "poison".into(),
-                })
-            } else {
-                Ok(p * 7)
-            }
-        })
-        .expect("seed journal with a tombstone");
-        // The non-quarantining driver honors its own contract: failed
-        // points (tombstoned or not) re-run on resume.
-        let reruns = AtomicUsize::new(0);
-        let resumed = try_sweep_resumable(11, &points, &path, &ctl, |&p, _| {
-            reruns.fetch_add(1, Ordering::Relaxed);
-            Ok(p * 7)
-        })
-        .expect("plain resume");
+        // Every point fails transiently on its first attempt; the
+        // healed output must equal the fault-free run's exactly.
+        let failed = Mutex::new(std::collections::HashSet::new());
+        let runs = plan(&points, &ctl, 3, None)
+            .run(|&p, seed| match failed.lock().unwrap().insert(p) {
+                true => Err(poison(p)),
+                false => Ok(p * 1000 + seed % 100),
+            })
+            .unwrap();
+        let clean = plan(&points, &ctl, 1, None)
+            .run(|&p, seed| Ok(p * 1000 + seed % 100))
+            .unwrap();
+        assert_eq!(rows(&runs), rows(&clean));
+        assert!(runs.iter().all(|run| run.attempts == 2));
+    }
+
+    #[test]
+    fn retry_exhausts_attempts_but_never_retries_permanent_or_cancelled() {
+        let points: Vec<u64> = (0..4).collect();
+        let ctl = RunCtl::unlimited();
+        let calls = AtomicUsize::new(0);
+        let cancelled = SimError::Cancelled {
+            at_sim_time: SimTime::ZERO,
+            reason: "per-point deadline".into(),
+        };
+        let runs = plan(&points, &ctl, 3, None)
+            .run(|&p, _| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                match p {
+                    0 => Err(SimError::invalid_input("bad point")),
+                    1 => Err(cancelled.clone()),
+                    2 => Err(poison(p)),
+                    _ => Ok(p),
+                }
+            })
+            .unwrap();
+        let attempts: Vec<usize> = runs.iter().map(|run| run.attempts).collect();
+        assert_eq!(attempts, vec![1, 1, 3, 1]);
+        assert_eq!(calls.load(Ordering::Relaxed), 6);
+        assert_eq!(runs[0].result, Err(SimError::invalid_input("bad point")));
+        assert_eq!(runs[1].result, Err(cancelled));
+        assert_eq!(runs[2].result, Err(poison(2)));
+        assert_eq!(runs[3].result, Ok(3));
+    }
+
+    #[test]
+    fn quarantined_points_are_tombstoned_and_skipped_on_resume() {
+        let path = temp_journal("tombstone");
+        let points: Vec<u64> = (0..5).collect();
+        let ctl = RunCtl::unlimited();
+        let journaled = |retry_failed| plan(&points, &ctl, 2, Some((&path, retry_failed)));
+        let healthy = |&p: &u64, seed: u64| Ok(p * 10 + seed % 10);
+        let first = journaled(false)
+            .run(|&p, seed| {
+                if p == 3 {
+                    Err(poison(p))
+                } else {
+                    healthy(&p, seed)
+                }
+            })
+            .unwrap();
         assert_eq!(
-            reruns.load(Ordering::Relaxed),
-            1,
-            "only the tombstoned point"
+            (first[3].result.clone(), first[3].attempts),
+            (Err(poison(3)), 2)
         );
-        for (i, r) in resumed.iter().enumerate() {
-            assert_eq!(r.as_ref().unwrap(), &(i as u64 * 7));
-        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let tombstones: Vec<&str> = text.lines().filter(|l| l.contains("tombstone")).collect();
+        assert_eq!((text.lines().count(), tombstones.len()), (5, 1));
+        assert!(
+            tombstones[0].starts_with("{\"index\":3,"),
+            "{}",
+            tombstones[0]
+        );
+        // Resume: the tombstone is skipped even though the point would
+        // now succeed, reporting the recorded error and attempt count.
+        let untouched = |_: &u64, _| -> Result<u64, SimError> { panic!("nothing may re-run") };
+        assert_eq!(journaled(false).run(untouched).unwrap()[3], first[3]);
+        // `retry_failed` re-runs it; the fresh success supersedes the
+        // tombstone for every later replay.
+        let healed = journaled(true).run(healthy).unwrap();
+        assert_eq!(healed[3].result, Ok(30 + point_seed(11, 3) % 10));
+        assert_eq!(
+            rows(&journaled(false).run(untouched).unwrap()),
+            rows(&healed)
+        );
         std::fs::remove_file(&path).ok();
     }
 

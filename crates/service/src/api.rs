@@ -14,12 +14,9 @@
 //! wrong must not be dropped on the floor.
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::path::Path;
 use sustain_grid::region::{Region, RegionProfile};
 use sustain_hpc_core::scenario::{run_with_ctl, Scenario, ScenarioResult};
-use sustain_hpc_core::sweep::{
-    point_seed, try_sweep_memo_with_ctl, try_sweep_resumable, try_sweep_resumable_retry,
-};
+use sustain_hpc_core::sweep::{point_seed, SweepJournal, SweepPlan};
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::sim::{CarbonAwareCfg, Policy};
 use sustain_sim_core::ctl::{CancelToken, Deadline, RunCtl};
@@ -236,7 +233,7 @@ pub fn run_body_with_ctl(
 
 /// Parameters of one parameterized sweep (`POST /sweep`, CLI `sweep`):
 /// a base scenario plus one swept axis, fanned out through the shared
-/// fault-isolated sweep driver (`core::sweep::try_sweep_seeded`) on the
+/// fault-isolated sweep executor (`core::sweep::SweepPlan`) on the
 /// process-wide thread budget and trace cache.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SweepRequest {
@@ -481,87 +478,50 @@ fn render_sweep_response(
 }
 
 /// Handles one sweep request: validate every point up front, fan the
-/// points out through the fault-isolated seeded sweep driver, and
-/// render the canonical response body. Honors the request's own
-/// `timeout_ms`; a server shutdown token is only attached by
+/// points out through the shared sweep executor, and render the
+/// canonical response body. Honors the request's own `timeout_ms`; a
+/// server shutdown token or a journal is only attached by
 /// [`sweep_body_with_ctl`].
 pub fn sweep_body(req: &SweepRequest) -> Result<String, SimError> {
-    sweep_body_with_ctl(req, None)
+    sweep_body_with_ctl(req, None, None)
 }
 
-/// [`sweep_body`] under the server's shutdown token. A fired deadline
-/// or token cancels the whole sweep with a typed `Cancelled` error
-/// carrying partial-progress stats (`N/M sweep points completed`);
-/// per-point panics and errors still land in their own point slots.
+/// [`sweep_body`] under the server's shutdown token and, for the CLI's
+/// `sweep --journal`, a crash-resumable checkpoint journal. A fired
+/// deadline or token cancels the whole sweep with a typed `Cancelled`
+/// error carrying partial-progress stats (`N/M sweep points
+/// completed`); per-point panics and errors land in their own slots.
+///
+/// Without a journal, each point's effective seed is already baked into
+/// its scenario by `sweep_scenarios`, so the plan runs seedless and
+/// duplicate axis values simulate once. With one, points take the
+/// request's master seed (the journal validates its lines against the
+/// derived per-point seeds), transient failures retry under the
+/// process-wide [`RetryPolicy`], and points that fail for good are
+/// quarantined as tombstones that a replay skips unless
+/// `journal.retry_failed`. Either way, a sweep whose faults all heal
+/// renders byte-identically to a fault-free [`sweep_body`] run: attempt
+/// counts surface through the retry counters (`GET /stats`, CLI
+/// `--stats`), not the body.
 pub fn sweep_body_with_ctl(
     req: &SweepRequest,
     token: Option<&CancelToken>,
+    journal: Option<SweepJournal>,
 ) -> Result<String, SimError> {
     let scenarios = sweep_scenarios(req)?;
     let ctl = request_ctl(req.timeout_ms, token);
-    // Points already validated, and each point's effective seed is
-    // already baked into its scenario by `sweep_scenarios` (including
-    // the derived `point_seed` sub-seeds) — so the content-addressed
-    // memo driver is sound here: duplicate axis values collapse to one
-    // simulation and fan the identical row back out in order.
-    let results = try_sweep_memo_with_ctl(&scenarios, &ctl, |scenario| {
-        run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r))
-    })?;
-    render_sweep_response(req, results)
-}
-
-/// [`sweep_body`] with a crash-resumable checkpoint journal: completed
-/// points are replayed from `journal` instead of re-run, and newly
-/// completed points are appended to it (one fsync'd JSON line each).
-/// The merged response is byte-identical to an uninterrupted
-/// [`sweep_body`] run of the same request.
-pub fn sweep_body_resumable(
-    req: &SweepRequest,
-    journal: &Path,
-    token: Option<&CancelToken>,
-) -> Result<String, SimError> {
-    let scenarios = sweep_scenarios(req)?;
-    let ctl = request_ctl(req.timeout_ms, token);
-    let results =
-        try_sweep_resumable(req.master_seed, &scenarios, journal, &ctl, |scenario, _| {
-            run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r))
-        })?;
-    render_sweep_response(req, results)
-}
-
-/// [`sweep_body_resumable`] through the self-healing driver: points
-/// that fail transiently (injected faults, recoverable infrastructure
-/// errors) are retried under the process-wide [`RetryPolicy`] with
-/// deterministic per-point backoff, and points that exhaust their
-/// attempts are quarantined as tombstone records in the journal.
-/// Replaying the journal skips tombstoned points (their recorded error
-/// is reported without re-running them) unless `retry_failed` is set,
-/// in which case they are re-run and — on success — superseded in the
-/// journal. When every fault heals, the response is byte-identical to
-/// a fault-free [`sweep_body`] run of the same request.
-pub fn sweep_body_resumable_retry(
-    req: &SweepRequest,
-    journal: &Path,
-    token: Option<&CancelToken>,
-    retry_failed: bool,
-) -> Result<String, SimError> {
-    let scenarios = sweep_scenarios(req)?;
-    let ctl = request_ctl(req.timeout_ms, token);
-    let policy = RetryPolicy::from_global();
-    let runs = try_sweep_resumable_retry(
-        req.master_seed,
-        &scenarios,
+    let plan = SweepPlan {
+        master_seed: journal.as_ref().map(|_| req.master_seed),
+        retry: match journal {
+            Some(_) => RetryPolicy::from_global(),
+            None => RetryPolicy::none(),
+        },
         journal,
-        &ctl,
-        &policy,
-        retry_failed,
-        |scenario, _| run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r)),
-    )?;
-    // Attempt counts are surfaced through the retry counters
-    // (`GET /stats`, CLI `--stats`), not the response body — keeping
-    // the body byte-identical to the fault-free driver's.
-    let results = runs.into_iter().map(|run| run.result).collect();
-    render_sweep_response(req, results)
+        ..SweepPlan::new(&scenarios, &ctl)
+    };
+    let runs =
+        plan.run(|scenario, _| run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r)))?;
+    render_sweep_response(req, runs.into_iter().map(|run| run.result).collect())
 }
 
 /// Structured error payload: every non-2xx response carries one.
@@ -831,7 +791,7 @@ mod tests {
             values: vec![2.0, 3.0],
             ..SweepRequest::default()
         };
-        let err = sweep_body_with_ctl(&req, Some(&token)).unwrap_err();
+        let err = sweep_body_with_ctl(&req, Some(&token), None).unwrap_err();
         match &err {
             SimError::Cancelled { reason, .. } => {
                 assert!(reason.contains("shutdown requested"), "{reason}");
@@ -862,11 +822,18 @@ mod tests {
         let journal = dir.join("sweep.journal");
         let _ = std::fs::remove_file(&journal);
 
+        let journaled = || {
+            let journal = SweepJournal {
+                path: journal.clone(),
+                retry_failed: false,
+            };
+            sweep_body_with_ctl(&req, None, Some(journal)).unwrap()
+        };
         let plain = sweep_body(&req).unwrap();
-        let fresh = sweep_body_resumable(&req, &journal, None).unwrap();
+        let fresh = journaled();
         assert_eq!(plain, fresh, "fresh resumable run must match plain run");
         // Second invocation replays every point from the journal.
-        let replayed = sweep_body_resumable(&req, &journal, None).unwrap();
+        let replayed = journaled();
         assert_eq!(plain, replayed, "replayed run must be byte-identical");
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,7 +13,7 @@
 //! |                  | deterministic `ETag` (the scenario's canonical hash) and     |
 //! |                  | honors `If-None-Match` with `304 Not Modified`               |
 //! | `POST /sweep`    | One-axis sweep through the fault-isolated, content-memoized  |
-//! |                  | sweep driver (duplicate points simulate once)                |
+//! |                  | sweep executor (duplicate points simulate once)              |
 //! | `GET /healthz`   | Liveness (always 200 while the process can answer at all)    |
 //! | `GET /readyz`    | Readiness: 200 only while `Healthy`; 503 (+ `Retry-After`)   |
 //! |                  | when a breaker is open, the windowed error rate is high      |
@@ -48,8 +48,8 @@ pub mod server;
 pub mod signal;
 
 pub use api::{
-    run_body, run_body_with_ctl, run_etag, sweep_body, sweep_body_resumable,
-    sweep_body_resumable_retry, sweep_body_with_ctl, RunRequest, SweepRequest,
+    run_body, run_body_with_ctl, run_etag, sweep_body, sweep_body_with_ctl, RunRequest,
+    SweepRequest,
 };
 pub use health::{
     init_health_from_env, Health, ProcessHealth, SelfHealingSnapshot, BREAKER_TRIP_ENV,

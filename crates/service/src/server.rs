@@ -569,7 +569,7 @@ fn route(req: &Request, inner: &Inner) -> (u16, String, Option<String>) {
         ("POST", "/sweep") => match parse_body::<api::SweepRequest>(&req.body) {
             Ok(sweep_req) => {
                 let (token, _watch) = request_token(inner, sweep_req.timeout_ms);
-                match api::sweep_body_with_ctl(&sweep_req, Some(&token)) {
+                match api::sweep_body_with_ctl(&sweep_req, Some(&token), None) {
                     Ok(body) => (200, body, None),
                     Err(e) => {
                         let (status, body) = api::sim_error_response(&e);

@@ -276,10 +276,8 @@ pub fn generate(config: &WorkloadConfig, horizon: SimDuration, seed: u64) -> Vec
 pub const DEFAULT_WORKLOAD_CACHE_CAPACITY: usize = 64;
 
 /// Environment variable overriding the global workload cache capacity.
-/// `0` **disables** the cache entirely (every request regenerates) —
-/// note this differs from `SUSTAIN_TRACE_CACHE_CAP`, where `0` means
-/// unbounded; synthesized job sets are large enough that "no limit" is
-/// never what an operator wants.
+/// `0` **disables** the cache entirely (every request regenerates), as
+/// it does for every cache in the workspace.
 pub const WORKLOAD_CACHE_CAP_ENV: &str = "SUSTAIN_WORKLOAD_CACHE_CAP";
 
 /// Cache key for a synthesized job set: the canonical fingerprint of the
@@ -345,15 +343,12 @@ impl WorkloadCache {
     /// drops all entries; a smaller bound evicts down immediately.
     pub fn set_capacity(&self, capacity: usize) {
         self.inner.set_capacity(capacity);
-        if capacity == 0 {
-            self.inner.clear();
-        }
     }
 
     /// Fetch the job set for `(config, horizon, seed)`, generating and
     /// inserting it on first use. Hits return a clone of the cached `Arc`
     /// (pointer-identical jobs) and refresh the entry's LRU position.
-    /// With capacity `0` the cache is bypassed entirely (no counters
+    /// With capacity `0` every request regenerates (no counters
     /// advance).
     pub fn get_or_generate(
         &self,
@@ -361,9 +356,6 @@ impl WorkloadCache {
         horizon: SimDuration,
         seed: u64,
     ) -> Arc<Vec<Job>> {
-        if self.capacity() == 0 {
-            return Arc::new(generate(config, horizon, seed));
-        }
         let key = WorkloadKey::new(config, horizon, seed);
         if let Some(jobs) = self.inner.lookup(&key) {
             return jobs;

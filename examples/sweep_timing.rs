@@ -3,8 +3,8 @@
 //! — serial (1 thread, cold caches), parallel (all threads, cold
 //! caches), and cached (all threads, warm caches) — plus the
 //! `sweep_memo` experiment: a duplicate-heavy sweep run point-by-point
-//! with outcome memoization disabled versus the content-addressed memo
-//! sweep driver. One JSON object per configuration, each carrying the
+//! with outcome memoization disabled versus a seedless `SweepPlan`,
+//! which dedupes duplicate points. One JSON object per configuration, each carrying the
 //! host core count and the cache-hit counts observed during the timed
 //! reps.
 //!
@@ -129,13 +129,13 @@ fn measure(experiment: &'static str, rows: &mut Vec<Row>, mut run: impl FnMut())
 
 /// The memoization headline: a 12-point sweep with only 2 distinct
 /// scenarios, timed point-by-point with outcome memoization disabled
-/// ("cold") and through the content-addressed memo sweep driver
-/// ("memoized", which simulates each distinct scenario once and fans
-/// the shared row back out).
+/// ("cold") and through a seedless `SweepPlan` ("memoized", which
+/// simulates each distinct scenario once and fans the shared row back
+/// out).
 fn measure_memo(rows: &mut Vec<Row>) {
     set_threads(1);
     // Points heavy enough (two weeks on a 64-node cluster) that
-    // simulation cost dominates the memo driver's hashing + fan-out
+    // simulation cost dominates the plan's hashing + fan-out
     // overhead; the 12-point / 2-distinct sweep then approaches its
     // ideal 6x.
     let mut base = Scenario::baseline(
@@ -176,7 +176,8 @@ fn measure_memo(rows: &mut Vec<Row>) {
         || {
             clear_all_caches();
             let ctl = RunCtl::unlimited();
-            let results = try_sweep_memo_with_ctl(&points, &ctl, try_run)
+            let results = SweepPlan::new(&points, &ctl)
+                .run(|point, _| try_run(point))
                 .expect("bench sweep cannot be cancelled");
             std::hint::black_box(results);
         },

@@ -543,20 +543,15 @@ fn main() -> ExitCode {
                     if let Some(ms) = timeout_ms_of(&args) {
                         req.timeout_ms = Some(ms);
                     }
-                    match &args.journal {
-                        // Journaled sweeps go through the self-healing
-                        // driver: transient failures retry, exhausted
-                        // points quarantine as tombstones, and
-                        // `--retry-failed` re-runs quarantined points.
-                        Some(path) => sustain_hpc::service::sweep_body_resumable_retry(
-                            &req,
-                            path,
-                            None,
-                            args.retry_failed,
-                        )
-                        .map_err(|e| e.to_string()),
-                        None => sustain_hpc::service::sweep_body(&req).map_err(|e| e.to_string()),
-                    }
+                    // Journaled sweeps self-heal: transient failures
+                    // retry, exhausted points quarantine as tombstones,
+                    // and `--retry-failed` re-runs quarantined points.
+                    let journal = args.journal.clone().map(|path| SweepJournal {
+                        path,
+                        retry_failed: args.retry_failed,
+                    });
+                    sustain_hpc::service::sweep_body_with_ctl(&req, None, journal)
+                        .map_err(|e| e.to_string())
                 },
             ) {
                 Ok(body) => {

@@ -145,7 +145,7 @@ proptest! {
         }
     }
 
-    /// `try_sweep` fault isolation under random failure patterns: every
+    /// `SweepPlan` fault isolation under random failure patterns: every
     /// panicking point yields its own error, every other point its value,
     /// in input order.
     #[test]
@@ -155,17 +155,23 @@ proptest! {
     ) {
         parallelism_init();
         let points: Vec<usize> = (0..n).collect();
-        let results = try_sweep(&points, |&i| {
-            assert!(fail_mask & (1 << i) == 0, "chaos-injected failure");
-            i * 3
-        });
+        let ctl = RunCtl::unlimited();
+        let results = SweepPlan::new(&points, &ctl)
+            .run(|&i, _| {
+                assert!(fail_mask & (1 << i) == 0, "chaos-injected failure");
+                Ok(i * 3)
+            })
+            .expect("no cancellation");
         prop_assert_eq!(results.len(), n);
         for (i, r) in results.iter().enumerate() {
             if fail_mask & (1 << i) != 0 {
-                let e = r.as_ref().expect_err("injected failure must surface");
-                prop_assert_eq!(e.index, i);
+                let e = r.result.as_ref().expect_err("injected failure must surface");
+                prop_assert!(
+                    matches!(e, SimError::Faulted { unit, .. } if *unit == format!("sweep point {i}")),
+                    "{e}"
+                );
             } else {
-                prop_assert_eq!(r.as_ref().ok().copied(), Some(i * 3));
+                prop_assert_eq!(r.result.as_ref().ok().copied(), Some(i * 3));
             }
         }
     }

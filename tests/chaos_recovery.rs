@@ -96,6 +96,37 @@ fn temp_journal(case: &str) -> PathBuf {
     path
 }
 
+/// Runs `scenarios` through a seeded sweep plan and returns each point's
+/// result.
+fn seeded_sweep(
+    scenarios: &[Scenario],
+    ctl: &RunCtl,
+) -> Result<Vec<Result<f64, SimError>>, SimError> {
+    let plan = SweepPlan {
+        master_seed: Some(11),
+        ..SweepPlan::new(scenarios, ctl)
+    };
+    plan.run(|s, _| try_run(s).map(|r| r.grid_mean_ci))
+        .map(|runs| runs.into_iter().map(|run| run.result).collect())
+}
+
+/// A seeded, journaled sweep plan writing to `path`.
+fn journaled<'a, P: Sync + sustain_hpc::sim_core::hash::CanonicalHash>(
+    points: &'a [P],
+    path: &std::path::Path,
+    ctl: &'a RunCtl,
+    master_seed: u64,
+) -> SweepPlan<'a, P> {
+    SweepPlan {
+        master_seed: Some(master_seed),
+        journal: Some(SweepJournal {
+            path: path.to_path_buf(),
+            retry_failed: false,
+        }),
+        ..SweepPlan::new(points, ctl)
+    }
+}
+
 /// Polls until the shared worker budget is back at `baseline` — leases
 /// are Drop-released, so transient lag is fine but a leak is not.
 fn assert_budget_restored(baseline: usize) {
@@ -132,10 +163,8 @@ fn simulation_faults_are_isolated_per_point_and_heal_after_disarm() {
             faults::arm(&format!("{site}:{mode}:1"), 7).expect("valid spec");
             let scenarios: Vec<Scenario> = (0..3).map(|_| small_scenario(fresh_seed())).collect();
             let ctl = RunCtl::unlimited();
-            let results = try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-                try_run(s).map(|r| r.grid_mean_ci)
-            })
-            .unwrap_or_else(|e| panic!("{site}:{mode}: whole sweep failed: {e}"));
+            let results = seeded_sweep(&scenarios, &ctl)
+                .unwrap_or_else(|e| panic!("{site}:{mode}: whole sweep failed: {e}"));
 
             let errs: Vec<String> = results
                 .iter()
@@ -159,10 +188,7 @@ fn simulation_faults_are_isolated_per_point_and_heal_after_disarm() {
             faults::disarm();
 
             // No poisoned locks, no broken cache: the same sweep heals.
-            let healed = try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-                try_run(s).map(|r| r.grid_mean_ci)
-            })
-            .expect("healed sweep runs");
+            let healed = seeded_sweep(&scenarios, &ctl).expect("healed sweep runs");
             assert!(
                 healed.iter().all(Result::is_ok),
                 "{site}:{mode}: sweep must heal after disarm"
@@ -184,9 +210,13 @@ fn journal_faults_are_typed_and_a_resume_heals_the_sweep() {
 
     let clean_path = temp_journal("clean");
     let ctl = RunCtl::unlimited();
-    let clean = try_sweep_resumable(99, &points, &clean_path, &ctl, run)
+    let clean = journaled(&points, &clean_path, &ctl, 99)
+        .run(run)
         .expect("undisturbed resumable sweep");
-    let clean: Vec<String> = clean.into_iter().map(|r| r.expect("clean point")).collect();
+    let clean: Vec<String> = clean
+        .into_iter()
+        .map(|r| r.result.expect("clean point"))
+        .collect();
     std::fs::remove_file(&clean_path).ok();
 
     for site in [
@@ -197,7 +227,8 @@ fn journal_faults_are_typed_and_a_resume_heals_the_sweep() {
         for mode in ["error", "panic"] {
             let path = temp_journal(&format!("{}-{mode}", site.replace(':', "_")));
             faults::arm(&format!("{site}:{mode}:1"), 7).expect("valid spec");
-            let err = try_sweep_resumable(99, &points, &path, &ctl, run)
+            let err = journaled(&points, &path, &ctl, 99)
+                .run(run)
                 .expect_err("injected journal fault must surface");
             assert!(
                 err.to_string().contains("injected fault at"),
@@ -207,11 +238,12 @@ fn journal_faults_are_typed_and_a_resume_heals_the_sweep() {
 
             // The journal left behind (possibly partial, possibly
             // absent) must resume to the exact undisturbed results.
-            let resumed = try_sweep_resumable(99, &points, &path, &ctl, run)
+            let resumed = journaled(&points, &path, &ctl, 99)
+                .run(run)
                 .unwrap_or_else(|e| panic!("{site}:{mode}: resume failed: {e}"));
             let resumed: Vec<String> = resumed
                 .into_iter()
-                .map(|r| r.expect("resumed point"))
+                .map(|r| r.result.expect("resumed point"))
                 .collect();
             assert_eq!(resumed, clean, "{site}:{mode}: resume must heal exactly");
             std::fs::remove_file(&path).ok();
@@ -231,10 +263,7 @@ fn a_faulted_trace_fill_leaves_the_cache_usable() {
     faults::arm("grid::trace_fill:panic:1", 7).expect("valid spec");
     let scenarios = vec![small_scenario(seed)];
     let ctl = RunCtl::unlimited();
-    let results = try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
-    })
-    .expect("sweep survives the fill panic");
+    let results = seeded_sweep(&scenarios, &ctl).expect("sweep survives the fill panic");
     assert!(results[0].is_err(), "the filling point observed the panic");
 
     // Trigger exhausted (exact-Nth), registry still armed: the retry
@@ -258,10 +287,8 @@ fn a_faulted_outcome_fill_leaves_the_cache_usable() {
 
     faults::arm("scenario::outcome_fill:panic:1", 7).expect("valid spec");
     let ctl = RunCtl::unlimited();
-    let results = try_sweep_seeded_with_ctl(11, std::slice::from_ref(&scenario), &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
-    })
-    .expect("sweep survives the fill panic");
+    let results =
+        seeded_sweep(std::slice::from_ref(&scenario), &ctl).expect("sweep survives the fill panic");
     assert!(results[0].is_err(), "the filling point observed the panic");
     faults::disarm();
 
@@ -319,9 +346,7 @@ fn tokens_and_deadlines_cancel_runs_and_sweeps_with_typed_errors() {
 
     let ctl = RunCtl::unlimited().with_token(token);
     let scenarios: Vec<Scenario> = (0..3).map(|_| small_scenario(fresh_seed())).collect();
-    match try_sweep_seeded_with_ctl(11, &scenarios, &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
-    }) {
+    match seeded_sweep(&scenarios, &ctl) {
         Err(SimError::Cancelled { reason, .. }) => {
             assert!(
                 reason.contains("sweep points completed"),
@@ -427,11 +452,10 @@ fn every_fault_site_is_on_an_exercised_path() {
     let path = temp_journal("coverage");
     let scenarios: Vec<Scenario> = (0..2).map(|_| small_scenario(fresh_seed())).collect();
     let ctl = RunCtl::unlimited();
-    let results = try_sweep_resumable(11, &scenarios, &path, &ctl, |s, _| {
-        try_run(s).map(|r| r.grid_mean_ci)
-    })
-    .expect("coverage sweep");
-    assert!(results.iter().all(Result::is_ok));
+    let results = journaled(&scenarios, &path, &ctl, 11)
+        .run(|s, _| try_run(s).map(|r| r.grid_mean_ci))
+        .expect("coverage sweep");
+    assert!(results.iter().all(|r| r.result.is_ok()));
     std::fs::remove_file(&path).ok();
 
     let handle = serve(ServeOptions::default()).expect("serve");

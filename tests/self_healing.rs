@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use sustain_hpc::core::prelude::*;
 use sustain_hpc::service::health;
 use sustain_hpc::service::{
-    serve, sweep_body, sweep_body_resumable_retry, RunRequest, ServeOptions, SweepRequest,
+    serve, sweep_body, sweep_body_with_ctl, RunRequest, ServeOptions, SweepRequest,
 };
 use sustain_hpc::sim_core::faults;
 use sustain_hpc::sim_core::retry::{self, run_with_retry};
@@ -165,7 +165,11 @@ fn transient_faults_heal_and_the_retried_sweep_is_byte_identical() {
 
             let before = retry::retry_stats();
             faults::arm(&format!("{site}:error:{trigger}"), 7).expect("valid spec");
-            let healed = sweep_body_resumable_retry(&req, &journal, None, false)
+            let journal = SweepJournal {
+                path: journal,
+                retry_failed: false,
+            };
+            let healed = sweep_body_with_ctl(&req, None, Some(journal.clone()))
                 .unwrap_or_else(|e| panic!("{site}:{trigger}: retried sweep failed: {e}"));
             assert_eq!(
                 faults::fired_count(site),
@@ -195,7 +199,7 @@ fn transient_faults_heal_and_the_retried_sweep_is_byte_identical() {
                 !healed.contains("injected fault"),
                 "{site}:{trigger}: no point error may leak into a healed response"
             );
-            std::fs::remove_file(&journal).ok();
+            std::fs::remove_file(&journal.path).ok();
         }
     }
 }
@@ -217,28 +221,34 @@ fn exhausted_transient_retries_quarantine_with_recorded_attempts() {
     let ctl = RunCtl::unlimited();
 
     let before = retry::retry_stats();
-    let runs = try_sweep_retry_with_ctl(99, &points, &ctl, &policy, |p, seed| match *p {
-        // Broken forever: transient error on every attempt.
-        7 => {
-            broken_calls.fetch_add(1, Ordering::Relaxed);
-            Err(SimError::Faulted {
-                unit: "point 7".into(),
-                message: "flaky interconnect".into(),
-            })
-        }
-        // Flaky once: fails the first attempt, heals on the second.
-        _ => {
-            if flaky_calls.fetch_add(1, Ordering::Relaxed) == 0 {
+    let plan = SweepPlan {
+        master_seed: Some(99),
+        retry: policy,
+        ..SweepPlan::new(&points, &ctl)
+    };
+    let runs = plan
+        .run(|p, seed| match *p {
+            // Broken forever: transient error on every attempt.
+            7 => {
+                broken_calls.fetch_add(1, Ordering::Relaxed);
                 Err(SimError::Faulted {
-                    unit: "point 8".into(),
-                    message: "transient blip".into(),
+                    unit: "point 7".into(),
+                    message: "flaky interconnect".into(),
                 })
-            } else {
-                Ok(format!("{p}/{seed}"))
             }
-        }
-    })
-    .expect("retrying sweep driver runs");
+            // Flaky once: fails the first attempt, heals on the second.
+            _ => {
+                if flaky_calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                    Err(SimError::Faulted {
+                        unit: "point 8".into(),
+                        message: "transient blip".into(),
+                    })
+                } else {
+                    Ok(format!("{p}/{seed}"))
+                }
+            }
+        })
+        .expect("retrying sweep driver runs");
 
     assert!(
         matches!(runs[0].result, Err(SimError::Faulted { .. })),
@@ -275,6 +285,16 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
     let policy = RetryPolicy::new(3, Duration::ZERO);
     let ctl = RunCtl::unlimited();
 
+    let journaled = |retry_failed| SweepPlan {
+        master_seed: Some(99),
+        retry: policy.clone(),
+        journal: Some(SweepJournal {
+            path: journal.clone(),
+            retry_failed,
+        }),
+        ..SweepPlan::new(&points, &ctl)
+    };
+
     let poisoned = std::sync::atomic::AtomicBool::new(true);
     let poison_calls = AtomicUsize::new(0);
     let work = |p: &u64, seed: u64| -> Result<String, SimError> {
@@ -291,7 +311,8 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
 
     // Pass 1: the poison point quarantines after ONE attempt.
     let before = retry::retry_stats();
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, false, work)
+    let runs = journaled(false)
+        .run(work)
         .expect("sweep with a quarantined point still completes");
     assert!(
         matches!(runs[1].result, Err(SimError::InvalidInput { .. })),
@@ -317,7 +338,8 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
     // skips the tombstone and reports the recorded error verbatim.
     poisoned.store(false, Ordering::Relaxed);
     let before = retry::retry_stats();
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, false, work)
+    let runs = journaled(false)
+        .run(work)
         .expect("replay with a tombstone completes");
     match &runs[1].result {
         Err(SimError::InvalidInput { message }) => assert_eq!(message, "poison point"),
@@ -337,7 +359,8 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
     );
 
     // Pass 3: --retry-failed re-runs exactly the tombstoned point.
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, true, work)
+    let runs = journaled(true)
+        .run(work)
         .expect("retry-failed replay completes");
     assert!(
         runs[1].result.is_ok(),
@@ -349,7 +372,8 @@ fn a_permanent_fault_quarantines_and_only_retry_failed_reruns_it() {
 
     // Pass 4: the success superseded the tombstone — a plain replay now
     // returns it without running anything.
-    let runs = try_sweep_resumable_retry(99, &points, &journal, &ctl, &policy, false, work)
+    let runs = journaled(false)
+        .run(work)
         .expect("post-heal replay completes");
     assert!(runs.iter().all(|r| r.result.is_ok()));
     assert!(runs.iter().all(|r| r.attempts == 0), "pure replay");

@@ -48,31 +48,34 @@ fn a6_failure_model_parallel_bytes_match_serial() {
     assert_eq!(serial, parallel, "A6 must not depend on thread count");
 }
 
-/// `try_sweep` fault isolation: one injected panicking point fails alone
-/// — its neighbors all succeed, and output order is preserved.
+/// `SweepPlan` fault isolation: one injected panicking point fails
+/// alone — its neighbors all succeed, and output order is preserved.
 #[test]
 fn try_sweep_injected_panic_fails_alone() {
     let points: Vec<u32> = (0..12).collect();
-    let results = try_sweep(&points, |&p| {
-        assert!(p != 7, "injected fault in point 7");
-        p as u64 + 100
-    });
+    let ctl = RunCtl::unlimited();
+    let run = || {
+        SweepPlan::new(&points, &ctl)
+            .run(|&p, _| {
+                assert!(p != 7, "injected fault in point 7");
+                Ok(p as u64 + 100)
+            })
+            .expect("no cancellation")
+    };
+    let results = run();
     assert_eq!(results.len(), points.len());
     for (i, r) in results.iter().enumerate() {
         if i == 7 {
-            let e = r.as_ref().unwrap_err();
-            assert_eq!(e.index, 7);
-            assert!(e.message.contains("injected fault"), "{e}");
+            let e = r.result.as_ref().unwrap_err().to_string();
+            assert!(e.contains("sweep point 7"), "{e}");
+            assert!(e.contains("injected fault"), "{e}");
         } else {
-            assert_eq!(*r, Ok(i as u64 + 100), "neighbor {i} must succeed");
+            assert_eq!(r.result, Ok(i as u64 + 100), "neighbor {i} must succeed");
         }
     }
     // And the failure report is itself deterministic across thread counts.
     set_threads(1);
-    let serial = try_sweep(&points, |&p| {
-        assert!(p != 7, "injected fault in point 7");
-        p as u64 + 100
-    });
+    let serial = run();
     set_threads(0);
     assert_eq!(serial, results);
 }

@@ -1,17 +1,13 @@
 //! Regenerates `BENCH_sim.json`: every `sim_loop` scenario at full
-//! scale, timed at 1 and 2 worker threads with warm-up plus
-//! median-of-samples wall times, alongside the hot-path counters the
-//! simulator reports and the speedup against the recorded pre-PR
-//! baselines (`PRE_PR_WALL_S`). One JSON object per (scenario, threads)
-//! pair.
+//! scale, timed with warm-up plus median-of-samples wall times,
+//! alongside the hot-path counters the simulator reports and the
+//! speedup against the recorded pre-optimization baselines
+//! (`PRE_PR_WALL_S`). One JSON object per scenario. A single simulation
+//! runs on one thread, so the thread budget does not enter the timing.
 //!
 //! ```text
 //! cargo run --release -p sustain-bench --example sim_timing > BENCH_sim.json
 //! ```
-//!
-//! Outcomes are byte-identical at every thread count (goldens +
-//! proptests lock this); only `wall_s` and the `spec_*` counters may
-//! differ between the two rows of one scenario.
 
 use serde::Serialize;
 use std::time::Instant;
@@ -22,7 +18,6 @@ use sustain_scheduler::sim::simulate;
 #[derive(Serialize)]
 struct Row {
     scenario: &'static str,
-    threads: usize,
     cpu_cores: usize,
     wall_s: f64,
     samples: usize,
@@ -38,9 +33,6 @@ struct Row {
     trace_bucket_hits: u64,
     trace_bucket_misses: u64,
     scratch_grows: u64,
-    spec_planned: u64,
-    spec_hits: u64,
-    spec_invalidations: u64,
     fs_repositions: u64,
     fs_renorms: u64,
 }
@@ -71,37 +63,30 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     let mut rows = Vec::new();
-    for threads in [1usize, 2] {
-        sustain_hpc_core::sweep::set_threads(threads);
-        for sc in &corpus {
-            let (wall_s, samples, out) = time_scenario(&sc.jobs, &sc.cfg);
-            let baseline = pre_pr_wall_s(sc.name).expect("scenario has a pre-PR baseline");
-            let hp = &out.hot_path;
-            rows.push(Row {
-                scenario: sc.name,
-                threads,
-                cpu_cores,
-                wall_s,
-                samples,
-                pre_pr_wall_s: baseline,
-                speedup_vs_pre_pr: baseline / wall_s,
-                records: out.records.len(),
-                unfinished: out.unfinished,
-                events: hp.events,
-                schedule_passes: hp.schedule_passes,
-                schedule_skips: hp.schedule_skips,
-                resorts_taken: hp.resorts_taken,
-                resorts_skipped: hp.resorts_skipped,
-                trace_bucket_hits: hp.trace_bucket_hits,
-                trace_bucket_misses: hp.trace_bucket_misses,
-                scratch_grows: hp.scratch_grows,
-                spec_planned: hp.spec_planned,
-                spec_hits: hp.spec_hits,
-                spec_invalidations: hp.spec_invalidations,
-                fs_repositions: hp.fs_repositions,
-                fs_renorms: hp.fs_renorms,
-            });
-        }
+    for sc in &corpus {
+        let (wall_s, samples, out) = time_scenario(&sc.jobs, &sc.cfg);
+        let baseline = pre_pr_wall_s(sc.name).expect("scenario has a recorded baseline");
+        let hp = &out.hot_path;
+        rows.push(Row {
+            scenario: sc.name,
+            cpu_cores,
+            wall_s,
+            samples,
+            pre_pr_wall_s: baseline,
+            speedup_vs_pre_pr: baseline / wall_s,
+            records: out.records.len(),
+            unfinished: out.unfinished,
+            events: hp.events,
+            schedule_passes: hp.schedule_passes,
+            schedule_skips: hp.schedule_skips,
+            resorts_taken: hp.resorts_taken,
+            resorts_skipped: hp.resorts_skipped,
+            trace_bucket_hits: hp.trace_bucket_hits,
+            trace_bucket_misses: hp.trace_bucket_misses,
+            scratch_grows: hp.scratch_grows,
+            fs_repositions: hp.fs_repositions,
+            fs_renorms: hp.fs_renorms,
+        });
     }
     println!(
         "{}",

@@ -42,13 +42,12 @@
 //!
 //! That count is a single **process-wide worker budget**, not a
 //! per-call-site pool size: every parallel pipeline (the sweep fan-out
-//! here, the speculative planning pass inside `scheduler::sim`) leases
-//! spare workers from the same budget and runs inline when none are
-//! left. A sweep of N scenarios that each trigger in-scenario
-//! parallelism therefore never runs more than the budgeted number of
-//! worker threads — nesting degrades to serial execution instead of
-//! oversubscribing the host (asserted in the vendored `rayon` shim's
-//! `nested_pipelines_share_the_budget_and_stay_ordered` test).
+//! here, the service's request workers) leases spare workers from the
+//! same budget and runs inline when none are left, so nesting degrades
+//! to serial execution instead of oversubscribing the host (asserted in
+//! the vendored `rayon` shim's
+//! `nested_pipelines_share_the_budget_and_stay_ordered` test). A single
+//! simulation always runs on one thread.
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;

@@ -142,14 +142,13 @@ pub struct HotPathStats {
     /// (plateaus after warm-up: the steady-state schedule path performs
     /// no heap allocation).
     pub scratch_grows: u64,
-    /// Speculative earliest-slot computations fanned out against a pass
-    /// snapshot (one per candidate job per speculative planning round).
+    /// Counters of the removed speculative conservative planner
+    /// (DESIGN.md §6); always 0. They stay so outcome JSONs keep their
+    /// field set and the benchmark, which reads them, still compiles.
     pub spec_planned: u64,
-    /// Speculative slots that re-verified feasible at commit time and
-    /// were used as-is (provably equal to the serial planner's answer).
+    /// Always 0 (see `spec_planned`).
     pub spec_hits: u64,
-    /// Speculative slots invalidated by an earlier commit in the same
-    /// round and recomputed serially against the live profile.
+    /// Always 0 (see `spec_planned`).
     pub spec_invalidations: u64,
     /// Pending jobs repositioned by the incremental fair-share fix-up
     /// (remove + sorted re-insert of dirty users' jobs; the work that
@@ -219,9 +218,6 @@ static TOTAL_RESORTS_SKIPPED: AtomicU64 = AtomicU64::new(0);
 static TOTAL_TRACE_HITS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SCRATCH_GROWS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPEC_PLANNED: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPEC_HITS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SPEC_INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FS_REPOSITIONS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FS_RENORMS: AtomicU64 = AtomicU64::new(0);
 
@@ -234,9 +230,6 @@ pub(crate) fn record_hot_path_totals(s: &HotPathStats) {
     TOTAL_TRACE_HITS.fetch_add(s.trace_bucket_hits, Ordering::Relaxed);
     TOTAL_TRACE_MISSES.fetch_add(s.trace_bucket_misses, Ordering::Relaxed);
     TOTAL_SCRATCH_GROWS.fetch_add(s.scratch_grows, Ordering::Relaxed);
-    TOTAL_SPEC_PLANNED.fetch_add(s.spec_planned, Ordering::Relaxed);
-    TOTAL_SPEC_HITS.fetch_add(s.spec_hits, Ordering::Relaxed);
-    TOTAL_SPEC_INVALIDATIONS.fetch_add(s.spec_invalidations, Ordering::Relaxed);
     TOTAL_FS_REPOSITIONS.fetch_add(s.fs_repositions, Ordering::Relaxed);
     TOTAL_FS_RENORMS.fetch_add(s.fs_renorms, Ordering::Relaxed);
 }
@@ -253,11 +246,9 @@ pub fn hot_path_totals() -> HotPathStats {
         trace_bucket_hits: TOTAL_TRACE_HITS.load(Ordering::Relaxed),
         trace_bucket_misses: TOTAL_TRACE_MISSES.load(Ordering::Relaxed),
         scratch_grows: TOTAL_SCRATCH_GROWS.load(Ordering::Relaxed),
-        spec_planned: TOTAL_SPEC_PLANNED.load(Ordering::Relaxed),
-        spec_hits: TOTAL_SPEC_HITS.load(Ordering::Relaxed),
-        spec_invalidations: TOTAL_SPEC_INVALIDATIONS.load(Ordering::Relaxed),
         fs_repositions: TOTAL_FS_REPOSITIONS.load(Ordering::Relaxed),
         fs_renorms: TOTAL_FS_RENORMS.load(Ordering::Relaxed),
+        ..HotPathStats::default()
     }
 }
 
@@ -588,8 +579,8 @@ mod tests {
 
     #[test]
     fn hot_path_stats_tolerate_missing_counters() {
-        // A counter block serialized before the speculative-planning
-        // counters existed must still load, with absent fields at 0.
+        // A counter block serialized before the `spec_*` counters
+        // existed must still load, with absent fields at 0.
         let old = r#"{
             "events": 10, "schedule_passes": 3, "schedule_skips": 1,
             "resorts_taken": 2, "resorts_skipped": 4,
@@ -609,8 +600,8 @@ mod tests {
 
     #[test]
     fn hot_path_stats_tolerate_pre_fair_share_counters() {
-        // A block from the speculative-planning era (has spec_* but
-        // predates the fs_* counters) still loads, fs_* defaulting to 0.
+        // A block that has spec_* but predates the fs_* counters still
+        // loads, fs_* defaulting to 0.
         let old = r#"{
             "events": 10, "schedule_passes": 3, "schedule_skips": 1,
             "resorts_taken": 2, "resorts_skipped": 4,

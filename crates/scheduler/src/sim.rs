@@ -21,14 +21,11 @@
 
 use crate::cluster::{Allocation, Cluster};
 use crate::metrics::{HotPathStats, JobRecord, Segment, SimOutcome};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use sustain_grid::trace::CarbonTrace;
 use sustain_sim_core::ctl::RunCtl;
-use sustain_sim_core::error::{
-    ensure_ordered, ensure_positive, env_knob_usize, ConfigError, SimError, Validate,
-};
+use sustain_sim_core::error::{ensure_ordered, ensure_positive, ConfigError, SimError, Validate};
 use sustain_sim_core::event::{EventId, EventQueue};
 use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::series::TimeSeries;
@@ -443,11 +440,6 @@ struct Scratch {
     keyed: Vec<(std::cmp::Reverse<u32>, f64, SimTime, JobId, usize)>,
     /// Per-user decayed-usage memo for one legacy resort.
     usage_memo: UserMap<f64>,
-    /// Speculative earliest-slot results for one conservative planning
-    /// round, aligned index-for-index with `plan`. Filled in parallel
-    /// against the round's immutable profile snapshot, then consumed by
-    /// the ordered commit loop.
-    spec: Vec<SimTime>,
 }
 
 /// The single pending-order key (see [`Sim::pending_key`]).
@@ -609,66 +601,13 @@ fn sorted_insert<T>(v: &mut Vec<(SimTime, T)>, item: (SimTime, T)) {
     v.insert(pos, item);
 }
 
-/// Default pending-queue length below which a conservative planning
-/// round skips the speculative parallel phase: snapshot fan-out has a
-/// fixed cost (scoped worker threads per round), so sub-second scenarios
-/// with short queues should not pay it.
-const PAR_PENDING_MIN_DEFAULT: usize = 64;
-
-static PAR_PENDING_MIN: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(PAR_PENDING_MIN_DEFAULT);
-static PAR_PENDING_MIN_INIT: std::sync::Once = std::sync::Once::new();
-
-/// Environment variable overriding the speculative-planning threshold
-/// (see [`par_pending_min`]).
-pub const PAR_PENDING_MIN_ENV: &str = "SUSTAIN_PAR_PENDING_MIN";
-
-/// Strictly applies [`PAR_PENDING_MIN_ENV`] if set; returns the applied
-/// threshold. Boundary code (CLI/service startup) calls this once so a
-/// malformed value becomes a typed error instead of a silently-used
-/// default; an explicit [`set_par_pending_min`] afterwards still wins.
+/// Formerly applied `SUSTAIN_PAR_PENDING_MIN`, the threshold of a
+/// speculative planning phase that no longer exists (DESIGN.md §6). Kept
+/// as a no-op only because `examples/benchmark` calls it at startup; the
+/// benchmark is its only caller.
+#[doc(hidden)]
 pub fn init_par_pending_min_from_env() -> Result<Option<usize>, ConfigError> {
-    let parsed = env_knob_usize(PAR_PENDING_MIN_ENV)?;
-    if let Some(v) = parsed {
-        set_par_pending_min(v);
-    } else {
-        // Mark resolution done so the lazy path cannot re-read (and
-        // re-warn about) the environment later in the process lifetime.
-        PAR_PENDING_MIN_INIT.call_once(|| {});
-    }
-    Ok(parsed)
-}
-
-/// Minimum pending-queue length for the speculative parallel planning
-/// phase. Resolved once from [`PAR_PENDING_MIN_ENV`] (falling back to
-/// 64) unless [`set_par_pending_min`] or
-/// [`init_par_pending_min_from_env`] ran first. The knob only trades
-/// setup cost against parallelism — outcomes are byte-identical at
-/// every value and every thread count.
-///
-/// This lazy path is reached from deep inside the simulator, so a
-/// malformed value cannot surface as a `Result`; it warns loudly on
-/// stderr (once) and keeps the default rather than silently ignoring
-/// the knob. Boundary code gets the typed-error behavior by calling
-/// [`init_par_pending_min_from_env`] at startup.
-pub fn par_pending_min() -> usize {
-    PAR_PENDING_MIN_INIT.call_once(|| match env_knob_usize(PAR_PENDING_MIN_ENV) {
-        Ok(Some(v)) => PAR_PENDING_MIN.store(v, std::sync::atomic::Ordering::Relaxed),
-        Ok(None) => {}
-        Err(e) => eprintln!(
-            "warning: {e}; keeping the default speculative-planning \
-             threshold of {PAR_PENDING_MIN_DEFAULT}"
-        ),
-    });
-    PAR_PENDING_MIN.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Overrides the speculative-planning queue-length threshold for the
-/// whole process (0 = always speculate when workers are available,
-/// `usize::MAX` = never). Takes precedence over the environment.
-pub fn set_par_pending_min(n: usize) {
-    PAR_PENDING_MIN_INIT.call_once(|| {});
-    PAR_PENDING_MIN.store(n, std::sync::atomic::Ordering::Relaxed);
+    Ok(None)
 }
 
 /// When set, every scheduling pass rebuilds and fully sorts the pending
@@ -714,51 +653,6 @@ const FS_RENORM_HALF_LIVES: f64 = 512.0;
 /// half-lives) — no benchmark scenario comes within an order of
 /// magnitude of it.
 const FS_DEGRADE_MIN_EXP: f64 = -1000.0;
-
-/// Exact feasibility check of the window `[start, start + dur)` against
-/// a time-sorted strictly-future profile: the same prefix fold and
-/// window scan [`earliest_slot_sorted`] performs for one candidate,
-/// factored out so the commit loop can re-verify a speculative slot
-/// against the *live* profile.
-///
-/// Why verification is enough for byte-identity (DESIGN.md §6): within
-/// one planning round, commits only ever *shrink* availability — each
-/// reservation subtracts nodes from `free_now` or inserts a
-/// `(start, -alloc)` event whose matching `(end, +alloc)` restores what
-/// it took, never more — so the live profile is pointwise ≤ the round's
-/// snapshot. A speculative slot that is still feasible live therefore
-/// has no earlier feasible start (an earlier live window would have been
-/// an earlier snapshot window, contradicting "earliest on snapshot"),
-/// i.e. it *is* the serial planner's answer. Infeasible slots are
-/// recomputed serially, which is exactly what the serial planner does.
-fn window_feasible(
-    free_now: i64,
-    evs: &[(SimTime, i64)],
-    start: SimTime,
-    alloc: i64,
-    dur: SimDuration,
-) -> bool {
-    let mut free = free_now;
-    let mut consumed = 0usize;
-    while consumed < evs.len() && evs[consumed].0 <= start {
-        free += evs[consumed].1;
-        consumed += 1;
-    }
-    if free < alloc {
-        return false;
-    }
-    let t_end = start + dur;
-    for e in &evs[consumed..] {
-        if e.0 >= t_end {
-            break;
-        }
-        free += e.1;
-        if free < alloc {
-            return false;
-        }
-    }
-    true
-}
 
 struct Sim<'a> {
     jobs: &'a [Job],
@@ -1727,22 +1621,12 @@ impl<'a> Sim<'a> {
     /// reservation begins now. Reservation durations use user walltime
     /// estimates; actual completions free resources earlier and the next
     /// pass re-plans.
-    ///
-    /// Long pending queues additionally run a *speculative parallel
-    /// phase* per planning round: every candidate's earliest slot is
-    /// computed concurrently against the round's immutable profile
-    /// snapshot, and the ordered commit loop below re-verifies each slot
-    /// against the live profile, recomputing only the invalidated ones.
-    /// See [`window_feasible`] for why this is byte-identical to the
-    /// serial planner at every thread count.
     fn conservative_schedule(&mut self, now: SimTime) {
-        // The profile, the pending snapshot, and the speculative slots
-        // live in reusable scratch buffers: a steady-state pass
-        // allocates nothing (`collect_into_vec` fills `spec` in place).
+        // The profile and the pending snapshot live in reusable scratch
+        // buffers: a steady-state pass allocates nothing.
         let mut events = std::mem::take(&mut self.scratch.events);
         let mut plan = std::mem::take(&mut self.scratch.plan);
-        let mut spec = std::mem::take(&mut self.scratch.spec);
-        let caps = (events.capacity(), plan.capacity(), spec.capacity());
+        let caps = (events.capacity(), plan.capacity());
         'restart: loop {
             // Availability profile: (time, +freed nodes) from running
             // jobs, kept sorted by time (ties in insertion order, like
@@ -1764,42 +1648,7 @@ impl<'a> Sim<'a> {
             plan.clear();
             plan.extend_from_slice(&self.pending);
 
-            // Speculative phase: fan the candidates out across the
-            // shared worker budget against the immutable snapshot
-            // (`free_now`, `events` as built above). Gated behind the
-            // queue-length threshold so short queues skip the setup
-            // cost, and behind budget availability so a sim running
-            // inside a sweep worker stays serial instead of
-            // oversubscribing. The gate only picks between two
-            // byte-identical code paths.
-            let speculate = !plan.is_empty()
-                && plan.len() >= par_pending_min()
-                && rayon::available_extra_workers() > 0;
-            if speculate {
-                let jobs = self.jobs;
-                let cluster_nodes = self.cfg.cluster.nodes;
-                let base_free = free_now;
-                let evs: &[(SimTime, i64)] = &events;
-                plan.par_iter()
-                    .map(|&idx| {
-                        let job = &jobs[idx];
-                        let (min_alloc, _) = job.bounds();
-                        let alloc = job.requested_nodes.max(min_alloc).min(cluster_nodes);
-                        earliest_slot_sorted(
-                            base_free,
-                            evs,
-                            now,
-                            alloc as i64,
-                            job.walltime_estimate,
-                        )
-                    })
-                    .collect_into_vec(&mut spec);
-                self.stats.spec_planned += plan.len() as u64;
-            } else {
-                spec.clear();
-            }
-
-            for (k, &idx) in plan.iter().enumerate() {
+            for &idx in &plan {
                 let job = &self.jobs[idx];
                 let (min_alloc, _) = job.bounds();
                 let alloc = job
@@ -1808,22 +1657,8 @@ impl<'a> Sim<'a> {
                     .min(self.cfg.cluster.nodes);
                 let dur = job.walltime_estimate;
                 // Find the earliest start ≥ now where `alloc` nodes stay
-                // free for `dur`, given the profile. A still-feasible
-                // speculative slot *is* that start (see
-                // [`window_feasible`]); one invalidated by an earlier
-                // commit in this round is recomputed serially.
-                let start = if speculate {
-                    let s = spec[k];
-                    if window_feasible(free_now, &events, s, alloc as i64, dur) {
-                        self.stats.spec_hits += 1;
-                        s
-                    } else {
-                        self.stats.spec_invalidations += 1;
-                        earliest_slot_sorted(free_now, &events, now, alloc as i64, dur)
-                    }
-                } else {
-                    earliest_slot_sorted(free_now, &events, now, alloc as i64, dur)
-                };
+                // free for `dur`, given the profile.
+                let start = earliest_slot_sorted(free_now, &events, now, alloc as i64, dur);
                 if start == now {
                     // Can the job actually start (power check happens only
                     // at real starts)? `choose_alloc` already guarantees
@@ -1853,12 +1688,11 @@ impl<'a> Sim<'a> {
             }
             break;
         }
-        if (events.capacity(), plan.capacity(), spec.capacity()) != caps {
+        if (events.capacity(), plan.capacity()) != caps {
             self.stats.scratch_grows += 1;
         }
         self.scratch.events = events;
         self.scratch.plan = plan;
-        self.scratch.spec = spec;
     }
 
     /// EASY backfilling around a blocked head job.
@@ -3178,112 +3012,6 @@ mod tests {
             }
         }
         assert!(cases > 500);
-    }
-
-    /// `window_feasible` must agree with the slot search: on every
-    /// profile in the reference grid, the returned slot is the earliest
-    /// candidate whose window verifies feasible, and every earlier
-    /// candidate fails verification. This is the exactness the
-    /// speculative commit loop relies on.
-    #[test]
-    fn window_feasible_matches_slot_search_candidates() {
-        let t = SimTime::from_hours;
-        let d = SimDuration::from_hours;
-        let patterns: &[&[(f64, i64)]] = &[
-            &[],
-            &[(1.0, 4)],
-            &[(1.0, 2), (1.0, 2), (2.0, -4), (3.0, 4)],
-            &[(0.5, -2), (0.5, 2), (1.5, 4), (1.5, -4), (4.0, 8)],
-            &[(2.0, -3), (2.0, -1), (5.0, 4), (6.0, 4)],
-            &[(1.0, 1), (2.0, 1), (3.0, 1), (4.0, 1), (5.0, 1)],
-            &[(3.0, -8), (7.0, 8)],
-        ];
-        for raw in patterns {
-            for free_now in 0..6i64 {
-                for alloc in 1..6i64 {
-                    for dur_h in [0.25, 1.0, 2.5, 10.0] {
-                        let now = t(1.0);
-                        let mut sorted: Vec<(SimTime, i64)> = raw
-                            .iter()
-                            .map(|&(h, n)| (t(h), n))
-                            .filter(|e| e.0 > now)
-                            .collect();
-                        sorted.sort_by_key(|e| e.0);
-                        let dur = d(dur_h);
-                        let got = earliest_slot_sorted(free_now, &sorted, now, alloc, dur);
-                        let mut candidates = vec![now];
-                        candidates.extend(sorted.iter().map(|e| e.0));
-                        for &c in candidates.iter().filter(|&&c| c < got) {
-                            assert!(
-                                !window_feasible(free_now, &sorted, c, alloc, dur),
-                                "candidate {c:?} before slot {got:?} verified feasible \
-                                 (pattern {raw:?} free_now={free_now} alloc={alloc})"
-                            );
-                        }
-                        if !window_feasible(free_now, &sorted, got, alloc, dur) {
-                            // Fallback slot (no feasible window at all):
-                            // then no candidate may verify.
-                            for &c in &candidates {
-                                assert!(!window_feasible(free_now, &sorted, c, alloc, dur));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The speculative parallel planner must be byte-identical to the
-    /// serial one on a congested conservative-backfill scenario (the
-    /// goldens and `tests/parallel_planning.rs` cover this at scale;
-    /// this is the fast in-tree check that also asserts the speculative
-    /// path actually ran).
-    #[test]
-    fn speculative_planning_is_byte_identical_to_serial() {
-        let jobs: Vec<Job> = (0..160)
-            .map(|i| {
-                let size = 1 + (i % 7) as u32 * 2;
-                let runtime = 0.5 + (i % 11) as f64 * 0.7;
-                rigid(i, (i / 4) as f64 * 0.25, size.min(14), runtime)
-            })
-            .collect();
-        let mut cfg = SimConfig::easy(Cluster::new(16));
-        cfg.policy = Policy::ConservativeBackfill;
-
-        set_par_pending_min(usize::MAX);
-        let serial = simulate(&jobs, &cfg);
-
-        // The shim's build_global just stores the count; 8 here also
-        // makes the run independent of the host's core count.
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(8)
-            .build_global()
-            .unwrap();
-        set_par_pending_min(0);
-        let speculative = simulate(&jobs, &cfg);
-        set_par_pending_min(PAR_PENDING_MIN_DEFAULT);
-
-        assert!(
-            speculative.hot_path.spec_planned > 0,
-            "speculative phase never engaged: {:?}",
-            speculative.hot_path
-        );
-        assert!(speculative.hot_path.spec_hits > 0, "no speculative hits");
-        // A round that starts a job restarts planning and abandons the
-        // rest of its speculated slots, so consumed ≤ planned.
-        assert!(
-            speculative.hot_path.spec_hits + speculative.hot_path.spec_invalidations
-                <= speculative.hot_path.spec_planned,
-            "consumed more slots than were speculated: {:?}",
-            speculative.hot_path
-        );
-        assert_eq!(serial.records, speculative.records);
-        assert_eq!(serial.unfinished, speculative.unfinished);
-        assert_eq!(serial.makespan, speculative.makespan);
-        assert_eq!(
-            serial.budget_violation_seconds,
-            speculative.budget_violation_seconds
-        );
     }
 
     /// Steady-state scheduling skips must not change outcomes: a budget

@@ -5,8 +5,7 @@
 //!
 //! The worker pool does **not** get its own threads on top of the
 //! simulation's: it draws from the same process-wide budget that sweeps
-//! and in-scenario speculative planning use (the rayon shim's extra-
-//! worker budget). Worker 0 is the *primary* and processes requests
+//! use (the rayon shim's extra-worker budget). Worker 0 is the *primary* and processes requests
 //! without a lease — the service always makes progress even when sweeps
 //! have the whole budget. Every other worker must hold a
 //! [`rayon::try_lease_worker`] lease while processing, so the total

@@ -34,12 +34,11 @@
 //! in-flight work (typed 408) and answers every accepted request
 //! before exiting.
 //!
-//! Environment knobs (`SUSTAIN_THREADS`, `SUSTAIN_PAR_PENDING_MIN`,
-//! `SUSTAIN_TRACE_CACHE_CAP`, `SUSTAIN_OUTCOME_CACHE_CAP`,
-//! `SUSTAIN_WORKLOAD_CACHE_CAP`, `SUSTAIN_FAULTS`, `SUSTAIN_FAULTS_SEED`,
-//! `SUSTAIN_RETRY_MAX`, `SUSTAIN_RETRY_BACKOFF_MS`,
-//! `SUSTAIN_BREAKER_TRIP`, `SUSTAIN_WATCHDOG_FACTOR`)
-//! are parsed strictly at startup: an invalid value is a typed error
+//! Environment knobs (`SUSTAIN_THREADS`, `SUSTAIN_TRACE_CACHE_CAP`,
+//! `SUSTAIN_OUTCOME_CACHE_CAP`, `SUSTAIN_WORKLOAD_CACHE_CAP`,
+//! `SUSTAIN_FAULTS`, `SUSTAIN_FAULTS_SEED`, `SUSTAIN_RETRY_MAX`,
+//! `SUSTAIN_RETRY_BACKOFF_MS`, `SUSTAIN_BREAKER_TRIP`,
+//! `SUSTAIN_WATCHDOG_FACTOR`) are parsed strictly at startup: an invalid value is a typed error
 //! and a non-zero exit, never a silent fallback.
 
 use std::fs;
@@ -237,7 +236,6 @@ fn load_request<T: serde::Deserialize>(path: &Option<PathBuf>) -> Result<T, Stri
 /// is a typed error, not a silent fallback.
 fn init_env_knobs() -> Result<(), String> {
     sustain_hpc::core::sweep::init_threads_from_env().map_err(|e| e.to_string())?;
-    sustain_hpc::scheduler::sim::init_par_pending_min_from_env().map_err(|e| e.to_string())?;
     sustain_hpc::core::sweep::init_trace_cache_cap_from_env().map_err(|e| e.to_string())?;
     sustain_hpc::core::cache::init_outcome_cache_cap_from_env().map_err(|e| e.to_string())?;
     sustain_hpc::workload::synth::init_workload_cache_cap_from_env().map_err(|e| e.to_string())?;
@@ -319,19 +317,6 @@ fn print_hot_path_stats() {
         s.trace_bucket_hits,
         s.trace_bucket_misses,
         s.scratch_grows
-    );
-    let hit_pct = if s.spec_planned > 0 {
-        100.0 * s.spec_hits as f64 / s.spec_planned as f64
-    } else {
-        0.0
-    };
-    eprintln!(
-        "sim parallel planner: {} slots speculated | {} committed unchanged ({hit_pct:.1} %) | \
-         {} invalidated and recomputed | {} worker thread(s)",
-        s.spec_planned,
-        s.spec_hits,
-        s.spec_invalidations,
-        sustain_hpc::core::sweep::effective_threads()
     );
     eprintln!(
         "sim fair share: {} jobs repositioned | {} usage-epoch renorms",

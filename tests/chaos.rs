@@ -14,14 +14,12 @@ use sustain_hpc::scheduler::sim::{try_simulate, SimConfig};
 use sustain_hpc::sim_core::units::Power;
 
 /// CI also runs this harness under `SUSTAIN_THREADS=2`: honor the env
-/// knob and force the speculative planner on (threshold 0), so the
-/// no-panic contract is exercised under in-scenario parallelism and the
-/// shared worker budget too.
+/// knob, so the no-panic contract is exercised under sweep parallelism
+/// and the shared worker budget too.
 fn parallelism_init() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         sustain_hpc::core::sweep::init_threads_from_env().expect("valid SUSTAIN_THREADS in CI");
-        sustain_hpc::scheduler::sim::set_par_pending_min(0);
     });
 }
 

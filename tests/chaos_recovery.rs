@@ -19,13 +19,12 @@ use sustain_hpc::service::{serve, ServeOptions};
 use sustain_hpc::sim_core::faults;
 
 /// CI runs this suite under `SUSTAIN_THREADS=2` as well: honor the env
-/// knob and force the speculative planner on, so fault isolation is
-/// exercised under in-scenario parallelism and the shared budget too.
+/// knob, so fault isolation is exercised under sweep parallelism and the
+/// shared budget too.
 fn parallelism_init() {
     static INIT: std::sync::Once = std::sync::Once::new();
     INIT.call_once(|| {
         sustain_hpc::core::sweep::init_threads_from_env().expect("valid SUSTAIN_THREADS in CI");
-        sustain_hpc::scheduler::sim::set_par_pending_min(0);
     });
 }
 

@@ -116,7 +116,6 @@ fn invalid_env_knobs_are_rejected_with_typed_errors() {
         ("SUSTAIN_THREADS", "two"),
         ("SUSTAIN_THREADS", "-1"),
         ("SUSTAIN_THREADS", "1.5"),
-        ("SUSTAIN_PAR_PENDING_MIN", "abc"),
         ("SUSTAIN_TRACE_CACHE_CAP", "0x10"),
         ("SUSTAIN_FAULTS", "nonsense"),
         ("SUSTAIN_FAULTS", "sim::tick:explode:1"),
@@ -159,7 +158,6 @@ fn valid_env_knobs_are_accepted() {
     let out = bin()
         .arg("list")
         .env("SUSTAIN_THREADS", "2")
-        .env("SUSTAIN_PAR_PENDING_MIN", "64")
         .env("SUSTAIN_TRACE_CACHE_CAP", "8")
         .env(
             "SUSTAIN_FAULTS",

@@ -17,6 +17,7 @@
 
 use proptest::prelude::*;
 use serde::{Serialize, Value};
+use std::sync::Mutex;
 use sustain_hpc::prelude::*;
 use sustain_hpc::scheduler::metrics::SimOutcome;
 use sustain_hpc::scheduler::queue::QueueSet;
@@ -63,11 +64,18 @@ fn build(
     (jobs, cfg)
 }
 
+/// Serializes [`run_both`] across the tests in this binary, which run
+/// in parallel: the oracle toggle is process-global, so without it one
+/// test's oracle pass would flip a sibling's production pass into full
+/// resorts.
+static ORACLE_TOGGLE: Mutex<()> = Mutex::new(());
+
 /// Runs the scenario through both ordering paths and returns their
 /// outcomes. The oracle toggle is process-global; reset before
 /// returning so a panicking assertion cannot leak oracle mode into the
 /// sibling tests in this binary.
 fn run_both(jobs: &[Job], cfg: &SimConfig) -> (SimOutcome, SimOutcome) {
+    let _guard = ORACLE_TOGGLE.lock().unwrap_or_else(|p| p.into_inner());
     set_fair_share_oracle_resort(false);
     let prod = simulate(jobs, cfg);
     set_fair_share_oracle_resort(true);

@@ -19,11 +19,6 @@
 //! The `hot_path` counter block is excluded from the snapshot: counters
 //! describe how much work the loop did, not what it decided, and they
 //! are exactly what a perf PR is expected to change.
-//!
-//! Every scenario replays at thread counts 1, 2 and 8 (plus whatever
-//! `SUSTAIN_THREADS` asks for), with the speculative-planning threshold
-//! forced to 0, so the snapshot additionally pins that the parallel
-//! planner is byte-identical to the serial one at every thread count.
 
 use serde::{Serialize, Value};
 use std::path::PathBuf;
@@ -52,62 +47,31 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Thread counts every golden replays at. 1 pins the serial planner, 2
-/// and 8 pin the speculative parallel planner above and below typical
-/// core counts; `SUSTAIN_THREADS` (the CI matrix knob) joins the list
-/// when it names something else.
-fn replay_threads() -> Vec<usize> {
-    let mut counts = vec![1, 2, 8];
-    if let Some(n) = std::env::var(sustain_hpc::core::sweep::THREADS_ENV)
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        if n > 0 && !counts.contains(&n) {
-            counts.push(n);
-        }
-    }
-    counts
-}
-
-/// Compares (or, under `GOLDEN_REGEN=1`, rewrites) one scenario, at
-/// every replay thread count.
-///
-/// The thread knobs are process-global and the golden tests run
-/// concurrently in one binary, so a scenario may momentarily execute at
-/// a sibling's thread count — which is exactly the property under test:
-/// *any* interleaving must reproduce the same bytes.
+/// Compares (or, under `GOLDEN_REGEN=1`, rewrites) one scenario.
 fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
-    sustain_hpc::scheduler::sim::set_par_pending_min(0);
+    let got = canonical(&simulate(jobs, cfg));
+    let path = golden_path(name);
     if std::env::var("GOLDEN_REGEN").as_deref() == Ok("1") {
-        sustain_hpc::core::sweep::set_threads(1);
-        let got = canonical(&simulate(jobs, cfg));
-        let path = golden_path(name);
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, &got).unwrap();
         return;
     }
-    for threads in replay_threads() {
-        sustain_hpc::core::sweep::set_threads(threads);
-        let out = simulate(jobs, cfg);
-        let got = canonical(&out);
-        let path = golden_path(name);
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
-        assert!(
-            got == want,
-            "scenario `{name}` at {threads} thread(s) diverged from its \
-             golden snapshot ({} bytes vs {}); the optimization changed \
-             simulator semantics. First differing line: {}",
-            got.len(),
-            want.len(),
-            got.lines()
-                .zip(want.lines())
-                .enumerate()
-                .find(|(_, (a, b))| a != b)
-                .map(|(i, (a, b))| format!("#{}: got `{a}` want `{b}`", i + 1))
-                .unwrap_or_else(|| "(prefix equal; lengths differ)".into()),
-        );
-    }
+    let want = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
+    assert!(
+        got == want,
+        "scenario `{name}` diverged from its golden snapshot ({} bytes vs \
+         {}); the optimization changed simulator semantics. First \
+         differing line: {}",
+        got.len(),
+        want.len(),
+        got.lines()
+            .zip(want.lines())
+            .enumerate()
+            .find(|(_, (a, b))| a != b)
+            .map(|(i, (a, b))| format!("#{}: got `{a}` want `{b}`", i + 1))
+            .unwrap_or_else(|| "(prefix equal; lengths differ)".into()),
+    );
     // Fair-share scenarios additionally replay in full-resort oracle
     // mode: the incremental repositioning and the rebuild-and-sort
     // reference must land on the same bytes. The toggle is process-
@@ -118,9 +82,6 @@ fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
         sustain_hpc::scheduler::sim::set_fair_share_oracle_resort(true);
         let got = canonical(&simulate(jobs, cfg));
         sustain_hpc::scheduler::sim::set_fair_share_oracle_resort(false);
-        let path = golden_path(name);
-        let want = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("missing golden snapshot {}: {e}", path.display()));
         assert!(
             got == want,
             "scenario `{name}` in full-resort oracle mode diverged from \

@@ -1,9 +1,8 @@
 //! Regenerates `BENCH_sim.json`: every `sim_loop` scenario at full
-//! scale, timed with warm-up plus median-of-samples wall times,
-//! alongside the hot-path counters the simulator reports and the
-//! speedup against the recorded pre-optimization baselines
-//! (`PRE_PR_WALL_S`). One JSON object per scenario. A single simulation
-//! runs on one thread, so the thread budget does not enter the timing.
+//! scale, timed with a warm-up pass plus repeated samples (median and
+//! quartiles reported), alongside the hot-path counters the simulator
+//! reports. One JSON object per scenario. A single simulation runs on
+//! one thread, so the thread budget does not enter the timing.
 //!
 //! ```text
 //! cargo run --release -p sustain-bench --example sim_timing > BENCH_sim.json
@@ -11,7 +10,7 @@
 
 use serde::Serialize;
 use std::time::Instant;
-use sustain_bench::simloop::{pre_pr_wall_s, scenarios, Scale};
+use sustain_bench::simloop::{scenarios, Scale};
 use sustain_scheduler::metrics::SimOutcome;
 use sustain_scheduler::sim::simulate;
 
@@ -21,8 +20,8 @@ struct Row {
     cpu_cores: usize,
     wall_s: f64,
     samples: usize,
-    pre_pr_wall_s: f64,
-    speedup_vs_pre_pr: f64,
+    wall_s_p25: f64,
+    wall_s_p75: f64,
     records: usize,
     unfinished: usize,
     events: u64,
@@ -37,13 +36,24 @@ struct Row {
     fs_renorms: u64,
 }
 
-/// Warm-up pass, then repeated samples (median reported): until 2 s of
-/// data with at least 3 samples, capped at 25. Heavy scenarios land at
-/// the 3-sample floor, the sub-10 ms ones at the 25-sample cap.
+/// The `q`-quantile of ascending `sorted`, linearly interpolated
+/// between the two nearest ranks (so the median of an even count is
+/// the mean of the middle pair).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let h = (sorted.len() - 1) as f64 * q;
+    let lo = h.floor() as usize;
+    let hi = h.ceil() as usize;
+    sorted[lo] + (h - lo as f64) * (sorted[hi] - sorted[lo])
+}
+
+/// Warm-up pass, then repeated samples: until 2 s of data with at
+/// least 3 samples, capped at 25. Heavy scenarios land at the 3-sample
+/// floor, the sub-10 ms ones at the 25-sample cap. Returns the samples
+/// in ascending order.
 fn time_scenario(
     jobs: &[sustain_workload::job::Job],
     cfg: &sustain_scheduler::sim::SimConfig,
-) -> (f64, usize, SimOutcome) {
+) -> (Vec<f64>, SimOutcome) {
     let warm = simulate(jobs, cfg);
     let mut samples = Vec::new();
     let budget = Instant::now();
@@ -54,7 +64,7 @@ fn time_scenario(
         std::hint::black_box(out);
     }
     samples.sort_by(|a, b| a.total_cmp(b));
-    (samples[samples.len() / 2], samples.len(), warm)
+    (samples, warm)
 }
 
 fn main() {
@@ -64,16 +74,15 @@ fn main() {
         .unwrap_or(1);
     let mut rows = Vec::new();
     for sc in &corpus {
-        let (wall_s, samples, out) = time_scenario(&sc.jobs, &sc.cfg);
-        let baseline = pre_pr_wall_s(sc.name).expect("scenario has a recorded baseline");
+        let (samples, out) = time_scenario(&sc.jobs, &sc.cfg);
         let hp = &out.hot_path;
         rows.push(Row {
             scenario: sc.name,
             cpu_cores,
-            wall_s,
-            samples,
-            pre_pr_wall_s: baseline,
-            speedup_vs_pre_pr: baseline / wall_s,
+            wall_s: quantile(&samples, 0.5),
+            samples: samples.len(),
+            wall_s_p25: quantile(&samples, 0.25),
+            wall_s_p75: quantile(&samples, 0.75),
             records: out.records.len(),
             unfinished: out.unfinished,
             events: hp.events,

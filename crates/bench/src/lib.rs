@@ -1,6 +1,6 @@
-//! Bench crate: the Criterion harnesses live in `benches/`; this
-//! library defines the *scenario corpus* they run so that CI can smoke
-//! the exact same code paths untimed (see `simloop::scenarios`).
+//! Bench crate: the simulator *scenario corpus* (`simloop::scenarios`)
+//! timed by `examples/sim_timing.rs` into `BENCH_sim.json`, and smoked
+//! untimed by the unit tests so the timed code paths cannot rot.
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

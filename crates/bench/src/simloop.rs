@@ -1,13 +1,13 @@
 //! The `sim_loop` scenario corpus: fixed-seed, fixed-size simulator
-//! scenarios shared by the Criterion harness (`benches/scheduler.rs`),
-//! the `BENCH_sim.json` writer, and the CI smoke test.
+//! scenarios shared by the `BENCH_sim.json` writer
+//! (`examples/sim_timing.rs`) and the smoke tests below.
 //!
 //! Every scenario is deterministic (workload seed, trace shape, and
 //! budget shape are all pinned), so wall-clock numbers measured on one
 //! host are comparable across commits and `SimOutcome`s are comparable
 //! byte-for-byte. The corpus covers each policy with and without the
 //! carbon/failure machinery, plus the headline 365-day / 10k-job
-//! scenario used by the ≥5× acceptance criterion of the hot-path PR.
+//! scenario that exercises every hot-path feature at once.
 
 use sustain_grid::trace::CarbonTrace;
 use sustain_scheduler::cluster::Cluster;
@@ -23,7 +23,7 @@ pub const SEED: u64 = 20260805;
 /// Scale of a scenario instantiation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The benchmarked sizes (minutes of total wall time pre-PR).
+    /// The benchmarked sizes (`BENCH_sim.json`).
     Full,
     /// Reduced horizons for the CI smoke test (seconds of wall time).
     Smoke,
@@ -37,42 +37,6 @@ pub struct SimScenario {
     pub jobs: Vec<Job>,
     /// Simulator configuration.
     pub cfg: SimConfig,
-    /// Whether the scenario is cheap enough to iterate under Criterion
-    /// (the heavy ones are timed with a single pass instead).
-    pub iterable: bool,
-}
-
-/// Pre-PR wall times (seconds) for `Scale::Full`, measured at commit
-/// `688763d` (the commit preceding the hot-path optimization) on the CI
-/// reference host (1-core, `cargo build --release`) as the **median of
-/// repeated samples after one warm-up pass** — 25 samples for the
-/// sub-second scenarios, 3 for the heavy ones — the same protocol
-/// `sim_timing` uses, so `speedup_vs_pre_pr` in `BENCH_sim.json`
-/// compares like with like (the earlier single-pass numbers made cold
-/// sub-10 ms scenarios look like spurious regressions). Regenerate by
-/// checking out that commit, adding a timing example that inlines this
-/// corpus, and running it release-mode on the same host.
-pub const PRE_PR_WALL_S: &[(&str, f64)] = &[
-    ("fcfs_plain_60d", 0.0048),
-    ("fcfs_carbon_failures_60d", 0.0071),
-    ("easy_plain_60d", 0.0407),
-    ("easy_carbon_failures_60d", 0.0466),
-    ("easy_carbon_fairshare_60d", 0.390),
-    // Measured at the parent of the incremental fair-share PR (the
-    // scenario was added by that PR, so its baseline is that commit,
-    // not 688763d), same host class and protocol as the others.
-    ("easy_carbon_fairshare_400u_60d", 1.821),
-    ("conservative_plain_21d", 19.55),
-    ("conservative_carbon_failures_21d", 11.53),
-    ("easy_full_365d_10k", 28.10),
-];
-
-/// Looks up the pre-PR baseline for a scenario, if recorded.
-pub fn pre_pr_wall_s(name: &str) -> Option<f64> {
-    PRE_PR_WALL_S
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, s)| *s)
 }
 
 /// Deterministic synthetic carbon trace: diurnal + weekly swing over
@@ -219,7 +183,6 @@ pub fn scenarios(scale: Scale) -> Vec<SimScenario> {
             name,
             jobs: MID.workload(scale),
             cfg,
-            iterable: true,
         });
     }
 
@@ -231,7 +194,6 @@ pub fn scenarios(scale: Scale) -> Vec<SimScenario> {
             name: "easy_carbon_fairshare_60d",
             jobs: FAIR.workload(scale),
             cfg,
-            iterable: true,
         });
     }
 
@@ -243,7 +205,6 @@ pub fn scenarios(scale: Scale) -> Vec<SimScenario> {
             name: "easy_carbon_fairshare_400u_60d",
             jobs: FAIR_MANY.workload(scale),
             cfg,
-            iterable: true,
         });
     }
 
@@ -262,7 +223,6 @@ pub fn scenarios(scale: Scale) -> Vec<SimScenario> {
             name,
             jobs: CONS.workload(scale),
             cfg,
-            iterable: false,
         });
     }
 
@@ -279,7 +239,6 @@ pub fn scenarios(scale: Scale) -> Vec<SimScenario> {
             name: "easy_full_365d_10k",
             jobs: FULL.workload(scale),
             cfg,
-            iterable: false,
         });
     }
 
@@ -309,17 +268,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert_eq!(x.name, y.name);
             assert_eq!(x.jobs, y.jobs, "{}: workload not deterministic", x.name);
-        }
-    }
-
-    #[test]
-    fn every_scenario_has_a_pre_pr_baseline() {
-        for sc in scenarios(Scale::Smoke) {
-            assert!(
-                pre_pr_wall_s(sc.name).is_some(),
-                "{}: missing PRE_PR_WALL_S entry",
-                sc.name
-            );
         }
     }
 

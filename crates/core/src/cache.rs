@@ -119,11 +119,6 @@ impl OutcomeCache {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
-
-    /// Drop all cached results, preserving the counters.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
 }
 
 /// The process-wide [`OutcomeCache`] consulted by every

@@ -3,7 +3,8 @@
 //! One function per artifact of the paper (see the experiment index in
 //! `DESIGN.md`): figures, tables, and every quantitative claim. Each
 //! returns a typed, serializable result struct so that examples,
-//! integration tests, and benches all regenerate the same rows.
+//! integration tests, and the `sustain-hpc` CLI all regenerate the same
+//! rows.
 //!
 //! | ID  | Artifact | Function |
 //! |-----|----------|----------|

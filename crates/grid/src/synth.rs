@@ -259,12 +259,6 @@ impl TraceCache {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
-
-    /// Drop all cached traces. The hit/miss/eviction counters are
-    /// preserved (dropped entries do not count as evictions).
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
 }
 
 /// The process-wide [`TraceCache`] used by [`generate_calibrated_arc`].

@@ -73,7 +73,7 @@ impl PowerController {
 
 /// Simulates the closed loop against a plant whose power consumption
 /// tracks the cap with the given responsiveness, returning the sequence of
-/// measured powers. Used in tests and the PowerStack bench.
+/// measured powers.
 pub fn simulate_loop(
     controller: &mut PowerController,
     budget: impl Fn(usize) -> Power,

@@ -176,12 +176,6 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.len() == 0
     }
 
-    /// Drop all cached entries. The hit/miss/eviction counters are
-    /// preserved (dropped entries do not count as evictions).
-    pub fn clear(&self) {
-        self.lock().map.clear();
-    }
-
     /// Lock the interior map; a poisoned lock (a panic while holding it,
     /// e.g. from fault injection in a test) is recovered rather than
     /// propagated — the map is always in a consistent state between
@@ -269,17 +263,6 @@ mod tests {
         cache.set_capacity(0);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 3);
-    }
-
-    #[test]
-    fn clear_preserves_counters() {
-        let cache: LruCache<u64, Arc<u64>> = LruCache::with_capacity(4);
-        get_or_fill(&cache, 1);
-        get_or_fill(&cache, 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]

@@ -378,7 +378,7 @@ pub fn rmse(actual: &[f64], forecast: &[f64]) -> f64 {
 }
 
 /// Renders a unicode sparkline of a sample (8 block levels). Handy for
-/// printing figure-shaped output in terminals and bench logs.
+/// printing figure-shaped output in terminals and example logs.
 pub fn sparkline(values: &[f64]) -> String {
     const BLOCKS: [char; 8] = [
         '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',

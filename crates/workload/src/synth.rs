@@ -383,11 +383,6 @@ impl WorkloadCache {
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
-
-    /// Drop all cached job sets, preserving the counters.
-    pub fn clear(&self) {
-        self.inner.clear();
-    }
 }
 
 /// The process-wide [`WorkloadCache`] used by [`generate_arc`].

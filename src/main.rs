@@ -1,7 +1,7 @@
 //! `sustain-hpc` — the reproduction CLI.
 //!
 //! Runs any experiment of the paper by name and writes its rows as JSON
-//! (and, where a tabular form exists, CSV) into an output directory.
+//! to stdout and, with `--out DIR`, also to `DIR/<name>.json`.
 //!
 //! ```text
 //! sustain-hpc <experiment> [--out DIR] [--seed N] [--days N] [--threads N] [--stats]

@@ -1,6 +1,7 @@
 //! Integration tests for the `sustain-hpc` reproduction CLI, exercised as
 //! a real subprocess (the same surface a user drives).
 
+use std::collections::BTreeSet;
 use std::process::Command;
 
 fn bin() -> Command {
@@ -45,6 +46,39 @@ fn out_flag_writes_artifact() {
     let data = std::fs::read(&artifact).expect("artifact written");
     let rows: serde_json::Value = serde_json::from_slice(&data).unwrap();
     assert_eq!(rows.as_array().unwrap().len(), 5); // the Carbon500 entries
+    std::fs::remove_dir_all(&dir).ok();
+
+    // `all --out` is the one artifact generator: one parseable
+    // `<name>.json` per listed experiment, the same set as `results/`.
+    let json_names = |dir: &std::path::Path| -> BTreeSet<String> {
+        std::fs::read_dir(dir)
+            .expect("directory readable")
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect()
+    };
+    let list = bin().arg("list").output().expect("binary runs");
+    let listed: BTreeSet<String> = String::from_utf8(list.stdout)
+        .unwrap()
+        .lines()
+        .filter_map(|l| l.strip_prefix("  ")?.split_whitespace().next())
+        .map(|name| format!("{name}.json"))
+        .collect();
+    let out = bin()
+        .args(["all", "--out"])
+        .arg(&dir)
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let written = json_names(&dir);
+    assert_eq!(written, listed, "one artifact per listed experiment");
+    for name in &written {
+        let data = std::fs::read(dir.join(name)).unwrap();
+        serde_json::from_slice::<serde_json::Value>(&data)
+            .unwrap_or_else(|e| panic!("{name} is not JSON: {e}"));
+    }
+    let committed = json_names(&std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results"));
+    assert_eq!(committed.len(), 22);
+    assert_eq!(written, committed, "artifact set differs from results/");
     std::fs::remove_dir_all(&dir).ok();
 }
 

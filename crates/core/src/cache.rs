@@ -14,13 +14,17 @@
 //! prove a failed fill leaves the cache consistent.
 
 use crate::scenario::{Scenario, ScenarioResult};
+use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
+use sustain_scheduler::metrics::{JobRecord, Segment};
 use sustain_sim_core::cache::{CacheStats, LruCache};
 use sustain_sim_core::error::{env_knob_usize, ConfigError};
 use sustain_sim_core::hash::CanonicalHash;
+use sustain_telemetry::accounting::JobCarbonProfile;
 
-/// Default capacity of the process-wide [`OutcomeCache`]. Results carry
-/// full per-job records, so the bound is deliberately small.
+/// Default capacity of the process-wide [`OutcomeCache`], in slots
+/// (see [`OutcomeCache::with_capacity`]). Results carry full per-job
+/// records, so the bound is deliberately small.
 pub const DEFAULT_OUTCOME_CACHE_CAPACITY: usize = 64;
 
 /// Environment variable overriding the global outcome cache capacity.
@@ -72,11 +76,14 @@ impl OutcomeCache {
         OutcomeCache::default()
     }
 
-    /// Create an empty cache holding at most `capacity` results
-    /// (`0` = caching disabled).
+    /// Create an empty cache of `capacity` slots (`0` = caching
+    /// disabled). A result takes one slot per started
+    /// [`SLOT_BYTES`](sustain_sim_core::cache::SLOT_BYTES) of its job
+    /// records and profiles: a week-long run's result takes one, a
+    /// 90-day run's about eight.
     pub fn with_capacity(capacity: usize) -> OutcomeCache {
         OutcomeCache {
-            inner: LruCache::with_capacity(capacity),
+            inner: LruCache::with_sizer(capacity, result_bytes),
         }
     }
 
@@ -121,6 +128,16 @@ impl OutcomeCache {
     }
 }
 
+/// Heap bytes a cached result retains, to the precision slots need:
+/// its per-job records with their segments, and its per-job profiles.
+fn result_bytes(result: &Arc<ScenarioResult>) -> usize {
+    let records = &result.outcome.records;
+    let segments: usize = records.iter().map(|r| r.segments.len()).sum();
+    records.len() * size_of::<JobRecord>()
+        + segments * size_of::<Segment>()
+        + result.profiles.len() * size_of::<JobCarbonProfile>()
+}
+
 /// The process-wide [`OutcomeCache`] consulted by every
 /// [`run`](crate::scenario::run) variant.
 ///
@@ -162,4 +179,38 @@ pub fn init_outcome_cache_cap_from_env() -> Result<Option<usize>, ConfigError> {
         global_outcome_cache().set_capacity(cap);
     }
     Ok(parsed)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::run;
+    use sustain_grid::region::{Region, RegionProfile};
+    use sustain_sim_core::cache::SLOT_BYTES;
+
+    fn result(days: usize, seed: u64) -> (OutcomeKey, Arc<ScenarioResult>) {
+        let mut s = Scenario::baseline("slots", RegionProfile::january_2023(Region::Spain), days);
+        s.seed = seed;
+        (OutcomeKey::new(&s), Arc::new(run(&s)))
+    }
+
+    #[test]
+    fn week_long_results_take_one_slot_and_month_long_ones_several() {
+        let (week_a, a) = result(7, 0x5107_0001);
+        let (week_b, b) = result(7, 0x5107_0002);
+        let (month, m) = result(30, 0x5107_0003);
+        assert!(result_bytes(&a) <= SLOT_BYTES && result_bytes(&b) <= SLOT_BYTES);
+        assert!(result_bytes(&m).div_ceil(SLOT_BYTES) >= 2);
+
+        // Four slots: the month-long result and one week-long result fit;
+        // a second week-long one evicts the (least recently used) month.
+        let cache = OutcomeCache::with_capacity(4);
+        cache.insert(month, m);
+        cache.insert(week_a, a);
+        assert_eq!(cache.len(), 2);
+        cache.insert(week_b, b);
+        assert_eq!((cache.len(), cache.stats().evictions), (2, 1));
+        assert!(cache.lookup(&month).is_none());
+        assert!(cache.lookup(&week_a).is_some() && cache.lookup(&week_b).is_some());
+    }
 }

@@ -574,10 +574,17 @@ impl PendQueue {
         self.counts.get(&user).copied().unwrap_or(0)
     }
 
-    fn truncate(&mut self, n: usize) {
-        self.idx.truncate(n);
+    /// Ends a compaction walk that kept `write` entries out of the
+    /// first `read`: the unvisited tail `read..` moves down to `write`
+    /// in order, and everything past it is dropped. A walk that visited
+    /// every entry (`read == len`) just truncates to `write`.
+    fn close_gap(&mut self, write: usize, read: usize) {
+        let len = self.idx.len();
+        self.idx.copy_within(read..len, write);
+        self.idx.truncate(write + len - read);
         if self.track_users {
-            self.user.truncate(n);
+            self.user.copy_within(read..len, write);
+            self.user.truncate(write + len - read);
         }
     }
 }
@@ -1049,12 +1056,7 @@ impl<'a> Sim<'a> {
         }
         debug_assert_eq!(moved.len(), k);
         // Phase 3: clean suffix — one bulk move per array.
-        if read < n {
-            q.idx.copy_within(read..n, write);
-            q.user.copy_within(read..n, write);
-            write += n - read;
-        }
-        q.truncate(write);
+        q.close_gap(write, read);
         self.fs_dirty.clear();
         if moved.is_empty() {
             // The recorded users had nothing pending: order unchanged.
@@ -1071,7 +1073,7 @@ impl<'a> Sim<'a> {
         // element key reads, unlike a classic two-finger merge. Keys are
         // unique, so the result is the one total order a full sort
         // would produce.
-        let clean = write;
+        let clean = q.idx.len();
         let total = clean + moved.len();
         q.idx.resize(total, usize::MAX);
         q.user.resize(total, 0);
@@ -1292,6 +1294,18 @@ impl<'a> Sim<'a> {
             }
         }
         self.last_account = now;
+    }
+
+    /// Whether [`Sim::choose_alloc`] returns `None` for *every* job at
+    /// `now`: no free node, or a power budget with no headroom. These are
+    /// its only two job-independent refusals. Free nodes are checked
+    /// first, so the common saturated case costs no budget lookup.
+    #[inline]
+    fn no_start_possible(&self, now: SimTime) -> bool {
+        self.alloc.free() == 0
+            || self
+                .budget_at(now)
+                .is_some_and(|budget| budget - self.running_power <= Power::ZERO)
     }
 
     /// Chooses the allocation for a start attempt, or `None` if the job
@@ -1696,8 +1710,23 @@ impl<'a> Sim<'a> {
     }
 
     /// EASY backfilling around a blocked head job.
+    ///
+    /// Returns at once when [`Sim::no_start_possible`] holds, and the
+    /// walk stops at the first start that makes it hold, keeping the
+    /// unvisited tail in order. Proof sketch: every backfill start is
+    /// gated on `choose_alloc`, and `no_start_possible` names exactly its
+    /// job-independent `None`s. Within one pass `now` (hence the budget
+    /// value) is fixed and a start only lowers free nodes and raises
+    /// running power, so once the state holds it holds for every later
+    /// job of the walk — visiting them could only re-keep them in place.
+    /// The skipped calls (`eligible`, `choose_alloc`) mutate nothing but
+    /// the lookup counters and the bucket caches, whose values are a
+    /// pure function of the bucket.
     #[inline(never)]
     fn backfill(&mut self, head_idx: usize, now: SimTime) {
+        if self.no_start_possible(now) {
+            return;
+        }
         let head_job = &self.jobs[head_idx];
         let (head_min, _) = head_job.bounds();
         let head_need = head_job.requested_nodes.max(head_min);
@@ -1763,15 +1792,14 @@ impl<'a> Sim<'a> {
             let mut read = 0;
             while read < self.pending.idx.len() {
                 let idx = self.pending.idx[read];
+                read += 1;
                 // Keep the head; skip ineligible jobs (carbon gate).
                 if idx == head_idx || !self.eligible(idx, now) {
                     self.pending.idx[write] = idx;
                     write += 1;
-                    read += 1;
                     continue;
                 }
                 let job = &self.jobs[idx];
-                let mut started = false;
                 if let Some(alloc) = self.choose_alloc(idx, now) {
                     let fits_before_shadow = now + job.walltime_estimate <= shadow;
                     let fits_in_spare = alloc <= spare;
@@ -1783,16 +1811,16 @@ impl<'a> Sim<'a> {
                         }
                         let work = job.work;
                         self.start_job(idx, alloc, work, now);
-                        started = true;
+                        if self.no_start_possible(now) {
+                            break;
+                        }
+                        continue;
                     }
                 }
-                if !started {
-                    self.pending.idx[write] = idx;
-                    write += 1;
-                }
-                read += 1;
+                self.pending.idx[write] = idx;
+                write += 1;
             }
-            self.pending.idx.truncate(write);
+            self.pending.close_gap(write, read);
             return;
         }
         let mut write = 0;
@@ -1830,8 +1858,11 @@ impl<'a> Sim<'a> {
                 write += 1;
             }
             read += 1;
+            if started && self.no_start_possible(now) {
+                break;
+            }
         }
-        self.pending.truncate(write);
+        self.pending.close_gap(write, read);
     }
 
     /// Injects node failures for the elapsed tick: the per-node hazard is
@@ -3041,5 +3072,147 @@ mod tests {
         );
         assert!(out.hot_path.schedule_passes < 100);
         assert_eq!(out.hot_path.events, 5_001);
+    }
+
+    /// A sim at t = 0 with `running` started directly and `pending`
+    /// queued through `pending_insert`, so `backfill` runs against a
+    /// hand-built state instead of whatever the event loop reaches.
+    fn staged<'a>(
+        jobs: &'a [Job],
+        cfg: &'a SimConfig,
+        running: &[usize],
+        pending: &[usize],
+    ) -> Sim<'a> {
+        let mut sim = Sim::new(jobs, cfg);
+        for &i in running {
+            let alloc = sim
+                .choose_alloc(i, SimTime::ZERO)
+                .expect("staged start fits");
+            sim.start_job(i, alloc, jobs[i].work, SimTime::ZERO);
+        }
+        for &i in pending {
+            sim.pending_insert(i, SimTime::ZERO);
+        }
+        sim
+    }
+
+    /// Pending job ids in queue order.
+    fn pending_ids(sim: &Sim) -> Vec<u64> {
+        sim.pending.iter().map(|&i| sim.jobs[i].id.0).collect()
+    }
+
+    /// Per-user pending counts for users `0..n` (all zero when users
+    /// are not tracked).
+    fn pending_counts(sim: &Sim, n: u32) -> Vec<u32> {
+        (0..n).map(|u| sim.pending.count(u)).collect()
+    }
+
+    /// Budget/CI lookups so far. Every `choose_alloc` under a power
+    /// budget makes one, so the delta across a `backfill` call bounds
+    /// how many jobs its walk visited.
+    fn lookups(sim: &Sim) -> u64 {
+        sim.trace_hits.get() + sim.trace_misses.get()
+    }
+
+    /// The untracked and the fair-share (`track_users`) variant of one
+    /// EASY config; `backfill` has a compaction loop for each.
+    fn both_loops(cfg: SimConfig) -> [SimConfig; 2] {
+        let mut fs = cfg.clone();
+        fs.fair_share = Some(FairShareCfg::default());
+        [cfg, fs]
+    }
+
+    /// A budget far above anything the staged jobs draw: it never
+    /// refuses a start, but makes every `choose_alloc` count a lookup.
+    fn ample_budget() -> TimeSeries {
+        TimeSeries::constant(SimTime::ZERO, SimDuration::from_hours(1.0), 1e9, 100)
+    }
+
+    #[test]
+    fn backfill_with_no_free_node_starts_nothing_and_visits_nothing() {
+        // Job 1 fills all 8 nodes; job 2 is the blocked head and jobs
+        // 3..=7 are 1-node backfill candidates of three users.
+        let mut jobs = vec![rigid(1, 0.0, 8, 10.0), rigid(2, 0.0, 8, 1.0)];
+        jobs.extend((3..=7).map(|id| {
+            JobBuilder::new(id, SimTime::ZERO, 1, SimDuration::from_hours(1.0))
+                .user(id as u32 % 3)
+                .build()
+        }));
+        let mut cfg = SimConfig::easy(Cluster::new(8));
+        cfg.power_budget = Some(ample_budget());
+        for cfg in both_loops(cfg) {
+            let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5, 6]);
+            assert_eq!(sim.alloc.free(), 0);
+            let (order, users) = (pending_ids(&sim), sim.pending.user.clone());
+            let (counts, before) = (pending_counts(&sim, 3), lookups(&sim));
+            sim.backfill(1, SimTime::ZERO);
+            assert_eq!(sim.running.len(), 1, "nothing may start");
+            assert_eq!(pending_ids(&sim), order);
+            assert_eq!(sim.pending.user, users);
+            assert_eq!(pending_counts(&sim, 3), counts);
+            assert_eq!(lookups(&sim), before, "the walk must not run");
+        }
+    }
+
+    #[test]
+    fn backfill_taking_the_last_free_node_keeps_the_tail_in_order() {
+        // Job 1 holds 7 of 8 nodes for 10 h, so the head (job 2, 8
+        // nodes) waits for the shadow at 10 h. Job 3 needs 2 nodes and
+        // cannot start; job 4 takes the last node; jobs 5..=8 are never
+        // visited and must keep their order behind job 3.
+        let mut jobs = vec![rigid(1, 0.0, 7, 10.0), rigid(2, 0.0, 8, 1.0)];
+        jobs.push(rigid(3, 0.0, 2, 1.0));
+        jobs.extend((4..=8).map(|id| {
+            JobBuilder::new(id, SimTime::ZERO, 1, SimDuration::from_hours(1.0))
+                .user(id as u32 % 3)
+                .build()
+        }));
+        let mut cfg = SimConfig::easy(Cluster::new(8));
+        cfg.power_budget = Some(ample_budget());
+        for cfg in both_loops(cfg) {
+            let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5, 6, 7]);
+            let mut counts = pending_counts(&sim, 3);
+            let before = lookups(&sim);
+            sim.backfill(1, SimTime::ZERO);
+            assert_eq!(sim.alloc.free(), 0);
+            let started: Vec<u64> = sim.running.iter().map(|r| jobs[r.idx].id.0).collect();
+            assert_eq!(started, vec![1, 4]);
+            assert_eq!(pending_ids(&sim), vec![2, 3, 5, 6, 7, 8]);
+            if sim.pending.track_users {
+                let users: Vec<u32> = sim.pending.iter().map(|&i| jobs[i].user).collect();
+                assert_eq!(sim.pending.user, users);
+                counts[(4 % 3) as usize] -= 1;
+            }
+            assert_eq!(pending_counts(&sim, 3), counts);
+            // The entry check, then jobs 3 and 4 — not the tail.
+            assert!(lookups(&sim) - before <= 3, "the walk ran past the start");
+        }
+    }
+
+    #[test]
+    fn backfill_with_no_power_headroom_starts_nothing() {
+        // 16 nodes, 9 of them free, but job 1's 7 × 500 W uses the
+        // whole 3.5 kW budget: no candidate can start.
+        let mut jobs = vec![rigid(1, 0.0, 7, 10.0), rigid(2, 0.0, 16, 1.0)];
+        jobs.extend((3..=6).map(|id| rigid(id, 0.0, 1, 1.0)));
+        let mut cfg = SimConfig::easy(Cluster::new(16));
+        cfg.power_budget = Some(TimeSeries::constant(
+            SimTime::ZERO,
+            SimDuration::from_hours(1.0),
+            3500.0,
+            100,
+        ));
+        for cfg in both_loops(cfg) {
+            let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5]);
+            assert!(sim.alloc.free() > 0);
+            let order = pending_ids(&sim);
+            let (counts, before) = (pending_counts(&sim, 1), lookups(&sim));
+            sim.backfill(1, SimTime::ZERO);
+            assert_eq!(sim.running.len(), 1, "nothing may start");
+            assert_eq!(pending_ids(&sim), order);
+            assert_eq!(pending_counts(&sim, 1), counts);
+            // Only the entry check's own budget lookup.
+            assert!(lookups(&sim) - before <= 1, "the walk must not run");
+        }
     }
 }

@@ -15,13 +15,23 @@
 //!   first requests may both construct, but construction is deterministic
 //!   so both produce identical values and the first insert wins;
 //! * `capacity == 0` disables the cache: lookups miss and inserts pass
-//!   the value straight through, without advancing any counter.
+//!   the value straight through, without advancing any counter;
+//! * capacity counts *slots*: an entry takes one slot per started
+//!   [`SLOT_BYTES`] of the heap it retains (at least one), so a cache of
+//!   large values — 90-day job sets and outcomes weigh megabytes — is
+//!   bounded in memory, not just in count. Caches built with
+//!   [`LruCache::with_capacity`] weigh every entry as one slot.
 
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Heap bytes one cache slot stands for (see [`LruCache::with_sizer`]).
+/// A week-long scenario's job set or outcome (about a thousand jobs)
+/// fits in one slot, so small entries keep the full entry count.
+pub const SLOT_BYTES: usize = 256 * 1024;
 
 /// Counter and occupancy snapshot from [`LruCache::stats`].
 /// Serializable so a service front-end can expose it on a stats
@@ -47,11 +57,15 @@ struct CacheEntry<V> {
     /// advances the clock), so eviction can pick the least recently used
     /// entry deterministically — timestamps are unique.
     last_used: u64,
+    /// Capacity slots this entry occupies (≥ 1).
+    slots: usize,
 }
 
 #[derive(Debug)]
 struct CacheInner<K, V> {
     map: HashMap<K, CacheEntry<V>>,
+    /// Σ `slots` over `map`.
+    used: usize,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -62,6 +76,7 @@ impl<K, V> Default for CacheInner<K, V> {
     fn default() -> Self {
         CacheInner {
             map: HashMap::new(),
+            used: 0,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -79,6 +94,8 @@ impl<K, V> Default for CacheInner<K, V> {
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     capacity: AtomicUsize,
+    /// Approximate heap bytes a value retains; sets its slot count.
+    bytes_of: fn(&V) -> usize,
     inner: Mutex<CacheInner<K, V>>,
 }
 
@@ -86,8 +103,16 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Create an empty cache holding at most `capacity` entries
     /// (`0` = caching disabled).
     pub fn with_capacity(capacity: usize) -> LruCache<K, V> {
+        Self::with_sizer(capacity, |_| 0)
+    }
+
+    /// Create an empty cache of `capacity` slots (`0` = caching
+    /// disabled) whose entries take one slot per started [`SLOT_BYTES`]
+    /// of `bytes_of(value)`, and at least one.
+    pub fn with_sizer(capacity: usize, bytes_of: fn(&V) -> usize) -> LruCache<K, V> {
         LruCache {
             capacity: AtomicUsize::new(capacity),
+            bytes_of,
             inner: Mutex::new(CacheInner::default()),
         }
     }
@@ -98,13 +123,14 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     }
 
     /// Change the capacity bound, immediately evicting down to it if the
-    /// cache currently holds more entries. `0` disables the cache and
-    /// drops every entry (dropped entries do not count as evictions).
+    /// cache currently holds more. `0` disables the cache and drops every
+    /// entry (dropped entries do not count as evictions).
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
         let mut guard = self.lock();
         if capacity == 0 {
             guard.map.clear();
+            guard.used = 0;
         }
         Self::evict_to_cap(&mut guard, capacity);
     }
@@ -132,21 +158,27 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
     /// Record a miss and insert the freshly constructed `value`, keeping
     /// an already-present entry if a racing request inserted first.
     /// Returns the canonical cached value (the winner of any race) and
-    /// evicts down to capacity. A disabled cache returns `value`
-    /// untouched and counts nothing.
+    /// evicts down to capacity; the value just inserted always stays,
+    /// even when it alone outweighs the capacity. A disabled cache
+    /// returns `value` untouched and counts nothing.
     pub fn insert_after_miss(&self, key: K, value: V) -> V {
         let cap = self.capacity();
         if cap == 0 {
             return value;
         }
+        let slots = (self.bytes_of)(&value).div_ceil(SLOT_BYTES).max(1);
         let mut guard = self.lock();
         let inner = &mut *guard;
         inner.tick += 1;
         let now = inner.tick;
         inner.misses += 1;
-        let entry = inner.map.entry(key).or_insert(CacheEntry {
-            value,
-            last_used: now,
+        let entry = inner.map.entry(key).or_insert_with(|| {
+            inner.used += slots;
+            CacheEntry {
+                value,
+                last_used: now,
+                slots,
+            }
         });
         entry.last_used = now;
         let out = entry.value.clone();
@@ -187,11 +219,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Evicts least-recently-used entries until `len <= cap`. Access
+    /// Evicts least-recently-used entries until the entries left fit in
+    /// `cap` slots or only the most recently used one is left. Access
     /// timestamps are unique, so the victim order is deterministic
     /// regardless of `HashMap` iteration order.
     fn evict_to_cap(inner: &mut CacheInner<K, V>, cap: usize) {
-        while inner.map.len() > cap {
+        while inner.used > cap && inner.map.len() > 1 {
             // O(len) scan; len is bounded by the capacity and eviction is
             // off the generation hot path.
             let victim = inner
@@ -201,7 +234,9 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
                 .map(|(k, _)| k.clone());
             match victim {
                 Some(k) => {
-                    inner.map.remove(&k);
+                    if let Some(e) = inner.map.remove(&k) {
+                        inner.used -= e.slots;
+                    }
                     inner.evictions += 1;
                 }
                 None => break,
@@ -263,6 +298,36 @@ mod tests {
         cache.set_capacity(0);
         assert!(cache.is_empty());
         assert_eq!(cache.stats().evictions, 3);
+    }
+
+    #[test]
+    fn large_entries_take_one_slot_per_started_slot_bytes() {
+        // The value is its own size in bytes.
+        let cache: LruCache<u64, usize> = LruCache::with_sizer(4, |&bytes| bytes);
+        cache.insert_after_miss(1, 10); // 1 slot
+        cache.insert_after_miss(2, SLOT_BYTES); // 1 slot
+        cache.insert_after_miss(3, SLOT_BYTES + 1); // 2 slots: 4 used
+        assert_eq!((cache.len(), cache.stats().evictions), (3, 0));
+        // 2 more slots push out the two least recently used entries.
+        cache.insert_after_miss(4, 2 * SLOT_BYTES);
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.lookup(&1).is_none() && cache.lookup(&2).is_none());
+        assert!(cache.lookup(&3).is_some() && cache.lookup(&4).is_some());
+        // An entry heavier than the whole capacity still memoizes: it
+        // stays alone until the next insert.
+        cache.insert_after_miss(5, 10 * SLOT_BYTES);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&5), Some(10 * SLOT_BYTES));
+        cache.insert_after_miss(6, 0);
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.lookup(&6), Some(0));
+        // Shrinking the capacity evicts by slots, too.
+        cache.set_capacity(8);
+        cache.insert_after_miss(7, 2 * SLOT_BYTES);
+        cache.insert_after_miss(8, 2 * SLOT_BYTES);
+        cache.set_capacity(3);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.lookup(&8).is_some());
     }
 
     #[test]

@@ -14,10 +14,14 @@ use std::sync::OnceLock;
 /// A regularly sampled series: `values[i]` is the value over
 /// `[start + i*step, start + (i+1)*step)` (step-function convention).
 ///
-/// Carries a lazily built cumulative-sum index (`cum`) so wide-window
-/// integrals are O(1) instead of O(buckets); the index is invisible to
-/// `Clone`/`PartialEq`/serde (all implemented manually below) and is
-/// dropped on mutation.
+/// Carries two lazily built derived caches: a cumulative-sum index
+/// (`cum`) so wide-window integrals are O(1) instead of O(buckets), and
+/// the whole-series statistics (`stats_memo`) so repeated [`stats`]
+/// calls — one per profiled job via the green threshold — cost one pass
+/// per series. Both are invisible to `Clone`/`PartialEq`/serde (all
+/// implemented manually below) and are dropped on mutation.
+///
+/// [`stats`]: TimeSeries::stats
 pub struct TimeSeries {
     start: SimTime,
     step: SimDuration,
@@ -25,6 +29,8 @@ pub struct TimeSeries {
     /// `cum[i]` = Σ `values[..i]` (plain value units; multiplied by the
     /// step width at use). Built on first wide integral, then shared.
     cum: OnceLock<Box<[f64]>>,
+    /// Welford statistics over `values`. Built on first `stats()` call.
+    stats_memo: OnceLock<RunningStats>,
 }
 
 impl std::fmt::Debug for TimeSeries {
@@ -44,6 +50,7 @@ impl Clone for TimeSeries {
             step: self.step,
             values: self.values.clone(),
             cum: OnceLock::new(),
+            stats_memo: OnceLock::new(),
         }
     }
 }
@@ -57,7 +64,7 @@ impl PartialEq for TimeSeries {
 impl Serialize for TimeSeries {
     fn to_value(&self) -> Value {
         // Mirrors the derive output for the three data-bearing fields;
-        // the prefix index is a cache, not state.
+        // the prefix index and the statistics are caches, not state.
         Value::Object(vec![
             ("start".to_string(), self.start.to_value()),
             ("step".to_string(), self.step.to_value()),
@@ -73,6 +80,7 @@ impl Deserialize for TimeSeries {
             step: SimDuration::from_value(serde::get_field(v, "step")?)?,
             values: Vec::<f64>::from_value(serde::get_field(v, "values")?)?,
             cum: OnceLock::new(),
+            stats_memo: OnceLock::new(),
         })
     }
 }
@@ -104,6 +112,7 @@ impl TimeSeries {
             step,
             values,
             cum: OnceLock::new(),
+            stats_memo: OnceLock::new(),
         }
     }
 
@@ -153,10 +162,12 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Mutable raw sample access. Drops the cumulative index: it is
-    /// rebuilt from the (possibly modified) samples on next use.
+    /// Mutable raw sample access. Drops the cumulative index and the
+    /// statistics: they are rebuilt from the (possibly modified) samples
+    /// on next use.
     pub fn values_mut(&mut self) -> &mut [f64] {
         self.cum = OnceLock::new();
+        self.stats_memo = OnceLock::new();
         &mut self.values
     }
 
@@ -408,13 +419,19 @@ impl TimeSeries {
         self.downsample_mean(per_day)
     }
 
-    /// Streaming statistics over all samples.
+    /// Streaming statistics over all samples. Computed by one Welford
+    /// pass on first call, then served from the memo until
+    /// [`TimeSeries::values_mut`] drops it.
     pub fn stats(&self) -> RunningStats {
-        let mut rs = RunningStats::new();
-        for &v in &self.values {
-            rs.push(v);
-        }
-        rs
+        self.stats_memo
+            .get_or_init(|| {
+                let mut rs = RunningStats::new();
+                for &v in &self.values {
+                    rs.push(v);
+                }
+                rs
+            })
+            .clone()
     }
 
     /// Batch summary (percentiles etc.) over all samples.
@@ -702,6 +719,58 @@ mod tests {
         assert_eq!(ts, back);
         let json = serde_json::to_string(&v).unwrap();
         assert!(!json.contains("cum"), "cache leaked into serde: {json}");
+    }
+
+    /// Bit-level fingerprint of a statistics value.
+    fn stats_bits(s: &RunningStats) -> [u64; 5] {
+        [
+            s.count(),
+            s.mean().to_bits(),
+            s.variance().to_bits(),
+            s.min().to_bits(),
+            s.max().to_bits(),
+        ]
+    }
+
+    fn welford(values: &[f64]) -> RunningStats {
+        let mut rs = RunningStats::new();
+        for &v in values {
+            rs.push(v);
+        }
+        rs
+    }
+
+    #[test]
+    fn stats_memo_matches_fresh_pass_and_is_invisible() {
+        let vals: Vec<f64> = (0..500)
+            .map(|i| ((i * 37) % 101) as f64 * 0.3 + 5.0)
+            .collect();
+        let mut ts = TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(1.0), vals);
+        let fresh = welford(ts.values());
+        // First call fills the memo, the second is served from it.
+        assert_eq!(stats_bits(&ts.stats()), stats_bits(&fresh));
+        assert!(ts.stats_memo.get().is_some());
+        assert_eq!(stats_bits(&ts.stats()), stats_bits(&fresh));
+
+        // The memo is not state: clones start without it, equality and
+        // the serialized form ignore it.
+        let clone = ts.clone();
+        assert!(clone.stats_memo.get().is_none());
+        assert_eq!(ts, clone);
+        let unfilled = TimeSeries::new(ts.start(), ts.step(), ts.values().to_vec());
+        assert_eq!(ts, unfilled);
+        let json = serde_json::to_string(&ts.to_value()).unwrap();
+        assert_eq!(json, serde_json::to_string(&unfilled.to_value()).unwrap());
+        assert!(!json.contains("stats"), "memo leaked into serde: {json}");
+
+        // Mutation drops the memo; the next call sees the new samples.
+        for v in ts.values_mut() {
+            *v = -*v;
+        }
+        assert!(ts.stats_memo.get().is_none());
+        let negated = welford(ts.values());
+        assert_eq!(stats_bits(&ts.stats()), stats_bits(&negated));
+        assert_eq!(ts.stats().mean(), -fresh.mean());
     }
 }
 

@@ -34,6 +34,17 @@ pub struct JobCarbonProfile {
 }
 
 /// Builds a job's carbon profile from its record and the grid trace.
+///
+/// "Green period" here is the paper's §3.3 definition as implemented by
+/// [`GreenDetector`]: a trace bucket is green when its intensity lies
+/// strictly below `threshold_fraction` × the mean of *all* the trace's
+/// samples — the location's average over the whole trace horizon, not
+/// a per-day or rolling mean. Energy is green when it is drawn inside a
+/// green bucket: each segment is split at bucket boundaries and every
+/// piece is classified by the bucket it lies in, so a segment that
+/// starts or ends mid-bucket contributes exactly its share. Time past
+/// either end of the trace takes the clamped edge value, as everywhere
+/// else in `series`.
 pub fn profile_job(
     record: &JobRecord,
     trace: &CarbonTrace,
@@ -191,6 +202,61 @@ mod tests {
         assert!((p.green_energy_fraction - 0.5).abs() < 1e-9);
         assert!((p.carbon.grams() - 500.0).abs() < 1e-6);
         assert!((p.effective_ci - 250.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn green_energy_matches_hand_integration_over_days() {
+        // Three days, hourly. Day 0 is dirty (300 g/kWh at night, 400 by
+        // day), day 1 clean (100 / 200), day 2 flat at 300. Whole-trace
+        // mean = (375 + 175 + 300) / 3 = 283.3; threshold 0.9 × that =
+        // 255. So every day-1 bucket is green and no other is — even
+        // though day 0's night (300) sits below day 0's own 0.9 × 375.
+        let mut values = Vec::new();
+        for (night, day) in [(300.0, 400.0), (100.0, 200.0), (300.0, 300.0)] {
+            values.extend([night; 6]);
+            values.extend([day; 18]);
+        }
+        let tr = CarbonTrace::new(
+            "three-days",
+            TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(1.0), values),
+        );
+        let det = GreenDetector::default();
+        assert!((det.threshold_for(&tr) - 255.0).abs() < 1e-9);
+
+        let h = |hours: f64, minutes: f64| SimTime::from_secs(hours * 3600.0 + minutes * 60.0);
+        let seg = |start, end, kw| Segment {
+            start,
+            end,
+            nodes: 1,
+            power: Power::from_kw(kw),
+        };
+        let rec = JobRecord {
+            segments: vec![
+                // Day 0 04:30 → day 1 01:15 at 2 kW: only the last
+                // 1.25 h are green.
+                seg(h(4.0, 30.0), h(25.0, 15.0), 2.0),
+                // Day 1 05:10 → 05:50 at 1.5 kW, inside one green bucket.
+                seg(h(29.0, 10.0), h(29.0, 50.0), 1.5),
+                // Day 1 22:40 → day 2 00:20 at 3 kW: the first 80 min
+                // are green.
+                seg(h(46.0, 40.0), h(48.0, 20.0), 3.0),
+            ],
+            ..record(1, 4.5, 48.0 + 1.0 / 3.0)
+        };
+        let p = profile_job(&rec, &tr, &det);
+
+        // Energy: 2 kW × 20.75 h + 1.5 kW × 2/3 h + 3 kW × 5/3 h.
+        let total_kwh = 41.5 + 1.0 + 5.0;
+        // Green: 2 kW × 1.25 h + 1.5 kW × 2/3 h + 3 kW × 4/3 h.
+        let green_kwh = 2.5 + 1.0 + 4.0;
+        // Carbon, g: segment 1 = 3 kWh × 300 + 36 kWh × 400 + 2.5 kWh ×
+        // 100; segment 2 = 1 kWh × 100; segment 3 = 4 kWh × 200 +
+        // 1 kWh × 300.
+        let grams = 900.0 + 14_400.0 + 250.0 + 100.0 + 800.0 + 300.0;
+        assert!((p.energy.kwh() - total_kwh).abs() < 1e-9);
+        assert!((p.green_energy_fraction - green_kwh / total_kwh).abs() < 1e-12);
+        assert!((p.carbon.grams() - grams).abs() < 1e-6);
+        assert!((p.effective_ci - grams / total_kwh).abs() < 1e-9);
     }
 
     #[test]

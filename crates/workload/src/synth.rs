@@ -270,9 +270,10 @@ pub fn generate(config: &WorkloadConfig, horizon: SimDuration, seed: u64) -> Vec
     jobs
 }
 
-/// Default capacity of the process-wide [`WorkloadCache`]. Job sets are
-/// the largest cached artifacts (tens of thousands of jobs for a busy
-/// month), so the bound is tighter than the trace cache's.
+/// Default capacity of the process-wide [`WorkloadCache`], in slots
+/// (see [`WorkloadCache::with_capacity`]). Job sets are the largest
+/// cached artifacts (tens of thousands of jobs for a busy month), so the
+/// bound is tighter than the trace cache's.
 pub const DEFAULT_WORKLOAD_CACHE_CAPACITY: usize = 64;
 
 /// Environment variable overriding the global workload cache capacity.
@@ -326,11 +327,13 @@ impl WorkloadCache {
         WorkloadCache::default()
     }
 
-    /// Create an empty cache holding at most `capacity` job sets
-    /// (`0` = caching disabled).
+    /// Create an empty cache of `capacity` slots (`0` = caching
+    /// disabled). A job set takes one slot per started
+    /// [`SLOT_BYTES`](sustain_sim_core::cache::SLOT_BYTES) of jobs: a
+    /// week of jobs takes one, 90 days about five.
     pub fn with_capacity(capacity: usize) -> WorkloadCache {
         WorkloadCache {
-            inner: LruCache::with_capacity(capacity),
+            inner: LruCache::with_sizer(capacity, |jobs| jobs.len() * std::mem::size_of::<Job>()),
         }
     }
 

@@ -34,6 +34,8 @@ struct Row {
     scratch_grows: u64,
     fs_repositions: u64,
     fs_renorms: u64,
+    backfill_visits: u64,
+    backfill_scanned: u64,
 }
 
 /// The `q`-quantile of ascending `sorted`, linearly interpolated
@@ -95,6 +97,8 @@ fn main() {
             scratch_grows: hp.scratch_grows,
             fs_repositions: hp.fs_repositions,
             fs_renorms: hp.fs_renorms,
+            backfill_visits: hp.backfill_visits,
+            backfill_scanned: hp.backfill_scanned,
         });
     }
     println!(

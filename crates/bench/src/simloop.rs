@@ -6,8 +6,10 @@
 //! budget shape are all pinned), so wall-clock numbers measured on one
 //! host are comparable across commits and `SimOutcome`s are comparable
 //! byte-for-byte. The corpus covers each policy with and without the
-//! carbon/failure machinery, plus the headline 365-day / 10k-job
-//! scenario that exercises every hot-path feature at once.
+//! carbon/failure machinery, the headline 365-day / 10k-job scenario
+//! that exercises every hot-path feature at once, and a year of the
+//! CLI `run` shape on 256 nodes, whose deep queue loads the backfill
+//! walk.
 
 use sustain_grid::trace::CarbonTrace;
 use sustain_scheduler::cluster::Cluster;
@@ -242,6 +244,25 @@ pub fn scenarios(scale: Scale) -> Vec<SimScenario> {
         });
     }
 
+    {
+        // The first rung of a year-long ladder: the CLI `run` shape (the
+        // default workload on 256 nodes) under plain EASY for 365 days.
+        // Its deep queue loads the backfill walk.
+        let days = match scale {
+            Scale::Full => 365.0,
+            Scale::Smoke => 365.0 / 8.0,
+        };
+        out.push(SimScenario {
+            name: "easy_365d_256",
+            jobs: generate(
+                &WorkloadConfig::default(),
+                SimDuration::from_days(days),
+                SEED,
+            ),
+            cfg: SimConfig::easy(Cluster::new(256)),
+        });
+    }
+
     out
 }
 
@@ -305,5 +326,30 @@ mod tests {
             assert_eq!(hp.fs_renorms, 0, "{}: unexpected epoch renorm", sc.name);
         }
         assert!(saw_fair_share, "corpus lost its fair-share scenarios");
+    }
+
+    /// Perf smoke for the backfill skip: on every EASY scenario the walk
+    /// examines at most a quarter of the pending entries it passes over.
+    /// The rest need more nodes than are free and are skipped in bulk.
+    /// Catches a walk that falls back to visiting every entry.
+    #[test]
+    fn easy_backfill_examines_only_jobs_that_can_fit() {
+        let mut saw_easy = false;
+        for sc in scenarios(Scale::Smoke) {
+            if !matches!(sc.cfg.policy, Policy::EasyBackfill) {
+                continue;
+            }
+            saw_easy = true;
+            let hp = simulate(&sc.jobs, &sc.cfg).hot_path;
+            assert!(hp.backfill_scanned > 0, "{}: no backfill walk", sc.name);
+            assert!(
+                hp.backfill_visits * 4 <= hp.backfill_scanned,
+                "{}: examined {} of {} pending entries",
+                sc.name,
+                hp.backfill_visits,
+                hp.backfill_scanned
+            );
+        }
+        assert!(saw_easy, "corpus lost its EASY scenarios");
     }
 }

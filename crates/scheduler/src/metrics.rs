@@ -157,6 +157,16 @@ pub struct HotPathStats {
     /// Renormalizations of the fair-share usage epoch (exact
     /// power-of-two rescale of every user's normalized usage; rare).
     pub fs_renorms: u64,
+    /// Pending entries the EASY backfill walk examined (reached the
+    /// eligibility and allocation checks). Entries skipped in bulk
+    /// because their minimum allocation exceeds the free nodes are not
+    /// counted.
+    pub backfill_visits: u64,
+    /// Pending entries the EASY backfill walk passed over, examined or
+    /// skipped in bulk: what a walk without the skip would have
+    /// visited, so `backfill_visits / backfill_scanned` is the share of
+    /// the queue the walk actually examines.
+    pub backfill_scanned: u64,
 }
 
 impl HotPathStats {
@@ -175,6 +185,8 @@ impl HotPathStats {
         self.spec_invalidations += other.spec_invalidations;
         self.fs_repositions += other.fs_repositions;
         self.fs_renorms += other.fs_renorms;
+        self.backfill_visits += other.backfill_visits;
+        self.backfill_scanned += other.backfill_scanned;
     }
 }
 
@@ -203,6 +215,8 @@ impl Deserialize for HotPathStats {
             spec_invalidations: field("spec_invalidations")?,
             fs_repositions: field("fs_repositions")?,
             fs_renorms: field("fs_renorms")?,
+            backfill_visits: field("backfill_visits")?,
+            backfill_scanned: field("backfill_scanned")?,
         })
     }
 }
@@ -220,6 +234,8 @@ static TOTAL_TRACE_MISSES: AtomicU64 = AtomicU64::new(0);
 static TOTAL_SCRATCH_GROWS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FS_REPOSITIONS: AtomicU64 = AtomicU64::new(0);
 static TOTAL_FS_RENORMS: AtomicU64 = AtomicU64::new(0);
+static TOTAL_BACKFILL_VISITS: AtomicU64 = AtomicU64::new(0);
+static TOTAL_BACKFILL_SCANNED: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn record_hot_path_totals(s: &HotPathStats) {
     TOTAL_EVENTS.fetch_add(s.events, Ordering::Relaxed);
@@ -232,6 +248,8 @@ pub(crate) fn record_hot_path_totals(s: &HotPathStats) {
     TOTAL_SCRATCH_GROWS.fetch_add(s.scratch_grows, Ordering::Relaxed);
     TOTAL_FS_REPOSITIONS.fetch_add(s.fs_repositions, Ordering::Relaxed);
     TOTAL_FS_RENORMS.fetch_add(s.fs_renorms, Ordering::Relaxed);
+    TOTAL_BACKFILL_VISITS.fetch_add(s.backfill_visits, Ordering::Relaxed);
+    TOTAL_BACKFILL_SCANNED.fetch_add(s.backfill_scanned, Ordering::Relaxed);
 }
 
 /// Snapshot of the process-wide hot-path counters aggregated over every
@@ -248,6 +266,8 @@ pub fn hot_path_totals() -> HotPathStats {
         scratch_grows: TOTAL_SCRATCH_GROWS.load(Ordering::Relaxed),
         fs_repositions: TOTAL_FS_REPOSITIONS.load(Ordering::Relaxed),
         fs_renorms: TOTAL_FS_RENORMS.load(Ordering::Relaxed),
+        backfill_visits: TOTAL_BACKFILL_VISITS.load(Ordering::Relaxed),
+        backfill_scanned: TOTAL_BACKFILL_SCANNED.load(Ordering::Relaxed),
         ..HotPathStats::default()
     }
 }
@@ -596,6 +616,8 @@ mod tests {
         assert_eq!(s.spec_invalidations, 0);
         assert_eq!(s.fs_repositions, 0);
         assert_eq!(s.fs_renorms, 0);
+        assert_eq!(s.backfill_visits, 0);
+        assert_eq!(s.backfill_scanned, 0);
     }
 
     #[test]
@@ -626,6 +648,8 @@ mod tests {
         assert!(pos("spec_invalidations") < pos("fs_repositions"));
         assert!(pos("fs_repositions") < pos("fs_renorms"));
         assert_eq!(pos("fs_renorms"), json.rfind("fs_").unwrap());
+        assert!(pos("fs_renorms") < pos("backfill_visits"));
+        assert!(pos("backfill_visits") < pos("backfill_scanned"));
     }
 
     #[test]
@@ -637,6 +661,8 @@ mod tests {
             spec_invalidations: 2,
             fs_repositions: 9,
             fs_renorms: 1,
+            backfill_visits: 4,
+            backfill_scanned: 12,
             ..Default::default()
         };
         let v = s.to_value();

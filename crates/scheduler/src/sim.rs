@@ -476,20 +476,26 @@ type UserBuildHasher = std::hash::BuildHasherDefault<UserIdHasher>;
 type UserMap<V> = std::collections::HashMap<u32, V, UserBuildHasher>;
 type UserSet = std::collections::HashSet<u32, UserBuildHasher>;
 
-/// The pending queue: job indices in scheduling order plus a parallel
-/// dense array of each entry's (immutable) user id. The user copy is
-/// what makes the fair-share dirty scan in [`Sim::fixup_pending`] a
-/// sequential `u32` sweep instead of one random `jobs[i]` load per
-/// pending entry — on long queues those cache misses dominated the
-/// fix-up. Reads deref to the index slice; every mutation goes through
-/// a method that keeps the two arrays in lockstep.
+/// The pending queue: job indices in scheduling order plus parallel
+/// dense arrays of per-entry (immutable) job facts, so the hot scans
+/// over the queue read sequential `u32`s instead of one random
+/// `jobs[i]` load per entry — on long queues those cache misses
+/// dominated. Reads deref to the index slice; every mutation goes
+/// through a method that keeps the arrays in lockstep.
+///
+/// `need` is maintained for every scheduler, because every EASY walk
+/// scans it ([`PendQueue::next_fit`]). `user` and `counts` serve only
+/// the fair-share fix-up, so they are maintained only under fair share
+/// (`track_users`) and other schedulers do not pay for their upkeep.
 #[derive(Default)]
 struct PendQueue {
     idx: Vec<usize>,
-    /// Parallel dense array of each entry's (immutable) user id,
-    /// maintained — like `counts` — only under fair share
-    /// (`track_users`): non-fair-share schedulers measurably paid for
-    /// the extra copies in the backfill compaction loop.
+    /// Each entry's minimum allocation (`job.bounds().0`): an entry
+    /// with `need > free` cannot start, so backfill skips it in bulk.
+    need: Vec<u32>,
+    /// Each entry's user id (fair share only; see above). Makes the
+    /// fair-share dirty scan in [`Sim::fixup_pending`] a sequential
+    /// sweep.
     user: Vec<u32>,
     /// Pending-entry count per user, maintained only under fair share
     /// (`track_users`). Lets the ordering fix-up know *how many*
@@ -508,11 +514,12 @@ impl std::ops::Deref for PendQueue {
 }
 
 impl PendQueue {
-    fn insert(&mut self, pos: usize, idx: usize, user: u32) {
+    fn insert(&mut self, pos: usize, idx: usize, job: &Job) {
         self.idx.insert(pos, idx);
+        self.need.insert(pos, job.bounds().0);
         if self.track_users {
-            self.user.insert(pos, user);
-            *self.counts.entry(user).or_insert(0) += 1;
+            self.user.insert(pos, job.user);
+            *self.counts.entry(job.user).or_insert(0) += 1;
         }
     }
 
@@ -521,6 +528,7 @@ impl PendQueue {
             self.uncount(pos);
             self.user.remove(pos);
         }
+        self.need.remove(pos);
         self.idx.remove(pos)
     }
 
@@ -539,19 +547,61 @@ impl PendQueue {
             }
             self.user.drain(..n);
         }
+        self.need.drain(..n);
         self.idx.drain(..n);
     }
 
+    /// Refills the arrays from `order`, job indices in their new queue
+    /// order (the full resorts). The per-user counts are unchanged: the
+    /// same entries are pending.
+    fn refill(&mut self, order: impl Iterator<Item = usize>, jobs: &[Job]) {
+        self.idx.clear();
+        self.need.clear();
+        self.user.clear();
+        for i in order {
+            self.idx.push(i);
+            self.need.push(jobs[i].bounds().0);
+            if self.track_users {
+                self.user.push(jobs[i].user);
+            }
+        }
+    }
+
     /// In-place compaction step: keep the entry at `read` by moving it
-    /// to `write` (both arrays when users are tracked). Sits in the
-    /// backfill walk's innermost loop — millions of calls per bench
-    /// scenario — hence the forced inlining.
+    /// to `write` (every maintained array). Sits in the backfill walk's
+    /// innermost loop, hence the forced inlining.
     #[inline(always)]
     fn keep(&mut self, write: usize, read: usize) {
         self.idx[write] = self.idx[read];
+        self.need[write] = self.need[read];
         if self.track_users {
             self.user[write] = self.user[read];
         }
+    }
+
+    /// Compaction of a whole block: keeps the entries `from..to` by
+    /// moving them down to `write` (one `copy_within` per array; a
+    /// no-op while nothing has been dropped yet).
+    fn shift(&mut self, write: usize, from: usize, to: usize) {
+        if write == from {
+            return;
+        }
+        self.idx.copy_within(from..to, write);
+        self.need.copy_within(from..to, write);
+        if self.track_users {
+            self.user.copy_within(from..to, write);
+        }
+    }
+
+    /// First position at or after `from` whose entry could fit in
+    /// `free` nodes (`need <= free`), or `len` if none can: a linear
+    /// scan over the dense `u32`s, with no `jobs[i]` load per entry.
+    #[inline]
+    fn next_fit(&self, from: usize, free: u32) -> usize {
+        self.need[from..]
+            .iter()
+            .position(|&m| m <= free)
+            .map_or(self.need.len(), |p| from + p)
     }
 
     /// Drops the entry at `pos` from the per-user counts without
@@ -580,10 +630,10 @@ impl PendQueue {
     /// every entry (`read == len`) just truncates to `write`.
     fn close_gap(&mut self, write: usize, read: usize) {
         let len = self.idx.len();
-        self.idx.copy_within(read..len, write);
+        self.shift(write, read, len);
         self.idx.truncate(write + len - read);
+        self.need.truncate(write + len - read);
         if self.track_users {
-            self.user.copy_within(read..len, write);
             self.user.truncate(write + len - read);
         }
     }
@@ -1076,6 +1126,7 @@ impl<'a> Sim<'a> {
         let clean = q.idx.len();
         let total = clean + moved.len();
         q.idx.resize(total, usize::MAX);
+        q.need.resize(total, 0);
         q.user.resize(total, 0);
         let mut src = clean; // clean entries still at [0..src)
         let mut dst = total; // everything at [dst..total) is placed
@@ -1090,11 +1141,13 @@ impl<'a> Sim<'a> {
             let len = src - pos;
             if len > 0 {
                 q.idx.copy_within(pos..src, dst - len);
+                q.need.copy_within(pos..src, dst - len);
                 q.user.copy_within(pos..src, dst - len);
                 dst -= len;
             }
             dst -= 1;
             q.idx[dst] = m.4;
+            q.need[dst] = self.jobs[m.4].bounds().0;
             q.user[dst] = self.jobs[m.4].user;
             src = pos;
         }
@@ -1132,13 +1185,7 @@ impl<'a> Sim<'a> {
         // Unique ids make the order total: unstable sort is exact and,
         // unlike the stable sort, allocation-free.
         keyed.sort_unstable_by(|a, b| pend_key_cmp(&(a.0, a.1, a.2, a.3), &(b.0, b.1, b.2, b.3)));
-        let jobs = self.jobs;
-        self.pending.idx.clear();
-        self.pending.idx.extend(keyed.iter().map(|k| k.4));
-        self.pending.user.clear();
-        self.pending
-            .user
-            .extend(keyed.iter().map(|k| jobs[k.4].user));
+        self.pending.refill(keyed.iter().map(|k| k.4), self.jobs);
         if keyed.capacity() != cap {
             self.stats.scratch_grows += 1;
         }
@@ -1177,13 +1224,7 @@ impl<'a> Sim<'a> {
         }
         keyed.sort_unstable_by(|a, b| pend_key_cmp(&(a.0, a.1, a.2, a.3), &(b.0, b.1, b.2, b.3)));
         self.usage_all_zero = memo.values().all(|&v| v == 0.0);
-        let jobs = self.jobs;
-        self.pending.idx.clear();
-        self.pending.idx.extend(keyed.iter().map(|k| k.4));
-        self.pending.user.clear();
-        self.pending
-            .user
-            .extend(keyed.iter().map(|k| jobs[k.4].user));
+        self.pending.refill(keyed.iter().map(|k| k.4), self.jobs);
         if (keyed.capacity(), memo.capacity()) != caps {
             self.stats.scratch_grows += 1;
         }
@@ -1221,7 +1262,7 @@ impl<'a> Sim<'a> {
         if self.cfg.fair_share.is_some() && !self.fs_legacy_keys && self.fs_should_degrade(now) {
             self.fs_legacy_keys = true;
         }
-        let user = self.jobs[idx].user;
+        let job = &self.jobs[idx];
         if self.fs_legacy_keys {
             let key = self.pending_key_legacy(idx, now);
             if key.1 != 0.0 {
@@ -1230,14 +1271,14 @@ impl<'a> Sim<'a> {
             let pos = self.pending.partition_point(|&p| {
                 pend_key_cmp(&self.pending_key_legacy(p, now), &key) != std::cmp::Ordering::Greater
             });
-            self.pending.insert(pos, idx, user);
+            self.pending.insert(pos, idx, job);
             return;
         }
         let key = self.pending_key(idx);
         let pos = self.pending.partition_point(|&p| {
             pend_key_cmp(&self.pending_key(p), &key) != std::cmp::Ordering::Greater
         });
-        self.pending.insert(pos, idx, user);
+        self.pending.insert(pos, idx, job);
     }
 
     /// Budget lookup hoisted to bucket granularity: the value is cached
@@ -1719,9 +1760,17 @@ impl<'a> Sim<'a> {
     /// value) is fixed and a start only lowers free nodes and raises
     /// running power, so once the state holds it holds for every later
     /// job of the walk — visiting them could only re-keep them in place.
+    ///
+    /// Likewise, each step jumps over every entry whose minimum
+    /// allocation exceeds the free nodes ([`PendQueue::next_fit`]):
+    /// `choose_alloc` caps the allocation at the free nodes and refuses
+    /// anything below the minimum, and free nodes only fall during the
+    /// walk, so visiting such an entry could only keep it in place.
+    ///
     /// The skipped calls (`eligible`, `choose_alloc`) mutate nothing but
     /// the lookup counters and the bucket caches, whose values are a
-    /// pure function of the bucket.
+    /// pure function of the bucket. `backfill_visits` counts the entries
+    /// the walk examines, `backfill_scanned` those it passes over.
     #[inline(never)]
     fn backfill(&mut self, head_idx: usize, now: SimTime) {
         if self.no_start_possible(now) {
@@ -1778,54 +1827,21 @@ impl<'a> Sim<'a> {
         // Try to backfill later pending jobs. Started jobs are compacted
         // out in place — same visit order and intervening mutations as
         // the old remove-and-continue loop, without the O(n) removes.
-        //
-        // Two copies of the walk, chosen once by `track_users`: the
-        // untracked loop touches only `idx` and compiles to the same
-        // register-resident compaction as the pre-PendQueue code, while
-        // the tracked loop additionally carries the user array and the
-        // per-user counts. Folding them into one loop keeps the extra
-        // state live across the `choose_alloc`/`start_job` calls and
-        // spills the compaction cursors — measurably slower for the
-        // (dominant) non-fair-share configs.
-        if !self.pending.track_users {
-            let mut write = 0;
-            let mut read = 0;
-            while read < self.pending.idx.len() {
-                let idx = self.pending.idx[read];
-                read += 1;
-                // Keep the head; skip ineligible jobs (carbon gate).
-                if idx == head_idx || !self.eligible(idx, now) {
-                    self.pending.idx[write] = idx;
-                    write += 1;
-                    continue;
-                }
-                let job = &self.jobs[idx];
-                if let Some(alloc) = self.choose_alloc(idx, now) {
-                    let fits_before_shadow = now + job.walltime_estimate <= shadow;
-                    let fits_in_spare = alloc <= spare;
-                    if fits_before_shadow || fits_in_spare {
-                        if !fits_before_shadow {
-                            // This job holds nodes past the shadow: it
-                            // draws down the spare pool.
-                            spare -= alloc;
-                        }
-                        let work = job.work;
-                        self.start_job(idx, alloc, work, now);
-                        if self.no_start_possible(now) {
-                            break;
-                        }
-                        continue;
-                    }
-                }
-                self.pending.idx[write] = idx;
-                write += 1;
-            }
-            self.pending.close_gap(write, read);
-            return;
-        }
+        // Each step first keeps, in bulk and unvisited, the block of
+        // entries that need more nodes than are free (see above).
+        let len = self.pending.len();
         let mut write = 0;
         let mut read = 0;
-        while read < self.pending.idx.len() {
+        let mut skipped = 0;
+        loop {
+            let next = self.pending.next_fit(read, self.alloc.free());
+            self.pending.shift(write, read, next);
+            write += next - read;
+            skipped += next - read;
+            read = next;
+            if read == len {
+                break;
+            }
             let idx = self.pending.idx[read];
             // Keep the head; skip ineligible jobs (carbon-aware gate).
             if idx == head_idx || !self.eligible(idx, now) {
@@ -1862,6 +1878,8 @@ impl<'a> Sim<'a> {
                 break;
             }
         }
+        self.stats.backfill_visits += (read - skipped) as u64;
+        self.stats.backfill_scanned += read as u64;
         self.pending.close_gap(write, read);
     }
 
@@ -3115,8 +3133,8 @@ mod tests {
     }
 
     /// The untracked and the fair-share (`track_users`) variant of one
-    /// EASY config; `backfill` has a compaction loop for each.
-    fn both_loops(cfg: SimConfig) -> [SimConfig; 2] {
+    /// EASY config; `backfill`'s compaction loop branches on the flag.
+    fn untracked_and_tracked(cfg: SimConfig) -> [SimConfig; 2] {
         let mut fs = cfg.clone();
         fs.fair_share = Some(FairShareCfg::default());
         [cfg, fs]
@@ -3140,7 +3158,7 @@ mod tests {
         }));
         let mut cfg = SimConfig::easy(Cluster::new(8));
         cfg.power_budget = Some(ample_budget());
-        for cfg in both_loops(cfg) {
+        for cfg in untracked_and_tracked(cfg) {
             let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5, 6]);
             assert_eq!(sim.alloc.free(), 0);
             let (order, users) = (pending_ids(&sim), sim.pending.user.clone());
@@ -3169,7 +3187,7 @@ mod tests {
         }));
         let mut cfg = SimConfig::easy(Cluster::new(8));
         cfg.power_budget = Some(ample_budget());
-        for cfg in both_loops(cfg) {
+        for cfg in untracked_and_tracked(cfg) {
             let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5, 6, 7]);
             let mut counts = pending_counts(&sim, 3);
             let before = lookups(&sim);
@@ -3202,7 +3220,7 @@ mod tests {
             3500.0,
             100,
         ));
-        for cfg in both_loops(cfg) {
+        for cfg in untracked_and_tracked(cfg) {
             let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5]);
             assert!(sim.alloc.free() > 0);
             let order = pending_ids(&sim);
@@ -3213,6 +3231,208 @@ mod tests {
             assert_eq!(pending_counts(&sim, 1), counts);
             // Only the entry check's own budget lookup.
             assert!(lookups(&sim) - before <= 1, "the walk must not run");
+        }
+    }
+
+    /// The parallel arrays, and under fair share the per-user counts,
+    /// describe exactly the jobs `idx` names.
+    fn assert_lockstep(sim: &Sim, users: u32) {
+        let q = &sim.pending;
+        let need: Vec<u32> = q.iter().map(|&i| sim.jobs[i].bounds().0).collect();
+        assert_eq!(q.need, need, "`need` out of step with `idx`");
+        if q.track_users {
+            let user: Vec<u32> = q.iter().map(|&i| sim.jobs[i].user).collect();
+            assert_eq!(q.user, user, "`user` out of step with `idx`");
+            for u in 0..users {
+                let n = user.iter().filter(|&&x| x == u).count() as u32;
+                assert_eq!(q.count(u), n, "count of user {u}");
+            }
+        } else {
+            assert!(q.user.is_empty());
+        }
+    }
+
+    #[test]
+    fn pending_arrays_stay_in_lockstep_under_random_operations() {
+        // Rigid and moldable jobs of 5 users on 12 nodes, so `need`
+        // (the minimum allocation) often differs from the request.
+        let mut rng = sustain_sim_core::rng::RngStream::new(21);
+        let jobs: Vec<Job> = (0..120u64)
+            .map(|i| {
+                let req = 1 + rng.uniform_u64(12) as u32;
+                let b = JobBuilder::new(
+                    i,
+                    SimTime::ZERO,
+                    req,
+                    SimDuration::from_hours(1.0 + rng.uniform_u64(8) as f64),
+                )
+                .user(i as u32 % 5);
+                if rng.uniform_u64(2) == 0 {
+                    b.build()
+                } else {
+                    let min_nodes = 1 + rng.uniform_u64(req as u64) as u32;
+                    b.class(JobClass::Moldable {
+                        min_nodes,
+                        max_nodes: req,
+                    })
+                    .build()
+                }
+            })
+            .collect();
+        let plain = SimConfig::easy(Cluster::new(12));
+        let mut fs = plain.clone();
+        fs.fair_share = Some(FairShareCfg::default());
+        // Plain, fair share, and fair share in the legacy-key regime.
+        let mut work = HotPathStats::default();
+        for (cfg, legacy) in [(&plain, false), (&fs, false), (&fs, true)] {
+            for seed in 0..8 {
+                let mut rng = sustain_sim_core::rng::RngStream::new(seed);
+                let mut sim = Sim::new(&jobs, cfg);
+                sim.fs_legacy_keys = legacy;
+                let mut now = SimTime::ZERO;
+                let mut next = 0;
+                for _ in 0..400 {
+                    match rng.uniform_u64(8) {
+                        0 | 1 if next < jobs.len() => {
+                            sim.pending_insert(next, now);
+                            next += 1;
+                        }
+                        2 => {
+                            // Head drain: start heads while they fit.
+                            let mut n = 0;
+                            while let Some(&head) = sim.pending.get(n) {
+                                let Some(alloc) = sim.choose_alloc(head, now) else {
+                                    break;
+                                };
+                                sim.start_job(head, alloc, jobs[head].work, now);
+                                n += 1;
+                            }
+                            sim.pending.drain_front(n);
+                        }
+                        3 if !sim.pending.is_empty() => {
+                            let head =
+                                sim.pending[rng.uniform_u64(sim.pending.len() as u64) as usize];
+                            sim.backfill(head, now);
+                        }
+                        4 if !sim.running.is_empty() => {
+                            // A completion records usage; the fix-up
+                            // repositions the user's pending jobs.
+                            now += SimDuration::from_hours(0.25);
+                            let pos = rng.uniform_u64(sim.running.len() as u64) as usize;
+                            let id = jobs[sim.running[pos].idx].id;
+                            sim.finish_job(id, now);
+                            sim.fixup_pending(now);
+                        }
+                        5 => sim.resort_pending_full(),
+                        6 => sim.resort_pending_legacy(now),
+                        7 if !sim.pending.is_empty() => {
+                            // A start from mid-queue (a head behind
+                            // carbon-gated jobs, or a conservative start).
+                            let pos = rng.uniform_u64(sim.pending.len() as u64) as usize;
+                            let i = sim.pending[pos];
+                            if let Some(alloc) = sim.choose_alloc(i, now) {
+                                sim.start_job(i, alloc, jobs[i].work, now);
+                                sim.pending.remove_job(i);
+                            }
+                        }
+                        _ => {}
+                    }
+                    assert_lockstep(&sim, 5);
+                }
+                work.absorb(&sim.stats);
+            }
+        }
+        // The operations did real work: walks that examined and skipped
+        // entries, and fix-ups that merged repositioned entries back.
+        assert!(work.backfill_visits > 0 && work.backfill_scanned > work.backfill_visits);
+        assert!(work.fs_repositions > 0 && work.resorts_taken > 0);
+    }
+
+    #[test]
+    fn backfill_skips_past_jobs_that_cannot_fit_to_the_one_that_can() {
+        // Job 1 holds 6 of 8 nodes for 10 h, so 2 are free. Job 2 is
+        // the blocked head; jobs 3..=12 and 14..=20 need 3 or more
+        // nodes. Job 13 (1 node) and job 17 (moldable down to 1 node,
+        // though it asks for 8) are the only ones that fit, deep in the
+        // queue.
+        let mut jobs = vec![rigid(1, 0.0, 6, 10.0), rigid(2, 0.0, 8, 1.0)];
+        for id in 3..=20u64 {
+            let b = JobBuilder::new(
+                id,
+                SimTime::ZERO,
+                3 + id as u32 % 6,
+                SimDuration::from_hours(1.0),
+            )
+            .user(id as u32 % 3);
+            jobs.push(match id {
+                13 => JobBuilder::new(id, SimTime::ZERO, 1, SimDuration::from_hours(1.0))
+                    .user(1)
+                    .build(),
+                17 => b
+                    .class(JobClass::Moldable {
+                        min_nodes: 1,
+                        max_nodes: 6,
+                    })
+                    .build(),
+                _ => b.build(),
+            });
+        }
+        let mut cfg = SimConfig::easy(Cluster::new(8));
+        cfg.power_budget = Some(ample_budget());
+        for cfg in untracked_and_tracked(cfg) {
+            let pending: Vec<usize> = (1..jobs.len()).collect();
+            let mut sim = staged(&jobs, &cfg, &[0], &pending);
+            assert_eq!(sim.alloc.free(), 2);
+            let mut counts = pending_counts(&sim, 3);
+            sim.backfill(1, SimTime::ZERO);
+            let started: Vec<u64> = sim.running.iter().map(|r| jobs[r.idx].id.0).collect();
+            assert_eq!(started, vec![1, 13, 17]);
+            assert_eq!(sim.alloc.free(), 0);
+            let rest: Vec<u64> = (2..=20).filter(|&id| id != 13 && id != 17).collect();
+            assert_eq!(pending_ids(&sim), rest);
+            assert_lockstep(&sim, 3);
+            if sim.pending.track_users {
+                counts[1] -= 1; // job 13
+                counts[17 % 3] -= 1;
+            }
+            assert_eq!(pending_counts(&sim, 3), counts);
+            // Only the two jobs that fit were examined; the walk stopped
+            // at job 17, which took the last free node.
+            assert_eq!(sim.stats.backfill_visits, 2);
+            assert_eq!(sim.stats.backfill_scanned, 16);
+        }
+    }
+
+    #[test]
+    fn backfill_examines_nothing_when_no_pending_job_fits() {
+        // 3 nodes free, every pending job needs 4 or more.
+        let mut jobs = vec![rigid(1, 0.0, 5, 10.0), rigid(2, 0.0, 8, 1.0)];
+        jobs.extend((3..=9).map(|id| {
+            JobBuilder::new(id, SimTime::ZERO, 4, SimDuration::from_hours(1.0))
+                .user(id as u32 % 3)
+                .class(JobClass::Moldable {
+                    min_nodes: 4,
+                    max_nodes: 8,
+                })
+                .build()
+        }));
+        let mut cfg = SimConfig::easy(Cluster::new(8));
+        cfg.power_budget = Some(ample_budget());
+        for cfg in untracked_and_tracked(cfg) {
+            let pending: Vec<usize> = (1..jobs.len()).collect();
+            let mut sim = staged(&jobs, &cfg, &[0], &pending);
+            assert_eq!(sim.alloc.free(), 3);
+            let (order, counts, before) =
+                (pending_ids(&sim), pending_counts(&sim, 3), lookups(&sim));
+            sim.backfill(1, SimTime::ZERO);
+            assert_eq!(sim.running.len(), 1, "nothing may start");
+            assert_eq!(pending_ids(&sim), order);
+            assert_eq!(pending_counts(&sim, 3), counts);
+            assert_lockstep(&sim, 3);
+            assert_eq!(sim.stats.backfill_visits, 0);
+            assert_eq!(sim.stats.backfill_scanned, 8);
+            // Only the entry check's own budget lookup.
+            assert!(lookups(&sim) - before <= 1, "the walk examined a job");
         }
     }
 }

@@ -322,6 +322,10 @@ fn print_hot_path_stats() {
         "sim fair share: {} jobs repositioned | {} usage-epoch renorms",
         s.fs_repositions, s.fs_renorms
     );
+    eprintln!(
+        "sim backfill: {} of {} pending entries visited",
+        s.backfill_visits, s.backfill_scanned
+    );
     print_memo_cache_stats();
 }
 

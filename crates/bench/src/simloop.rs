@@ -352,4 +352,31 @@ mod tests {
         }
         assert!(saw_easy, "corpus lost its EASY scenarios");
     }
+
+    /// Perf smoke for the conservative exit: on every conservative
+    /// scenario the plan places under two thirds of the entries pending
+    /// at its rounds' starts (about 0.45 at smoke scale). Each round stops
+    /// after the last entry that could start now. Catches a plan that
+    /// falls back to placing every entry (about 0.85: a round that starts
+    /// a job still ends there).
+    #[test]
+    fn conservative_plan_stops_when_nothing_fits() {
+        let mut saw_conservative = false;
+        for sc in scenarios(Scale::Smoke) {
+            if !matches!(sc.cfg.policy, Policy::ConservativeBackfill) {
+                continue;
+            }
+            saw_conservative = true;
+            let hp = simulate(&sc.jobs, &sc.cfg).hot_path;
+            assert!(hp.backfill_scanned > 0, "{}: no plan round", sc.name);
+            assert!(
+                hp.backfill_visits * 3 < hp.backfill_scanned * 2,
+                "{}: placed {} of {} pending entries",
+                sc.name,
+                hp.backfill_visits,
+                hp.backfill_scanned
+            );
+        }
+        assert!(saw_conservative, "corpus lost its conservative scenarios");
+    }
 }

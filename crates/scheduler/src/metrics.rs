@@ -157,15 +157,19 @@ pub struct HotPathStats {
     /// Renormalizations of the fair-share usage epoch (exact
     /// power-of-two rescale of every user's normalized usage; rare).
     pub fs_renorms: u64,
-    /// Pending entries the EASY backfill walk examined (reached the
-    /// eligibility and allocation checks). Entries skipped in bulk
-    /// because their minimum allocation exceeds the free nodes are not
-    /// counted.
+    /// Pending entries the backfill actually worked on. Under EASY:
+    /// entries the walk examined (reached the eligibility and
+    /// allocation checks); entries skipped in bulk because their
+    /// minimum allocation exceeds the free nodes are not counted. Under
+    /// conservative backfill: entries a plan round placed (a slot
+    /// search each); the entries behind the last one that could start
+    /// now are not placed.
     pub backfill_visits: u64,
-    /// Pending entries the EASY backfill walk passed over, examined or
-    /// skipped in bulk: what a walk without the skip would have
-    /// visited, so `backfill_visits / backfill_scanned` is the share of
-    /// the queue the walk actually examines.
+    /// Pending entries the backfill would have worked on without its
+    /// skips: under EASY, the entries the walk passed over, examined or
+    /// skipped in bulk; under conservative backfill, the pending length
+    /// at the start of each plan round. `backfill_visits /
+    /// backfill_scanned` is the share of the queue actually worked on.
     pub backfill_scanned: u64,
 }
 
@@ -277,7 +281,11 @@ pub fn hot_path_totals() -> HotPathStats {
 pub struct SimOutcome {
     /// Per-job records (completed jobs only).
     pub records: Vec<JobRecord>,
-    /// Jobs still pending/running at the horizon.
+    /// Jobs without a completion record: `jobs − completed`. Besides
+    /// jobs still pending, running or suspended at the horizon, this
+    /// counts jobs rejected at submit: wider than the cluster, admitted
+    /// by no queue, or drawing more than the largest power budget.
+    /// Splitting the two is ROADMAP item 2.
     pub unfinished: usize,
     /// Time of the last completion.
     pub makespan: SimTime,

@@ -431,8 +431,6 @@ struct Scratch {
     /// Time-sorted (time, ±nodes) availability/reservation profile for
     /// conservative planning.
     events: Vec<(SimTime, i64)>,
-    /// Pending-queue snapshot for one conservative pass.
-    plan: Vec<usize>,
     /// Time-sorted (time, freed nodes) profile for the EASY shadow.
     frees: Vec<(SimTime, u32)>,
     /// Keyed pending entries for a full fair-share resort (the test
@@ -483,15 +481,18 @@ type UserSet = std::collections::HashSet<u32, UserBuildHasher>;
 /// dominated. Reads deref to the index slice; every mutation goes
 /// through a method that keeps the arrays in lockstep.
 ///
-/// `need` is maintained for every scheduler, because every EASY walk
-/// scans it ([`PendQueue::next_fit`]). `user` and `counts` serve only
-/// the fair-share fix-up, so they are maintained only under fair share
-/// (`track_users`) and other schedulers do not pay for their upkeep.
+/// `need` is maintained for every scheduler: EASY walks scan it
+/// forward ([`PendQueue::next_fit`]) and the conservative plan scans it
+/// backward ([`PendQueue::fit_end`]). FCFS alone maintains it unread.
+/// `user` and `counts` serve only the fair-share fix-up, so they are
+/// maintained only under fair share (`track_users`) and other
+/// schedulers do not pay for their upkeep.
 #[derive(Default)]
 struct PendQueue {
     idx: Vec<usize>,
     /// Each entry's minimum allocation (`job.bounds().0`): an entry
-    /// with `need > free` cannot start, so backfill skips it in bulk.
+    /// with `need > free` cannot start, so backfill skips it in bulk
+    /// and the conservative plan stops before a tail of such entries.
     need: Vec<u32>,
     /// Each entry's user id (fair share only; see above). Makes the
     /// fair-share dirty scan in [`Sim::fixup_pending`] a sequential
@@ -530,14 +531,6 @@ impl PendQueue {
         }
         self.need.remove(pos);
         self.idx.remove(pos)
-    }
-
-    /// Removes the entry for job `idx`, if present (conservative starts
-    /// pull jobs from a plan snapshot, not a queue position).
-    fn remove_job(&mut self, idx: usize) {
-        if let Some(pos) = self.idx.iter().position(|&p| p == idx) {
-            self.remove(pos);
-        }
     }
 
     fn drain_front(&mut self, n: usize) {
@@ -602,6 +595,17 @@ impl PendQueue {
             .iter()
             .position(|&m| m <= free)
             .map_or(self.need.len(), |p| from + p)
+    }
+
+    /// One past the last position before `end` whose entry could fit in
+    /// `free` nodes, or 0 if none can: the reverse of
+    /// [`PendQueue::next_fit`], for the conservative plan's exit.
+    #[inline]
+    fn fit_end(&self, end: usize, free: u32) -> usize {
+        self.need[..end]
+            .iter()
+            .rposition(|&m| m <= free)
+            .map_or(0, |p| p + 1)
     }
 
     /// Drops the entry at `pos` from the per-user counts without
@@ -1671,18 +1675,32 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Conservative backfilling: recompute all reservations from scratch
-    /// (standard simulator practice); start exactly the jobs whose
-    /// reservation begins now. Reservation durations use user walltime
-    /// estimates; actual completions free resources earlier and the next
-    /// pass re-plans.
+    /// Conservative backfilling: plan a reservation for every pending job
+    /// in queue order against the running jobs' remaining walltimes, start
+    /// exactly the jobs whose reservation begins now, and re-plan from the
+    /// queue head after each start. Reservation durations use user
+    /// walltime estimates; actual completions free resources earlier and
+    /// the next pass re-plans.
+    ///
+    /// A round stops after the last entry whose minimum allocation fits
+    /// the free nodes ([`PendQueue::fit_end`]); no entry behind it can
+    /// start now (proof sketch in DESIGN.md §6). `backfill_visits`
+    /// counts the entries a round places, `backfill_scanned` the pending
+    /// entries at its start.
+    #[inline(never)]
     fn conservative_schedule(&mut self, now: SimTime) {
-        // The profile and the pending snapshot live in reusable scratch
-        // buffers: a steady-state pass allocates nothing.
+        // The profile lives in a reusable scratch buffer: a steady-state
+        // pass allocates nothing.
         let mut events = std::mem::take(&mut self.scratch.events);
-        let mut plan = std::mem::take(&mut self.scratch.plan);
-        let caps = (events.capacity(), plan.capacity());
+        let cap = events.capacity();
         'restart: loop {
+            let free = self.alloc.free();
+            let mut free_now = free as i64;
+            let end = self.pending.fit_end(self.pending.len(), free);
+            self.stats.backfill_scanned += self.pending.len() as u64;
+            if end == 0 {
+                break;
+            }
             // Availability profile: (time, +freed nodes) from running
             // jobs, kept sorted by time (ties in insertion order, like
             // the stable sort the old per-call slot search did) so the
@@ -1698,12 +1716,12 @@ impl<'a> Sim<'a> {
                     sorted_insert(&mut events, (t, r.alloc as i64));
                 }
             }
-            let mut free_now = self.alloc.free() as i64;
 
-            plan.clear();
-            plan.extend_from_slice(&self.pending);
-
-            for &idx in &plan {
+            // The queue does not change within a round, so positions
+            // index it directly.
+            let mut pos = 0;
+            while pos < end {
+                let idx = self.pending[pos];
                 let job = &self.jobs[idx];
                 let (min_alloc, _) = job.bounds();
                 let alloc = job
@@ -1719,35 +1737,32 @@ impl<'a> Sim<'a> {
                     // at real starts)? `choose_alloc` already guarantees
                     // the class minimum when it returns Some.
                     if let Some(actual) = self.choose_alloc(idx, now) {
-                        // `idx` came off the pending list above; the
-                        // lookup-then-remove tolerates it being gone.
-                        self.pending.remove_job(idx);
+                        self.stats.backfill_visits += pos as u64 + 1;
+                        self.pending.remove(pos);
                         let work = job.work;
                         self.start_job(idx, actual, work, now);
                         continue 'restart;
                     }
-                    // Power-blocked: fall through and reserve instead.
-                }
-                // Record the reservation in the profile. Events at or
-                // before `now` stay out of it (the old slot search
-                // filtered them per call).
-                if start == now {
+                    // Blocked: reserve instead. Events at or before
+                    // `now` stay out of the profile (`earliest_slot_sorted`
+                    // relies on it).
                     free_now -= alloc as i64;
                 } else {
                     sorted_insert(&mut events, (start, -(alloc as i64)));
                 }
-                let end = start + dur;
-                if end > now {
-                    sorted_insert(&mut events, (end, alloc as i64));
+                let end_t = start + dur;
+                if end_t > now {
+                    sorted_insert(&mut events, (end_t, alloc as i64));
                 }
+                pos += 1;
             }
+            self.stats.backfill_visits += pos as u64;
             break;
         }
-        if (events.capacity(), plan.capacity()) != caps {
+        if events.capacity() != cap {
             self.stats.scratch_grows += 1;
         }
         self.scratch.events = events;
-        self.scratch.plan = plan;
     }
 
     /// EASY backfilling around a blocked head job.
@@ -3332,7 +3347,7 @@ mod tests {
                             let i = sim.pending[pos];
                             if let Some(alloc) = sim.choose_alloc(i, now) {
                                 sim.start_job(i, alloc, jobs[i].work, now);
-                                sim.pending.remove_job(i);
+                                sim.pending.remove(pos);
                             }
                         }
                         _ => {}
@@ -3433,6 +3448,66 @@ mod tests {
             assert_eq!(sim.stats.backfill_scanned, 8);
             // Only the entry check's own budget lookup.
             assert!(lookups(&sim) - before <= 1, "the walk examined a job");
+        }
+    }
+
+    /// A conservative config on `nodes` nodes with an ample budget.
+    fn conservative(nodes: u32) -> SimConfig {
+        SimConfig {
+            policy: Policy::ConservativeBackfill,
+            power_budget: Some(ample_budget()),
+            ..SimConfig::easy(Cluster::new(nodes))
+        }
+    }
+
+    #[test]
+    fn conservative_plan_places_nothing_when_no_pending_job_fits() {
+        // 3 nodes free, every pending job needs 4 or more.
+        let mut jobs = vec![rigid(1, 0.0, 5, 10.0)];
+        jobs.extend((2..=7).map(|id| rigid(id, 0.0, 4 + id as u32 % 3, 1.0)));
+        let cfg = conservative(8);
+        let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5, 6]);
+        assert_eq!(sim.alloc.free(), 3);
+        let (order, before) = (pending_ids(&sim), lookups(&sim));
+        sim.conservative_schedule(SimTime::ZERO);
+        assert_eq!(sim.running.len(), 1, "nothing may start");
+        assert_eq!(pending_ids(&sim), order);
+        assert_eq!(sim.stats.backfill_visits, 0);
+        assert_eq!(sim.stats.backfill_scanned, 6);
+        assert_eq!(lookups(&sim), before, "the plan tried a start");
+    }
+
+    #[test]
+    fn conservative_plan_keeps_the_reservations_ahead_of_the_exit() {
+        // Job 1 holds 4 of 8 nodes until 2 h, so job 2 (8 nodes) is
+        // reserved at 2 h. Job 3 (4 nodes) is the last entry that could
+        // start now; jobs 4..=6 need more than the 4 free nodes. Job 3
+        // may start only if its walltime estimate (1.5 × runtime) ends
+        // before job 2's reservation, which the plan must have placed.
+        for (runtime_h, starts) in [(2.0, false), (1.0, true)] {
+            let mut jobs = vec![
+                rigid(1, 0.0, 4, 2.0),
+                rigid(2, 0.0, 8, 1.0),
+                rigid(3, 0.0, 4, runtime_h),
+            ];
+            jobs.extend((4..=6).map(|id| rigid(id, 0.0, 5, 1.0)));
+            let cfg = conservative(8);
+            let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3, 4, 5]);
+            sim.conservative_schedule(SimTime::ZERO);
+            let started: Vec<u64> = sim.running.iter().map(|r| jobs[r.idx].id.0).collect();
+            if starts {
+                assert_eq!(started, vec![1, 3], "job 3 fits before the reservation");
+                assert_eq!(pending_ids(&sim), vec![2, 4, 5, 6]);
+                // Round one placed jobs 2 and 3; round two found no
+                // free node.
+                assert_eq!(sim.stats.backfill_visits, 2);
+                assert_eq!(sim.stats.backfill_scanned, 5 + 4);
+            } else {
+                assert_eq!(started, vec![1], "job 3 would delay job 2");
+                assert_eq!(pending_ids(&sim), vec![2, 3, 4, 5, 6]);
+                assert_eq!(sim.stats.backfill_visits, 2);
+                assert_eq!(sim.stats.backfill_scanned, 5);
+            }
         }
     }
 }

@@ -20,7 +20,7 @@ use sustain_workload::job::Job;
 use sustain_workload::synth::{generate, WorkloadConfig};
 
 /// Workload seed shared by every scenario (date the corpus was frozen).
-pub const SEED: u64 = 20260805;
+pub(crate) const SEED: u64 = 20260805;
 
 /// Scale of a scenario instantiation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -12,8 +12,8 @@
 //! fraction. Embodied carbon scales with `n`; operational carbon scales
 //! with `n × power(cap) × lifetime × CI`; delivered science scales with
 //! `n × perf(cap) × lifetime`, where `perf(cap)` is concave (power capping
-//! costs less performance than it saves power). [`optimize_joint`] searches
-//! the full `(n, cap)` plane; [`evaluate_fixed_split`] models the naive
+//! costs less performance than it saves power). `optimize_joint` searches
+//! the full `(n, cap)` plane; `evaluate_fixed_split` models the naive
 //! policy of budgeting embodied and operational separately.
 
 use serde::{Deserialize, Serialize};
@@ -55,7 +55,7 @@ impl NodeDesign {
     }
 
     /// Node performance at a cap fraction (concave).
-    pub fn perf_at(&self, cap_fraction: f64) -> f64 {
+    pub(crate) fn perf_at(&self, cap_fraction: f64) -> f64 {
         let f = cap_fraction.clamp(self.min_cap_fraction, 1.0);
         self.perf_at_tdp_gflops * f.powf(self.perf_exponent)
     }
@@ -106,7 +106,7 @@ impl ProcurementPlan {
 }
 
 /// Evaluates a `(nodes, cap)` plan.
-pub fn evaluate_plan(
+pub(crate) fn evaluate_plan(
     nodes: u64,
     cap_fraction: f64,
     design: &NodeDesign,
@@ -132,7 +132,7 @@ pub fn evaluate_plan(
 /// computed in closed form: work is increasing in the cap, so the best
 /// feasible cap is the one that exactly exhausts the operational
 /// remainder of the budget (clamped to the cap range).
-pub fn optimize_joint(
+pub(crate) fn optimize_joint(
     total_budget: Carbon,
     design: &NodeDesign,
     ctx: &ProcurementContext,
@@ -179,7 +179,7 @@ pub fn optimize_joint(
 /// The naive policy: a fixed fraction `embodied_share` of the budget buys
 /// nodes at full TDP planning, and the operational remainder then dictates
 /// the feasible power cap. Returns `None` if the split affords no nodes.
-pub fn evaluate_fixed_split(
+pub(crate) fn evaluate_fixed_split(
     total_budget: Carbon,
     embodied_share: f64,
     design: &NodeDesign,

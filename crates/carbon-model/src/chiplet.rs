@@ -37,7 +37,7 @@ pub struct ChipletSpec {
 
 impl ChipletSpec {
     /// Area if implemented at `node` (density scaling from 28 nm).
-    pub fn area_at(&self, node: TechnologyNode) -> f64 {
+    pub(crate) fn area_at(&self, node: TechnologyNode) -> f64 {
         self.ref_area_cm2 / node.density_vs_28nm()
     }
 
@@ -91,7 +91,7 @@ impl DeploymentContext {
 }
 
 /// Evaluates one node assignment.
-pub fn evaluate_assignment(
+pub(crate) fn evaluate_assignment(
     specs: &[ChipletSpec],
     nodes: &[TechnologyNode],
     ctx: &DeploymentContext,

@@ -43,12 +43,6 @@ impl Die {
     pub fn embodied(&self) -> Carbon {
         FabProfile::for_node(self.node).die_carbon(self.area_cm2) * self.count as f64
     }
-
-    /// Manufacturing carbon under an explicit fab profile (must match node).
-    pub fn embodied_with(&self, fab: &FabProfile) -> Carbon {
-        assert_eq!(fab.node, self.node, "fab profile node mismatch");
-        fab.die_carbon(self.area_cm2) * self.count as f64
-    }
 }
 
 /// The functional category a part belongs to; Fig. 1 groups embodied carbon
@@ -132,7 +126,8 @@ impl Part {
     }
 
     /// The part's name.
-    pub fn name(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn name(&self) -> &str {
         match self {
             Part::Processor { name, .. }
             | Part::MemoryModule { name, .. }
@@ -165,22 +160,6 @@ impl Part {
             Part::Network { embodied_kg, .. } => Carbon::from_kg(*embodied_kg),
         }
     }
-
-    /// Nominal TDP in watts (0 for non-processors).
-    pub fn tdp_w(&self) -> f64 {
-        match self {
-            Part::Processor { tdp_w, .. } => *tdp_w,
-            _ => 0.0,
-        }
-    }
-
-    /// Nominal peak Gflop/s (0 for non-processors).
-    pub fn peak_gflops(&self) -> f64 {
-        match self {
-            Part::Processor { peak_gflops, .. } => *peak_gflops,
-            _ => 0.0,
-        }
-    }
 }
 
 /// Catalog of the real parts appearing in the paper's systems, with
@@ -190,7 +169,7 @@ pub mod catalog {
 
     /// NVIDIA A100-40GB: 826 mm² GA100 die on 7 nm plus 40 GB HBM2.
     /// Calibrated total ≈ 33.7 kg CO₂e.
-    pub fn nvidia_a100_40gb() -> Part {
+    pub(crate) fn nvidia_a100_40gb() -> Part {
         Part::Processor {
             name: "NVIDIA A100 40GB".into(),
             class: ComponentClass::Gpu,
@@ -205,7 +184,7 @@ pub mod catalog {
 
     /// AMD EPYC 7402 (Rome, 24 cores): 4 CCDs on 7 nm + IO die on 14 nm.
     /// Calibrated total ≈ 12.0 kg CO₂e.
-    pub fn amd_epyc_7402() -> Part {
+    pub(crate) fn amd_epyc_7402() -> Part {
         Part::Processor {
             name: "AMD EPYC 7402".into(),
             class: ComponentClass::Cpu,
@@ -223,7 +202,7 @@ pub mod catalog {
 
     /// AMD EPYC 7742 (Rome, 64 cores): 8 CCDs on 7 nm + IO die on 14 nm.
     /// Calibrated total ≈ 18.0 kg CO₂e.
-    pub fn amd_epyc_7742() -> Part {
+    pub(crate) fn amd_epyc_7742() -> Part {
         Part::Processor {
             name: "AMD EPYC 7742".into(),
             class: ComponentClass::Cpu,
@@ -241,7 +220,7 @@ pub mod catalog {
 
     /// Intel Xeon Platinum 8174 (Skylake, 24 cores): monolithic XCC die on
     /// 14 nm. Calibrated total ≈ 10.0 kg CO₂e.
-    pub fn intel_xeon_8174() -> Part {
+    pub(crate) fn intel_xeon_8174() -> Part {
         Part::Processor {
             name: "Intel Xeon Platinum 8174".into(),
             class: ComponentClass::Cpu,
@@ -251,20 +230,6 @@ pub mod catalog {
             packaging_kg: 0.574,
             tdp_w: 240.0,
             peak_gflops: 2_380.0, // 24c AVX-512
-        }
-    }
-
-    /// Fujitsu A64FX (Fugaku): monolithic die on 7 nm with 32 GB HBM2.
-    pub fn fujitsu_a64fx() -> Part {
-        Part::Processor {
-            name: "Fujitsu A64FX".into(),
-            class: ComponentClass::Cpu,
-            dies: vec![Die::new("A64FX", 4.00, TechnologyNode::N7, 1)],
-            on_package_memory_gb: 32.0,
-            on_package_memory: MemoryTech::Hbm2,
-            packaging_kg: 1.2,
-            tdp_w: 160.0,
-            peak_gflops: 3_380.0,
         }
     }
 
@@ -287,95 +252,6 @@ pub mod catalog {
             packaging_kg: 6.0,
             tdp_w: 600.0,
             peak_gflops: 52_000.0,
-        }
-    }
-
-    /// Generic 64 GB DDR4 RDIMM.
-    pub fn ddr4_dimm_64gb() -> Part {
-        Part::MemoryModule {
-            name: "64GB DDR4 RDIMM".into(),
-            capacity_gb: 64.0,
-            tech: MemoryTech::Ddr4,
-        }
-    }
-
-    /// Generic 18 TB nearline HDD.
-    pub fn nearline_hdd_18tb() -> Part {
-        Part::StorageDevice {
-            name: "18TB nearline HDD".into(),
-            capacity_gb: 18_000.0,
-            tech: StorageTech::NearlineHdd,
-        }
-    }
-
-    /// Generic 3.84 TB SATA SSD.
-    pub fn sata_ssd_3_84tb() -> Part {
-        Part::StorageDevice {
-            name: "3.84TB SATA SSD".into(),
-            capacity_gb: 3_840.0,
-            tech: StorageTech::SataSsd,
-        }
-    }
-
-    /// An H100-like accelerator: large 4 nm-class die (modelled as N5)
-    /// with 80 GB HBM2E.
-    pub fn h100_like() -> Part {
-        Part::Processor {
-            name: "H100-like GPU".into(),
-            class: ComponentClass::Gpu,
-            dies: vec![Die::new("GH100", 8.14, TechnologyNode::N5, 1)],
-            on_package_memory_gb: 80.0,
-            on_package_memory: MemoryTech::Hbm2e,
-            packaging_kg: 2.4,
-            tdp_w: 700.0,
-            peak_gflops: 34_000.0, // FP64
-        }
-    }
-
-    /// An MI250X-like dual-chiplet accelerator with 128 GB HBM2E.
-    pub fn mi250x_like() -> Part {
-        Part::Processor {
-            name: "MI250X-like GPU".into(),
-            class: ComponentClass::Gpu,
-            dies: vec![Die::new("GCD", 3.62, TechnologyNode::N7, 2)],
-            on_package_memory_gb: 128.0,
-            on_package_memory: MemoryTech::Hbm2e,
-            packaging_kg: 3.0,
-            tdp_w: 560.0,
-            peak_gflops: 47_900.0,
-        }
-    }
-
-    /// A Grace-like ARM server CPU (modelled as N5) with on-package
-    /// LPDDR5-class memory treated as DDR5.
-    pub fn grace_like() -> Part {
-        Part::Processor {
-            name: "Grace-like CPU".into(),
-            class: ComponentClass::Cpu,
-            dies: vec![Die::new("Grace", 6.0, TechnologyNode::N5, 1)],
-            on_package_memory_gb: 480.0,
-            on_package_memory: MemoryTech::Ddr5,
-            packaging_kg: 1.6,
-            tdp_w: 300.0,
-            peak_gflops: 3_500.0,
-        }
-    }
-
-    /// Generic 96 GB DDR5 RDIMM.
-    pub fn ddr5_dimm_96gb() -> Part {
-        Part::MemoryModule {
-            name: "96GB DDR5 RDIMM".into(),
-            capacity_gb: 96.0,
-            tech: MemoryTech::Ddr5,
-        }
-    }
-
-    /// A 200 Gb/s HDR InfiniBand HCA with an assumed footprint (no public
-    /// fab data; the paper omits interconnect from Fig. 1 for this reason).
-    pub fn hdr_infiniband_hca() -> Part {
-        Part::Network {
-            name: "HDR200 InfiniBand HCA".into(),
-            embodied_kg: 8.0,
         }
     }
 }
@@ -423,15 +299,6 @@ mod tests {
     fn classes_are_correct() {
         assert_eq!(nvidia_a100_40gb().class(), ComponentClass::Gpu);
         assert_eq!(amd_epyc_7742().class(), ComponentClass::Cpu);
-        assert_eq!(ddr4_dimm_64gb().class(), ComponentClass::Dram);
-        assert_eq!(nearline_hdd_18tb().class(), ComponentClass::Storage);
-        assert_eq!(hdr_infiniband_hca().class(), ComponentClass::Interconnect);
-    }
-
-    #[test]
-    fn memory_module_embodied_uses_per_gb_factor() {
-        let dimm = ddr4_dimm_64gb().embodied();
-        assert!((dimm.kg() - 64.0 * 0.1429).abs() < 1e-9);
     }
 
     #[test]
@@ -439,52 +306,6 @@ mod tests {
         let rome24 = amd_epyc_7402().embodied().kg();
         let rome64 = amd_epyc_7742().embodied().kg();
         assert!(rome64 > rome24);
-    }
-
-    #[test]
-    fn die_embodied_with_custom_fab() {
-        let die = Die::new("test", 1.0, TechnologyNode::N7, 2);
-        let fab = FabProfile::for_node(TechnologyNode::N7)
-            .with_yield_model(crate::process::YieldModel::Perfect);
-        let perfect = die.embodied_with(&fab);
-        let default = die.embodied();
-        assert!(perfect < default, "perfect yield must be cheaper");
-    }
-
-    #[test]
-    #[should_panic(expected = "node mismatch")]
-    fn wrong_fab_node_rejected() {
-        let die = Die::new("test", 1.0, TechnologyNode::N7, 1);
-        die.embodied_with(&FabProfile::for_node(TechnologyNode::N14));
-    }
-
-    #[test]
-    fn tdp_and_peak_available_for_processors() {
-        let p = nvidia_a100_40gb();
-        assert_eq!(p.tdp_w(), 400.0);
-        assert!(p.peak_gflops() > 0.0);
-        assert_eq!(ddr4_dimm_64gb().tdp_w(), 0.0);
-    }
-
-    #[test]
-    fn newer_accelerators_have_plausible_footprints() {
-        // Leading-edge nodes + stacked memory: tens of kg each.
-        for part in [h100_like(), mi250x_like(), grace_like()] {
-            let kg = part.embodied().kg();
-            assert!((20.0..120.0).contains(&kg), "{}: {kg} kg", part.name());
-        }
-        // H100 on N5 (worse yield ramp) costs more silicon carbon per cm²
-        // than the A100 on mature N7.
-        let a100_die = Die::new("GA100", 8.26, TechnologyNode::N7, 1).embodied();
-        let h100_die = Die::new("GH100", 8.14, TechnologyNode::N5, 1).embodied();
-        assert!(h100_die > a100_die);
-    }
-
-    #[test]
-    fn ddr5_dimm_cheaper_per_gb_than_ddr4() {
-        let d4 = ddr4_dimm_64gb().embodied().kg() / 64.0;
-        let d5 = ddr5_dimm_96gb().embodied().kg() / 96.0;
-        assert!(d5 < d4);
     }
 
     #[test]

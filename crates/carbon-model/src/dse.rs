@@ -55,18 +55,18 @@ impl DseContext {
 /// Microarchitectural constants for the analytic models.
 mod model {
     /// Core area at the 28 nm reference node, cm².
-    pub const CORE_AREA_REF_CM2: f64 = 0.80;
+    pub(crate) const CORE_AREA_REF_CM2: f64 = 0.80;
     /// Uncore/IO area at the reference node, cm².
-    pub const UNCORE_AREA_REF_CM2: f64 = 2.0;
+    pub(crate) const UNCORE_AREA_REF_CM2: f64 = 2.0;
     /// Double-precision flops per core per cycle.
-    pub const FLOPS_PER_CYCLE: f64 = 16.0;
+    pub(crate) const FLOPS_PER_CYCLE: f64 = 16.0;
     /// Dynamic power per core at the reference node and 1 GHz, W.
     /// Voltage tracks frequency, so dynamic power scales with f³.
-    pub const CORE_DYN_W_PER_GHZ3: f64 = 1.1;
+    pub(crate) const CORE_DYN_W_PER_GHZ3: f64 = 1.1;
     /// Static (leakage) power per cm² of die at the reference node, W.
-    pub const LEAKAGE_W_PER_CM2: f64 = 2.0;
+    pub(crate) const LEAKAGE_W_PER_CM2: f64 = 2.0;
     /// Uncore power at the reference node, W.
-    pub const UNCORE_W: f64 = 18.0;
+    pub(crate) const UNCORE_W: f64 = 18.0;
 }
 
 /// Evaluated design: the models' outputs plus the metric value.
@@ -92,7 +92,7 @@ pub struct EvaluatedDesign {
 }
 
 /// Applies the analytic models to one design point.
-pub fn evaluate_design(d: DesignPoint, ctx: &DseContext) -> EvaluatedDesign {
+pub(crate) fn evaluate_design(d: DesignPoint, ctx: &DseContext) -> EvaluatedDesign {
     assert!(d.cores > 0 && d.freq_ghz > 0.0, "invalid design point");
     let density = d.node.density_vs_28nm();
     let eff = d.node.energy_efficiency_vs_28nm();
@@ -156,14 +156,14 @@ pub fn default_design_space() -> Vec<DesignPoint> {
 /// preserving input order. Metric values are left at `0.0`; pick a
 /// metric with [`best_for_metric`] (cheap per metric, since the model
 /// evaluation is shared).
-pub fn evaluate_space(space: &[DesignPoint], ctx: &DseContext) -> Vec<EvaluatedDesign> {
+pub(crate) fn evaluate_space(space: &[DesignPoint], ctx: &DseContext) -> Vec<EvaluatedDesign> {
     space.par_iter().map(|&d| evaluate_design(d, ctx)).collect()
 }
 
 /// Picks the best already-evaluated design under `metric`, filling in
 /// its `metric_value`. Ties break deterministically toward lower
 /// embodied carbon, then fewer cores, then lower frequency.
-pub fn best_for_metric(evals: &[EvaluatedDesign], metric: DesignMetric) -> EvaluatedDesign {
+pub(crate) fn best_for_metric(evals: &[EvaluatedDesign], metric: DesignMetric) -> EvaluatedDesign {
     assert!(!evals.is_empty(), "empty design space");
     evals
         .iter()
@@ -184,7 +184,9 @@ pub fn best_for_metric(evals: &[EvaluatedDesign], metric: DesignMetric) -> Evalu
 
 /// Exhaustively evaluates `space` under `metric` (parallel) and returns the
 /// best design. Ties break deterministically toward lower embodied carbon.
-pub fn optimize(space: &[DesignPoint], ctx: &DseContext, metric: DesignMetric) -> EvaluatedDesign {
+/// The reference that [`metric_ci_sweep`] rows are checked against.
+#[cfg(test)]
+fn optimize(space: &[DesignPoint], ctx: &DseContext, metric: DesignMetric) -> EvaluatedDesign {
     best_for_metric(&evaluate_space(space, ctx), metric)
 }
 

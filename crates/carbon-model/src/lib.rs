@@ -36,10 +36,9 @@ pub mod memory;
 pub mod metrics;
 pub mod process;
 pub mod system;
-pub mod wafer;
 
-pub use components::{catalog, ComponentClass, Die, Part};
-pub use memory::{MemoryTech, StorageTech};
-pub use metrics::{CarbonFootprint, DesignMetric};
+pub use components::{catalog, Part};
+pub use memory::StorageTech;
+pub use metrics::DesignMetric;
 pub use process::{FabProfile, TechnologyNode, YieldModel};
-pub use system::{EmbodiedBreakdown, PartCount, SystemInventory};
+pub use system::SystemInventory;

@@ -29,13 +29,14 @@ pub struct SystemLifetimeRecord {
 
 impl SystemLifetimeRecord {
     /// Service life in years, as of `as_of_year` for systems still running.
-    pub fn service_years(&self, as_of_year: u32) -> u32 {
+    #[cfg(test)]
+    fn service_years(&self, as_of_year: u32) -> u32 {
         let end = self.decommissioned_year.unwrap_or(as_of_year);
         end.saturating_sub(self.start_year)
     }
 
     /// `true` if the system was operational during `year`.
-    pub fn active_in(&self, year: u32) -> bool {
+    pub(crate) fn active_in(&self, year: u32) -> bool {
         year >= self.start_year && self.decommissioned_year.is_none_or(|d| year < d)
     }
 }
@@ -58,7 +59,7 @@ pub fn lrz_system_history() -> Vec<SystemLifetimeRecord> {
 
 /// End-of-life strategy for a device or a fleet of devices.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EolStrategy {
+pub(crate) enum EolStrategy {
     /// Send to a recycler: only a small material credit is recovered.
     Recycle,
     /// Redeploy the device (in a newer system, or donated for teaching, as
@@ -75,7 +76,7 @@ pub enum EolStrategy {
 
 /// Parameters of the end-of-life savings model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EolModel {
+pub(crate) struct EolModel {
     /// Fraction of a reused device's embodied carbon that is actually
     /// avoided (remaining useful life × redeployment success rate, net of
     /// refurbishment/transport overheads).
@@ -90,7 +91,7 @@ impl EolModel {
     /// Default model for a storage technology. HDDs encode the paper's
     /// 275× reuse-vs-recycle anchor; SSD recycling recovers proportionally
     /// more (controller + flash material value).
-    pub fn for_storage(tech: StorageTech) -> EolModel {
+    pub(crate) fn for_storage(tech: StorageTech) -> EolModel {
         match tech {
             StorageTech::NearlineHdd => EolModel {
                 reuse_avoidance_fraction: 0.88,
@@ -108,7 +109,7 @@ impl EolModel {
     }
 
     /// Default model for a component class (used for whole-system studies).
-    pub fn for_class(class: ComponentClass) -> EolModel {
+    pub(crate) fn for_class(class: ComponentClass) -> EolModel {
         match class {
             // DDR4-in-DDR5 reuse after Li et al. [38] (Pond): high value.
             ComponentClass::Dram => EolModel {
@@ -377,7 +378,7 @@ mod tests {
     fn recycling_returns_are_small() {
         let sys = SystemInventory::hawk();
         let out = system_eol_study(&sys, 5.0, 2.0);
-        let frac = out.recycle_savings.grams() / sys.total_embodied().grams();
+        let frac = out.recycle_savings.grams() / sys.breakdown().total().grams();
         assert!(frac < 0.03, "recycle recovers {frac}");
     }
 

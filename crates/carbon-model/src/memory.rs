@@ -32,7 +32,7 @@ pub enum MemoryTech {
 
 impl MemoryTech {
     /// Embodied carbon per GB of capacity, kg CO₂e.
-    pub fn kg_per_gb(self) -> f64 {
+    pub(crate) fn kg_per_gb(self) -> f64 {
         match self {
             MemoryTech::Ddr3 => 0.220,
             MemoryTech::Ddr4 => 0.1429,
@@ -66,7 +66,7 @@ pub enum StorageTech {
 
 impl StorageTech {
     /// Embodied carbon per GB of capacity, kg CO₂e.
-    pub fn kg_per_gb(self) -> f64 {
+    pub(crate) fn kg_per_gb(self) -> f64 {
         match self {
             StorageTech::NearlineHdd => 0.0012574,
             StorageTech::SataSsd => 0.0250,
@@ -79,22 +79,6 @@ impl StorageTech {
     pub fn embodied(self, gb: f64) -> Carbon {
         assert!(gb >= 0.0, "capacity must be non-negative");
         Carbon::from_kg(gb * self.kg_per_gb())
-    }
-
-    /// Typical device capacity in GB, used by the lifecycle model to convert
-    /// fleet capacities into drive counts.
-    pub fn typical_device_gb(self) -> f64 {
-        match self {
-            StorageTech::NearlineHdd => 18_000.0,
-            StorageTech::SataSsd => 3_840.0,
-            StorageTech::NvmeSsd => 7_680.0,
-            StorageTech::Tape => 18_000.0,
-        }
-    }
-
-    /// Embodied carbon of one typical device.
-    pub fn device_embodied(self) -> Carbon {
-        self.embodied(self.typical_device_gb())
     }
 }
 
@@ -113,7 +97,7 @@ mod tests {
     #[test]
     fn hdd_calibration_constant() {
         // ≈22.6 kg per 18 TB nearline drive.
-        let per_drive = StorageTech::NearlineHdd.device_embodied();
+        let per_drive = StorageTech::NearlineHdd.embodied(18_000.0);
         assert!((per_drive.kg() - 22.63).abs() < 0.1, "{}", per_drive.kg());
     }
 

@@ -9,7 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 use sustain_sim_core::time::SimDuration;
-use sustain_sim_core::units::{Carbon, CarbonIntensity, Energy};
+use sustain_sim_core::units::{Carbon, Energy};
 
 /// A complete carbon footprint: embodied (scope 3) plus operational
 /// (scope 2; scope 1 is negligible per the paper §1).
@@ -36,20 +36,13 @@ impl CarbonFootprint {
     }
 
     /// Fraction of the total that is embodied (0 when total is 0).
-    pub fn embodied_share(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn embodied_share(&self) -> f64 {
         let t = self.total().grams();
         if t == 0.0 {
             0.0
         } else {
             self.embodied.grams() / t
-        }
-    }
-
-    /// Sums two footprints componentwise.
-    pub fn combine(&self, other: &CarbonFootprint) -> CarbonFootprint {
-        CarbonFootprint {
-            embodied: self.embodied + other.embodied,
-            operational: self.operational + other.operational,
         }
     }
 }
@@ -59,15 +52,9 @@ impl CarbonFootprint {
 ///
 /// # Panics
 /// Panics if `lifetime` is zero.
-pub fn amortize(embodied: Carbon, lifetime: SimDuration, used: SimDuration) -> Carbon {
+pub(crate) fn amortize(embodied: Carbon, lifetime: SimDuration, used: SimDuration) -> Carbon {
     assert!(!lifetime.is_zero(), "lifetime must be positive");
     embodied * (used / lifetime).min(1.0)
-}
-
-/// Operational carbon of consuming `energy` at a (time-averaged) grid
-/// intensity.
-pub fn operational_carbon(energy: Energy, ci: CarbonIntensity) -> Carbon {
-    energy.carbon_at(ci)
 }
 
 /// The design-objective metrics of §2.1. All are "lower is better".
@@ -105,7 +92,12 @@ impl DesignMetric {
     /// reference workload, consumes `energy` doing so, and carries
     /// `footprint` (embodied already amortized to the workload window plus
     /// operational carbon of `energy`).
-    pub fn evaluate(self, delay: SimDuration, energy: Energy, footprint: &CarbonFootprint) -> f64 {
+    pub(crate) fn evaluate(
+        self,
+        delay: SimDuration,
+        energy: Energy,
+        footprint: &CarbonFootprint,
+    ) -> f64 {
         let d = delay.as_secs();
         let e = energy.joules();
         let c = footprint.total().grams();
@@ -118,15 +110,6 @@ impl DesignMetric {
             DesignMetric::Cep => c * e,
             DesignMetric::Cd2p => c * d * d,
         }
-    }
-
-    /// Whether the metric depends on carbon at all (and therefore on the
-    /// deployment grid's carbon intensity).
-    pub fn is_carbon_aware(self) -> bool {
-        matches!(
-            self,
-            DesignMetric::Carbon | DesignMetric::Cdp | DesignMetric::Cep | DesignMetric::Cd2p
-        )
     }
 }
 
@@ -150,7 +133,6 @@ pub fn carbon_efficiency_gflops_hours_per_kg(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sustain_sim_core::units::Power;
 
     #[test]
     fn footprint_shares() {
@@ -158,15 +140,6 @@ mod tests {
         assert_eq!(f.total().kg(), 100.0);
         assert!((f.embodied_share() - 0.3).abs() < 1e-12);
         assert_eq!(CarbonFootprint::default().embodied_share(), 0.0);
-    }
-
-    #[test]
-    fn combine_adds_componentwise() {
-        let a = CarbonFootprint::new(Carbon::from_kg(1.0), Carbon::from_kg(2.0));
-        let b = CarbonFootprint::new(Carbon::from_kg(3.0), Carbon::from_kg(4.0));
-        let c = a.combine(&b);
-        assert_eq!(c.embodied.kg(), 4.0);
-        assert_eq!(c.operational.kg(), 6.0);
     }
 
     #[test]
@@ -181,14 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn operational_carbon_consistency() {
-        // 1 MW for 1 hour at 400 g/kWh = 400 kg.
-        let energy = Power::from_mw(1.0).for_duration(SimDuration::from_hours(1.0));
-        let c = operational_carbon(energy, CarbonIntensity::from_grams_per_kwh(400.0));
-        assert!((c.kg() - 400.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn metric_evaluation_shapes() {
         let d = SimDuration::from_secs(10.0);
         let e = Energy::from_joules(100.0);
@@ -200,14 +165,6 @@ mod tests {
         assert_eq!(DesignMetric::Cdp.evaluate(d, e, &f), 100.0);
         assert_eq!(DesignMetric::Cep.evaluate(d, e, &f), 1000.0);
         assert_eq!(DesignMetric::Cd2p.evaluate(d, e, &f), 1000.0);
-    }
-
-    #[test]
-    fn carbon_awareness_classification() {
-        assert!(!DesignMetric::Delay.is_carbon_aware());
-        assert!(!DesignMetric::Edp.is_carbon_aware());
-        assert!(DesignMetric::Cdp.is_carbon_aware());
-        assert!(DesignMetric::Cep.is_carbon_aware());
     }
 
     #[test]

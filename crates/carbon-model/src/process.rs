@@ -58,7 +58,8 @@ impl TechnologyNode {
     ];
 
     /// Feature size in nanometres.
-    pub fn nanometres(self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn nanometres(self) -> f64 {
         match self {
             TechnologyNode::N28 => 28.0,
             TechnologyNode::N20 => 20.0,
@@ -77,7 +78,7 @@ impl TechnologyNode {
     /// marketing logic-density numbers: SRAM and analog have stopped
     /// scaling, so effective density gains at the leading edge are modest.
     /// Used by the DSE model to translate core counts into die area.
-    pub fn density_vs_28nm(self) -> f64 {
+    pub(crate) fn density_vs_28nm(self) -> f64 {
         match self {
             TechnologyNode::N28 => 1.0,
             TechnologyNode::N20 => 1.5,
@@ -95,7 +96,7 @@ impl TechnologyNode {
     /// Relative switching-energy efficiency vs 28 nm (higher is better).
     /// Post-Dennard scaling: gains flatten sharply at the leading edge,
     /// which is what makes the §2.1 embodied-vs-operational trade-off real.
-    pub fn energy_efficiency_vs_28nm(self) -> f64 {
+    pub(crate) fn energy_efficiency_vs_28nm(self) -> f64 {
         match self {
             TechnologyNode::N28 => 1.0,
             TechnologyNode::N20 => 1.25,
@@ -113,7 +114,7 @@ impl TechnologyNode {
     /// Default defect density (defects/cm²) for the node: mature nodes run
     /// low; leading-edge nodes are still on the yield ramp, which is a real
     /// carbon cost (more wafer starts per good die).
-    pub fn default_defect_density(self) -> f64 {
+    pub(crate) fn default_defect_density(self) -> f64 {
         match self {
             TechnologyNode::N28 => 0.03,
             TechnologyNode::N20 => 0.035,
@@ -187,11 +188,7 @@ pub struct FabProfile {
 }
 
 /// Default fab grid carbon intensity (Taiwan-like mix), gCO₂e/kWh.
-pub const DEFAULT_FAB_CI_G_PER_KWH: f64 = 560.0;
-
-/// Reference mature-process defect density, defects/cm². Per-node defaults
-/// come from [`TechnologyNode::default_defect_density`].
-pub const DEFAULT_DEFECT_DENSITY: f64 = 0.05;
+pub(crate) const DEFAULT_FAB_CI_G_PER_KWH: f64 = 560.0;
 
 impl FabProfile {
     /// Default profile for a node: ACT-shaped parameters, Taiwan-like fab
@@ -224,35 +221,15 @@ impl FabProfile {
         }
     }
 
-    /// Replaces the fab electricity carbon intensity (e.g. a fab powered by
-    /// renewables), returning the modified profile.
-    pub fn with_fab_ci(mut self, ci: CarbonIntensity) -> FabProfile {
-        self.fab_ci = ci;
-        self
-    }
-
-    /// Replaces the defect density, returning the modified profile.
-    pub fn with_defect_density(mut self, d0: f64) -> FabProfile {
-        assert!(d0 >= 0.0);
-        self.defect_density = d0;
-        self
-    }
-
-    /// Replaces the yield model, returning the modified profile.
-    pub fn with_yield_model(mut self, m: YieldModel) -> FabProfile {
-        self.yield_model = m;
-        self
-    }
-
     /// Pre-yield manufacturing carbon per cm², kg CO₂e.
-    pub fn carbon_per_cm2_kg(&self) -> f64 {
+    pub(crate) fn carbon_per_cm2_kg(&self) -> f64 {
         self.fab_ci.grams_per_kwh() / 1000.0 * self.energy_per_cm2_kwh
             + self.gas_per_cm2_kg
             + self.materials_per_cm2_kg
     }
 
     /// Die yield for the given area under this profile.
-    pub fn die_yield(&self, area_cm2: f64) -> f64 {
+    pub(crate) fn die_yield(&self, area_cm2: f64) -> f64 {
         self.yield_model.yield_for(area_cm2, self.defect_density)
     }
 
@@ -318,8 +295,10 @@ mod tests {
     #[test]
     fn greener_fab_reduces_die_carbon() {
         let dirty = FabProfile::for_node(TechnologyNode::N7);
-        let clean = FabProfile::for_node(TechnologyNode::N7)
-            .with_fab_ci(CarbonIntensity::from_grams_per_kwh(20.0));
+        let clean = FabProfile {
+            fab_ci: CarbonIntensity::from_grams_per_kwh(20.0),
+            ..FabProfile::for_node(TechnologyNode::N7)
+        };
         let a = 4.0;
         assert!(clean.die_carbon(a) < dirty.die_carbon(a));
         // Gas + materials are not eliminated by clean electricity.

@@ -117,11 +117,6 @@ impl SystemInventory {
         b
     }
 
-    /// Total embodied carbon (Fig. 1 categories).
-    pub fn total_embodied(&self) -> Carbon {
-        self.breakdown().total()
-    }
-
     /// Total embodied carbon including interconnect and node-platform
     /// overheads — the figure that enters whole-site footprint analyses.
     pub fn total_embodied_with_platform(&self) -> Carbon {
@@ -309,9 +304,12 @@ mod tests {
     #[test]
     fn interconnect_reported_but_excluded_from_total() {
         let mut sys = SystemInventory::juwels_booster();
-        let before = sys.total_embodied();
+        let before = sys.breakdown().total();
         sys.parts.push(PartCount {
-            part: catalog::hdr_infiniband_hca(),
+            part: Part::Network {
+                name: "HDR200 InfiniBand HCA".into(),
+                embodied_kg: 8.0,
+            },
             count: 1000,
         });
         let b = sys.breakdown();
@@ -323,9 +321,9 @@ mod tests {
     #[test]
     fn totals_are_plausible_magnitudes() {
         // Juwels Booster total ≈ 263 t; SuperMUC-NG ≈ 321 t; Hawk ≈ 456 t.
-        let jb = SystemInventory::juwels_booster().total_embodied().tons();
-        let ng = SystemInventory::supermuc_ng().total_embodied().tons();
-        let hawk = SystemInventory::hawk().total_embodied().tons();
+        let jb = SystemInventory::juwels_booster().breakdown().total().tons();
+        let ng = SystemInventory::supermuc_ng().breakdown().total().tons();
+        let hawk = SystemInventory::hawk().breakdown().total().tons();
         assert!((jb - 263.0).abs() < 10.0, "JB {jb}");
         assert!((ng - 321.0).abs() < 10.0, "NG {ng}");
         assert!((hawk - 456.0).abs() < 12.0, "Hawk {hawk}");

@@ -30,7 +30,7 @@ pub const DEFAULT_OUTCOME_CACHE_CAPACITY: usize = 64;
 /// Environment variable overriding the global outcome cache capacity.
 /// `0` **disables** outcome memoization entirely, as it does for every
 /// cache in the workspace.
-pub const OUTCOME_CACHE_CAP_ENV: &str = "SUSTAIN_OUTCOME_CACHE_CAP";
+pub(crate) const OUTCOME_CACHE_CAP_ENV: &str = "SUSTAIN_OUTCOME_CACHE_CAP";
 
 /// Cache key for a scenario outcome: the canonical content fingerprint
 /// plus the master seed, kept as a separate field (the hash already
@@ -54,7 +54,7 @@ impl OutcomeKey {
 
 /// Process-wide LRU cache of completed scenario results.
 ///
-/// Capacity `0` disables caching (see [`OUTCOME_CACHE_CAP_ENV`]).
+/// Capacity `0` disables caching (see `OUTCOME_CACHE_CAP_ENV`).
 /// Lookup and insert are split so the expensive simulation — and its
 /// fault site — runs outside the cache lock; racing first requests both
 /// simulate, deterministically produce identical results, and the first
@@ -71,11 +71,6 @@ impl Default for OutcomeCache {
 }
 
 impl OutcomeCache {
-    /// Create an empty cache with the default capacity bound.
-    pub fn new() -> OutcomeCache {
-        OutcomeCache::default()
-    }
-
     /// Create an empty cache of `capacity` slots (`0` = caching
     /// disabled). A result takes one slot per started
     /// [`SLOT_BYTES`](sustain_sim_core::cache::SLOT_BYTES) of its job
@@ -85,11 +80,6 @@ impl OutcomeCache {
         OutcomeCache {
             inner: LruCache::with_sizer(capacity, result_bytes),
         }
-    }
-
-    /// Current capacity bound (`0` = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
     }
 
     /// Change the capacity bound. Setting `0` disables the cache and
@@ -118,13 +108,9 @@ impl OutcomeCache {
     }
 
     /// Number of cached results.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.len()
-    }
-
-    /// `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
     }
 }
 
@@ -142,7 +128,7 @@ fn result_bytes(result: &Arc<ScenarioResult>) -> usize {
 /// [`run`](crate::scenario::run) variant.
 ///
 /// Capacity defaults to [`DEFAULT_OUTCOME_CACHE_CAPACITY`] and can be
-/// overridden (first use wins) via [`OUTCOME_CACHE_CAP_ENV`], or changed
+/// overridden (first use wins) via `OUTCOME_CACHE_CAP_ENV`, or changed
 /// at runtime with [`OutcomeCache::set_capacity`].
 pub fn global_outcome_cache() -> &'static OutcomeCache {
     static CACHE: OnceLock<OutcomeCache> = OnceLock::new();
@@ -167,7 +153,7 @@ pub fn global_outcome_cache() -> &'static OutcomeCache {
     })
 }
 
-/// Strictly applies [`OUTCOME_CACHE_CAP_ENV`] to the process-wide cache
+/// Strictly applies `OUTCOME_CACHE_CAP_ENV` to the process-wide cache
 /// if set; returns the applied capacity. Boundary code (CLI/service
 /// startup) calls this once so a malformed value becomes a typed
 /// [`ConfigError`] instead of a silently-used default. Safe to call

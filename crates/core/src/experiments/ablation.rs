@@ -74,7 +74,7 @@ pub fn green_threshold_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsR
 
 /// A2 — checkpoint-overhead sweep: as writing a checkpoint gets more
 /// expensive, the net benefit of §3.3 suspend/resume shrinks.
-pub fn checkpoint_overhead_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub(crate) fn checkpoint_overhead_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
     let profile = RegionProfile::january_2023(region);
     let workload = WorkloadConfig {
         checkpointable_fraction: 1.0,
@@ -105,7 +105,7 @@ pub fn checkpoint_overhead_sweep(region: Region, days: usize, seed: u64) -> Vec<
 
 /// A3 — malleable-adoption sweep: violation time under a dropping power
 /// budget as a function of the malleable job fraction.
-pub fn malleable_fraction_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub(crate) fn malleable_fraction_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
     let profile = RegionProfile::january_2023(region);
     let trace = calibrated_trace(&profile, days, seed);
     let threshold = ScalingPolicy::Threshold {
@@ -149,7 +149,7 @@ pub struct ForecastAblationRow {
 }
 
 /// Runs A4.
-pub fn forecast_scaling_ablation(
+pub(crate) fn forecast_scaling_ablation(
     region: Region,
     days: usize,
     seed: u64,
@@ -358,7 +358,7 @@ pub fn try_green_threshold_sweep(
     Ok(green_threshold_sweep(region, days, seed))
 }
 
-/// Validated [`checkpoint_overhead_sweep`].
+/// Validated `checkpoint_overhead_sweep`.
 pub fn try_checkpoint_overhead_sweep(
     region: Region,
     days: usize,
@@ -368,7 +368,7 @@ pub fn try_checkpoint_overhead_sweep(
     Ok(checkpoint_overhead_sweep(region, days, seed))
 }
 
-/// Validated [`malleable_fraction_sweep`].
+/// Validated `malleable_fraction_sweep`.
 pub fn try_malleable_fraction_sweep(
     region: Region,
     days: usize,
@@ -378,7 +378,7 @@ pub fn try_malleable_fraction_sweep(
     Ok(malleable_fraction_sweep(region, days, seed))
 }
 
-/// Validated [`forecast_scaling_ablation`].
+/// Validated `forecast_scaling_ablation`.
 pub fn try_forecast_scaling_ablation(
     region: Region,
     days: usize,

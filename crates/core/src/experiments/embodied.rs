@@ -89,7 +89,7 @@ pub struct RenewableShareRow {
 /// Reference cloud-like server for E4 (after Lyu et al. \[39\], whose rule
 /// of thumb the paper quotes): 2.0 t embodied, 350 W average draw, 6-year
 /// life, 395 g/kWh fossil supply — a US-grid-like mix.
-pub fn renewable_share_sweep(steps: usize) -> Vec<RenewableShareRow> {
+pub(crate) fn renewable_share_sweep(steps: usize) -> Vec<RenewableShareRow> {
     assert!(steps >= 2);
     let embodied = Carbon::from_kg(2000.0);
     let avg_power_w = 350.0;
@@ -110,7 +110,7 @@ pub fn renewable_share_sweep(steps: usize) -> Vec<RenewableShareRow> {
         .collect()
 }
 
-/// Validated [`renewable_share_sweep`]: rejects `steps < 2` (the sweep
+/// Validated `renewable_share_sweep`: rejects `steps < 2` (the sweep
 /// interpolates between its endpoints) with a typed error instead of
 /// asserting.
 pub fn try_renewable_share_sweep(

@@ -11,7 +11,7 @@
 //! | E1  | Fig. 1   | [`embodied::fig1_embodied_breakdown`] |
 //! | E2  | Table 1  | [`embodied::table1_lrz_lifetimes`] |
 //! | E3  | Fig. 2   | [`grid_exp::fig2_carbon_intensity`] |
-//! | E4  | §2 rule of thumb | [`embodied::renewable_share_sweep`] |
+//! | E4  | §2 rule of thumb | `embodied::renewable_share_sweep` |
 //! | E5  | §2.3 reuse vs recycle | [`embodied::claim_reuse_vs_recycle`] |
 //! | E6  | §2.1 CDP/CEP DSE | [`design::dse_carbon_metrics`] |
 //! | E7  | §2.2 budget trade-off | [`design::budget_tradeoff`] |
@@ -51,8 +51,7 @@ fn ensure_horizon(experiment: &str, days: usize) -> Result<(), SimError> {
 }
 
 pub use ablation::{
-    backfill_flavour_sweep, checkpoint_overhead_sweep, failure_resilience_sweep,
-    forecast_scaling_ablation, green_threshold_sweep, malleable_fraction_sweep,
+    backfill_flavour_sweep, failure_resilience_sweep, green_threshold_sweep,
     try_backfill_flavour_sweep, try_checkpoint_overhead_sweep, try_failure_resilience_sweep,
     try_forecast_scaling_ablation, try_green_threshold_sweep, try_malleable_fraction_sweep,
 };
@@ -60,8 +59,7 @@ pub use ablation::{
 pub use design::{budget_tradeoff, dse_carbon_metrics};
 pub use embodied::{
     chiplet_packaging, claim_reuse_vs_recycle, fig1_embodied_breakdown, lrz_embodied_dominance,
-    renewable_fraction_at_half_embodied, renewable_share_sweep, table1_lrz_lifetimes,
-    try_renewable_share_sweep,
+    renewable_fraction_at_half_embodied, table1_lrz_lifetimes, try_renewable_share_sweep,
 };
 pub use grid_exp::{average_vs_marginal_sweep, fig2_carbon_intensity};
 pub use operations::{

@@ -44,23 +44,21 @@ pub mod scenario;
 pub mod site;
 pub mod sweep;
 
-pub use cache::{global_outcome_cache, init_outcome_cache_cap_from_env, OutcomeCache, OutcomeKey};
+pub use cache::{global_outcome_cache, init_outcome_cache_cap_from_env, OutcomeKey};
 
 pub use scenario::{run, run_with_ctl, try_run, try_run_with_ctl, Scenario, ScenarioResult};
-pub use site::{lifetime_report, LifetimeCarbonReport, Site};
+pub use site::{lifetime_report, Site};
 
 /// Convenience prelude: the most commonly used items across the
 /// workspace.
 pub mod prelude {
-    pub use crate::cache::{global_outcome_cache, OutcomeCache, OutcomeKey};
+    pub use crate::cache::{global_outcome_cache, OutcomeKey};
     pub use crate::experiments::*;
     pub use crate::scenario::{
         run, run_with_ctl, try_run, try_run_with_ctl, Scenario, ScenarioResult,
     };
-    pub use crate::site::{lifetime_report, LifetimeCarbonReport, Site};
-    pub use crate::sweep::{
-        calibrated_trace, set_threads, sweep, PointRun, SweepJournal, SweepPlan,
-    };
+    pub use crate::site::{lifetime_report, Site};
+    pub use crate::sweep::{calibrated_trace, set_threads, sweep, SweepJournal, SweepPlan};
     pub use sustain_carbon_model::metrics::DesignMetric;
     pub use sustain_carbon_model::system::SystemInventory;
     pub use sustain_grid::green::GreenDetector;

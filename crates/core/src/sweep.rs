@@ -37,7 +37,7 @@
 //!   share a grid window synthesizes and calibrates that trace once.
 //!
 //! The worker thread count is controlled by [`set_threads`] (the CLI's
-//! `--threads` flag) or the [`THREADS_ENV`] environment variable; `0`
+//! `--threads` flag) or the `THREADS_ENV` environment variable; `0`
 //! or unset means "use all available hardware parallelism".
 //!
 //! That count is a single **process-wide worker budget**, not a
@@ -74,14 +74,14 @@ pub use sustain_grid::synth::{
 
 /// Environment variable that sets the sweep worker-thread count
 /// (equivalent to the CLI's `--threads`). `0` = hardware parallelism.
-pub const THREADS_ENV: &str = "SUSTAIN_THREADS";
+pub(crate) const THREADS_ENV: &str = "SUSTAIN_THREADS";
 
 /// Fallible [`set_threads`]: applies the worker-thread count and
 /// propagates a pool-reconfiguration failure as a typed
 /// [`ConfigError`]. A long-running process (the service front-end)
 /// must use this path — a swallowed failure would silently keep a
 /// stale thread count for the rest of its lifetime.
-pub fn try_set_threads(n: usize) -> Result<(), ConfigError> {
+pub(crate) fn try_set_threads(n: usize) -> Result<(), ConfigError> {
     rayon::ThreadPoolBuilder::new()
         .num_threads(n)
         .build_global()
@@ -102,7 +102,7 @@ pub fn try_set_threads(n: usize) -> Result<(), ConfigError> {
 /// reconfiguration cannot currently fail; should a future upstream
 /// error occur, it is logged loudly to stderr (the previous count stays
 /// in effect) instead of being discarded. Callers that need to *react*
-/// to the failure use [`try_set_threads`].
+/// to the failure use `try_set_threads`.
 pub fn set_threads(n: usize) {
     if let Err(e) = try_set_threads(n) {
         eprintln!("warning: {e}; the previous thread count stays in effect");
@@ -114,7 +114,7 @@ pub fn effective_threads() -> usize {
     rayon::current_num_threads()
 }
 
-/// Applies [`THREADS_ENV`] if set; returns the applied count. Call once
+/// Applies `THREADS_ENV` if set; returns the applied count. Call once
 /// at process start; an explicit `--threads` flag should be applied
 /// after this and wins.
 ///

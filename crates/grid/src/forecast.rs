@@ -4,11 +4,8 @@
 //! and carbon-aware backfilling needs *"forecasting techniques that
 //! leverage historical carbon intensity data"*. This module provides the
 //! standard lightweight forecasters used in the carbon-aware-computing
-//! literature: persistence, seasonal-naïve (24 h), moving average, EWMA,
-//! and additive Holt-Winters with a daily season.
-
-use sustain_sim_core::series::TimeSeries;
-use sustain_sim_core::stats;
+//! literature: persistence, seasonal-naïve (24 h), and additive
+//! Holt-Winters with a daily season.
 
 /// A forecaster fitted on an hourly history that can predict the next
 /// `horizon` hourly values.
@@ -83,68 +80,6 @@ impl Forecaster for SeasonalNaive {
         (0..horizon)
             .map(|h| self.last_cycle[h % self.period])
             .collect()
-    }
-}
-
-/// Flat forecast at the mean of the last `window` hours.
-#[derive(Debug, Clone)]
-pub struct MovingAverage {
-    window: usize,
-    mean: f64,
-}
-
-impl MovingAverage {
-    /// Creates a moving-average forecaster over `window` hours.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0);
-        MovingAverage { window, mean: 0.0 }
-    }
-}
-
-impl Forecaster for MovingAverage {
-    fn name(&self) -> &'static str {
-        "moving-average"
-    }
-    fn fit(&mut self, history: &[f64]) {
-        assert!(!history.is_empty(), "empty history");
-        let n = history.len().min(self.window);
-        let tail = &history[history.len() - n..];
-        self.mean = tail.iter().sum::<f64>() / n as f64;
-    }
-    fn predict(&self, horizon: usize) -> Vec<f64> {
-        vec![self.mean; horizon]
-    }
-}
-
-/// Exponentially weighted moving average (flat forecast at the EWMA level).
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    level: f64,
-}
-
-impl Ewma {
-    /// Creates an EWMA forecaster with smoothing factor `alpha` ∈ (0, 1].
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range");
-        Ewma { alpha, level: 0.0 }
-    }
-}
-
-impl Forecaster for Ewma {
-    fn name(&self) -> &'static str {
-        "ewma"
-    }
-    fn fit(&mut self, history: &[f64]) {
-        assert!(!history.is_empty(), "empty history");
-        let mut level = history[0];
-        for &x in &history[1..] {
-            level = self.alpha * x + (1.0 - self.alpha) * level;
-        }
-        self.level = level;
-    }
-    fn predict(&self, horizon: usize) -> Vec<f64> {
-        vec![self.level; horizon]
     }
 }
 
@@ -225,49 +160,98 @@ impl Forecaster for HoltWinters {
     }
 }
 
-/// Result of scoring a forecaster against a held-out window.
-#[derive(Debug, Clone)]
-pub struct ForecastScore {
-    /// Forecaster name.
-    pub name: &'static str,
-    /// Mean absolute percentage error over the window, percent.
-    pub mape: f64,
-    /// Root-mean-square error, gCO₂/kWh.
-    pub rmse: f64,
-}
-
-/// Fits `forecaster` on `series[..split]` and scores it on
-/// `series[split..split+horizon]`.
-pub fn backtest(
-    forecaster: &mut dyn Forecaster,
-    series: &TimeSeries,
-    split: usize,
-    horizon: usize,
-) -> ForecastScore {
-    let values = series.values();
-    assert!(
-        split + horizon <= values.len(),
-        "backtest window out of range"
-    );
-    forecaster.fit(&values[..split]);
-    let pred = forecaster.predict(horizon);
-    let actual = &values[split..split + horizon];
-    ForecastScore {
-        name: forecaster.name(),
-        mape: stats::mape(actual, &pred),
-        rmse: stats::rmse(actual, &pred),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sustain_sim_core::series::TimeSeries;
     use sustain_sim_core::time::{SimDuration, SimTime};
 
+    /// Result of scoring a forecaster against a held-out window.
+    struct ForecastScore {
+        /// Mean absolute percentage error over the window, percent.
+        mape: f64,
+        /// Root-mean-square error, gCO₂/kWh.
+        rmse: f64,
+    }
+
+    /// Mean absolute percentage error between forecasts and actuals, in
+    /// percent. Pairs with `actual == 0` are skipped.
+    fn mape(actual: &[f64], forecast: &[f64]) -> f64 {
+        assert_eq!(actual.len(), forecast.len());
+        let mut total = 0.0;
+        let mut n = 0u32;
+        for (&a, &f) in actual.iter().zip(forecast) {
+            if a != 0.0 {
+                total += ((a - f) / a).abs();
+                n += 1;
+            }
+        }
+        if n == 0 {
+            0.0
+        } else {
+            100.0 * total / n as f64
+        }
+    }
+
+    /// Root-mean-square error between two equal-length series.
+    fn rmse(actual: &[f64], forecast: &[f64]) -> f64 {
+        assert_eq!(actual.len(), forecast.len());
+        if actual.is_empty() {
+            return 0.0;
+        }
+        let se: f64 = actual
+            .iter()
+            .zip(forecast)
+            .map(|(a, f)| (a - f) * (a - f))
+            .sum();
+        (se / actual.len() as f64).sqrt()
+    }
+
+    /// Fits `forecaster` on `series[..split]` and scores it on
+    /// `series[split..split+horizon]`.
+    fn backtest(
+        forecaster: &mut dyn Forecaster,
+        series: &TimeSeries,
+        split: usize,
+        horizon: usize,
+    ) -> ForecastScore {
+        let values = series.values();
+        assert!(
+            split + horizon <= values.len(),
+            "backtest window out of range"
+        );
+        forecaster.fit(&values[..split]);
+        let pred = forecaster.predict(horizon);
+        let actual = &values[split..split + horizon];
+        ForecastScore {
+            mape: mape(actual, &pred),
+            rmse: rmse(actual, &pred),
+        }
+    }
+
+    /// An hourly series sampled from `f` at each hour's start.
+    fn hourly(hours: usize, f: impl Fn(SimTime) -> f64) -> TimeSeries {
+        let step = SimDuration::from_hours(1.0);
+        let values = (0..hours)
+            .map(|i| f(SimTime::ZERO + step * i as f64))
+            .collect();
+        TimeSeries::new(SimTime::ZERO, step, values)
+    }
+
     fn sine_series(hours: usize) -> TimeSeries {
-        TimeSeries::from_fn(SimTime::ZERO, SimDuration::from_hours(1.0), hours, |t| {
+        hourly(hours, |t| {
             300.0 + 50.0 * (t.hour_of_day() / 24.0 * std::f64::consts::TAU).sin()
         })
+    }
+
+    #[test]
+    fn error_metrics() {
+        let a = [10.0, 20.0, 30.0];
+        let f = [11.0, 18.0, 33.0];
+        assert!((rmse(&a, &f) - (14.0f64 / 3.0).sqrt()).abs() < 1e-9);
+        let expected_mape = 100.0 * (0.1 + 0.1 + 0.1) / 3.0;
+        assert!((mape(&a, &f) - expected_mape).abs() < 1e-9);
+        assert_eq!(mape(&[0.0], &[5.0]), 0.0);
     }
 
     #[test]
@@ -293,27 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn moving_average_uses_window() {
-        let mut f = MovingAverage::new(2);
-        f.fit(&[10.0, 20.0, 30.0]);
-        assert_eq!(f.predict(1), vec![25.0]);
-        // Window longer than history: use all.
-        let mut g = MovingAverage::new(10);
-        g.fit(&[10.0, 20.0]);
-        assert_eq!(g.predict(1), vec![15.0]);
-    }
-
-    #[test]
-    fn ewma_converges_to_constant() {
-        let mut f = Ewma::new(0.3);
-        f.fit(&vec![42.0; 100]);
-        assert!((f.predict(1)[0] - 42.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn holt_winters_tracks_trend_and_season() {
         // Linear trend + daily season.
-        let s = TimeSeries::from_fn(SimTime::ZERO, SimDuration::from_hours(1.0), 24 * 10, |t| {
+        let s = hourly(24 * 10, |t| {
             200.0
                 + 0.5 * t.as_hours()
                 + 30.0 * (t.hour_of_day() / 24.0 * std::f64::consts::TAU).sin()

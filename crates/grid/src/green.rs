@@ -47,7 +47,8 @@ impl Default for GreenDetector {
 
 impl GreenDetector {
     /// Creates a detector with the given threshold fraction.
-    pub fn new(threshold_fraction: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(threshold_fraction: f64) -> Self {
         assert!(
             threshold_fraction > 0.0,
             "threshold fraction must be positive"

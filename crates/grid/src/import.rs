@@ -112,15 +112,6 @@ pub fn parse_carbon_csv(name: &str, text: &str) -> Result<CarbonTrace, CsvImport
     ))
 }
 
-/// Serializes a trace back to the same CSV shape.
-pub fn to_carbon_csv(trace: &CarbonTrace) -> String {
-    let mut out = String::from("timestamp_s,gco2_per_kwh\n");
-    for (t, v) in trace.series().iter() {
-        out.push_str(&format!("{:.0},{:.3}\n", t.as_secs(), v));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,22 +163,6 @@ timestamp_s,gco2_per_kwh
         ] {
             let err = parse_carbon_csv("x", text).unwrap_err();
             assert!(err.message.contains(needle), "{text:?} → {err}");
-        }
-    }
-
-    #[test]
-    fn roundtrip_preserves_series() {
-        let original = parse_carbon_csv("fi", SAMPLE).unwrap();
-        let csv = to_carbon_csv(&original);
-        let back = parse_carbon_csv("fi", &csv).unwrap();
-        assert_eq!(back.series().len(), original.series().len());
-        for (a, b) in original
-            .series()
-            .values()
-            .iter()
-            .zip(back.series().values())
-        {
-            assert!((a - b).abs() < 1e-3);
         }
     }
 

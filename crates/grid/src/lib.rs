@@ -9,8 +9,8 @@
 //!   noise + weekend structure);
 //! * [`trace`] — the [`trace::CarbonTrace`] container with daily means and
 //!   moment calibration;
-//! * [`forecast`] — persistence / seasonal-naïve / EWMA / Holt-Winters
-//!   forecasters with backtesting;
+//! * [`forecast`] — persistence / seasonal-naïve / Holt-Winters
+//!   forecasters;
 //! * [`green`] — green-period detection for carbon-aware scheduling;
 //! * [`marginal`] — merit-order stack model of average vs marginal
 //!   intensity.
@@ -33,9 +33,9 @@ pub mod seasonal;
 pub mod synth;
 pub mod trace;
 
-pub use forecast::{backtest, Forecaster};
-pub use green::{GreenDetector, GreenPeriod};
-pub use import::{parse_carbon_csv, to_carbon_csv};
+pub use forecast::Forecaster;
+pub use green::GreenDetector;
+pub use import::parse_carbon_csv;
 pub use region::{Region, RegionProfile, CI_COAL_G_PER_KWH, CI_HYDRO_G_PER_KWH};
 pub use synth::{generate_calibrated, generate_calibrated_arc, generate_hourly, CacheStats};
 pub use trace::CarbonTrace;

@@ -54,7 +54,7 @@ impl MeritOrderStack {
     }
 
     /// Total stack capacity, MW.
-    pub fn total_capacity_mw(&self) -> f64 {
+    pub(crate) fn total_capacity_mw(&self) -> f64 {
         self.sources.iter().map(|s| s.capacity_mw).sum()
     }
 

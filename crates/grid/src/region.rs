@@ -176,11 +176,6 @@ impl RegionProfile {
             CarbonIntensity::from_grams_per_kwh(CI_COAL_G_PER_KWH),
         )
     }
-
-    /// Mean intensity as a typed unit.
-    pub fn mean_ci(&self) -> CarbonIntensity {
-        CarbonIntensity::from_grams_per_kwh(self.mean_g_per_kwh)
-    }
 }
 
 #[cfg(test)]

@@ -43,16 +43,6 @@ impl SeasonalShape {
         }
     }
 
-    /// Wind-heavy grid: cleanest in autumn/winter storms, dirtiest in the
-    /// calm summer.
-    pub fn wind_heavy() -> SeasonalShape {
-        SeasonalShape {
-            monthly_factor: [
-                1.00, 0.98, 0.95, 1.02, 1.08, 1.15, 1.18, 1.15, 1.05, 0.95, 0.92, 0.96,
-            ],
-        }
-    }
-
     /// Thermal-dominated grid: winter heating demand raises intensity.
     pub fn thermal_winter_peak() -> SeasonalShape {
         SeasonalShape {
@@ -145,14 +135,6 @@ mod tests {
             july < 0.85 * january,
             "july {july} should be well below january {january}"
         );
-    }
-
-    #[test]
-    fn wind_heavy_summer_dirtier() {
-        let p = RegionProfile::january_2023(Region::Finland);
-        let t = generate_year(&p, &SeasonalShape::wind_heavy(), 3);
-        let means = monthly_means(&t);
-        assert!(means[6].1 > means[0].1);
     }
 
     #[test]

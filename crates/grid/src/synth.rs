@@ -22,7 +22,7 @@ pub use sustain_sim_core::cache::CacheStats;
 
 /// Minimum physical intensity; traces are clamped here to avoid negative
 /// excursions in very clean or very volatile configurations.
-pub const MIN_CI_G_PER_KWH: f64 = 5.0;
+pub(crate) const MIN_CI_G_PER_KWH: f64 = 5.0;
 
 /// Normalized diurnal shape at `hour` ∈ [0, 24): two demand peaks (09h,
 /// 19h) and a night trough. Zero-mean over the day by construction
@@ -165,11 +165,11 @@ impl CanonicalHash for CarbonTrace {
 /// experiment suite run touches well under a hundred distinct traces)
 /// but bounded, so a long-lived service sweeping many profiles cannot
 /// grow the cache without limit.
-pub const DEFAULT_TRACE_CACHE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_TRACE_CACHE_CAPACITY: usize = 256;
 
 /// Environment variable overriding the global trace cache capacity
 /// (`0` = caching disabled).
-pub const TRACE_CACHE_CAP_ENV: &str = "SUSTAIN_TRACE_CACHE_CAP";
+pub(crate) const TRACE_CACHE_CAP_ENV: &str = "SUSTAIN_TRACE_CACHE_CAP";
 
 /// Process-wide cache of calibrated traces, shared by every sweep point.
 ///
@@ -198,7 +198,8 @@ impl Default for TraceCache {
 
 impl TraceCache {
     /// Create an empty cache with the default capacity bound.
-    pub fn new() -> TraceCache {
+    #[cfg(test)]
+    pub(crate) fn new() -> TraceCache {
         TraceCache::default()
     }
 
@@ -208,11 +209,6 @@ impl TraceCache {
         TraceCache {
             inner: LruCache::with_capacity(capacity),
         }
-    }
-
-    /// Current capacity bound (`0` = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
     }
 
     /// Change the capacity bound, immediately evicting down to it if the
@@ -263,8 +259,8 @@ impl TraceCache {
 
 /// The process-wide [`TraceCache`] used by [`generate_calibrated_arc`].
 ///
-/// Capacity defaults to [`DEFAULT_TRACE_CACHE_CAPACITY`] and can be
-/// overridden (first use wins) via [`TRACE_CACHE_CAP_ENV`], or changed at
+/// Capacity defaults to `DEFAULT_TRACE_CACHE_CAPACITY` and can be
+/// overridden (first use wins) via `TRACE_CACHE_CAP_ENV`, or changed at
 /// runtime with [`TraceCache::set_capacity`].
 pub fn global_trace_cache() -> &'static TraceCache {
     static CACHE: OnceLock<TraceCache> = OnceLock::new();
@@ -289,7 +285,7 @@ pub fn global_trace_cache() -> &'static TraceCache {
     })
 }
 
-/// Strictly applies [`TRACE_CACHE_CAP_ENV`] to the process-wide cache if
+/// Strictly applies `TRACE_CACHE_CAP_ENV` to the process-wide cache if
 /// set; returns the applied capacity. Boundary code (CLI/service
 /// startup) calls this once so a malformed value becomes a typed
 /// [`ConfigError`] instead of a silently-used default. Safe to call

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 use sustain_sim_core::series::TimeSeries;
 use sustain_sim_core::stats::RunningStats;
 use sustain_sim_core::time::SimTime;
-use sustain_sim_core::units::{Carbon, CarbonIntensity, Energy};
+use sustain_sim_core::units::CarbonIntensity;
 
 /// A named carbon-intensity time series (gCO₂/kWh).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,17 +63,6 @@ impl CarbonTrace {
         rs
     }
 
-    /// Carbon emitted by drawing constant power corresponding to `energy`
-    /// spread uniformly over `[from, to]`: `∫ CI(t) · P dt`.
-    pub fn carbon_for_energy(&self, energy: Energy, from: SimTime, to: SimTime) -> Carbon {
-        let w = (to - from).as_secs();
-        if w <= 0.0 {
-            return Carbon::ZERO;
-        }
-        // gCO2 = kWh × time-weighted mean g/kWh over the window.
-        energy.carbon_at(self.mean_over(from, to))
-    }
-
     /// The end of the trace bucket containing `t` — the next sampling
     /// boundary strictly after `t`. Times before the start return the
     /// start; times at or past the end return `t + step` (the clamped
@@ -93,7 +82,7 @@ impl CarbonTrace {
     ///
     /// # Panics
     /// Panics if the trace has zero daily-mean variance (nothing to scale).
-    pub fn with_moments(&self, target_mean: f64, target_daily_std: f64) -> CarbonTrace {
+    pub(crate) fn with_moments(&self, target_mean: f64, target_daily_std: f64) -> CarbonTrace {
         let cur_mean = self.series.stats().mean();
         let cur_daily_std = self.daily_stats().std_dev();
         assert!(
@@ -142,23 +131,6 @@ mod tests {
         let stats = t.daily_stats();
         assert_eq!(stats.mean(), 200.0);
         assert_eq!(stats.std_dev(), 100.0);
-    }
-
-    #[test]
-    fn carbon_for_energy_uses_window_mean() {
-        let t = trace_of(vec![100.0, 300.0]);
-        // 2 kWh over both hours at mean 200 g → 400 g.
-        let c = t.carbon_for_energy(
-            Energy::from_kwh(2.0),
-            SimTime::ZERO,
-            SimTime::from_hours(2.0),
-        );
-        assert!((c.grams() - 400.0).abs() < 1e-9);
-        // Degenerate window.
-        assert_eq!(
-            t.carbon_for_energy(Energy::from_kwh(1.0), SimTime::ZERO, SimTime::ZERO),
-            Carbon::ZERO
-        );
     }
 
     #[test]

@@ -17,8 +17,7 @@ use sustain_sim_core::error::{
 };
 use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::series::TimeSeries;
-use sustain_sim_core::time::SimDuration;
-use sustain_sim_core::units::{Carbon, CarbonIntensity, Power};
+use sustain_sim_core::units::{CarbonIntensity, Power};
 
 /// Maps carbon intensity to a total system power budget.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -230,57 +229,11 @@ impl ScalingPolicy {
     }
 }
 
-/// Outcome of running a scaling policy against a trace, assuming the
-/// system always consumes its full budget (an upper bound on both energy
-/// and emissions; the scheduler experiments refine this).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ScalingOutcome {
-    /// Total energy consumed.
-    pub energy_kwh: f64,
-    /// Total operational carbon.
-    pub carbon: Carbon,
-    /// Mean power (proxy for delivered capacity).
-    pub mean_power: Power,
-    /// Carbon per kWh actually paid (emission-weighted).
-    pub effective_ci: f64,
-}
-
-/// Integrates `budget × CI` over the trace.
-pub fn evaluate_policy(policy: &ScalingPolicy, trace: &CarbonTrace) -> ScalingOutcome {
-    let budgets = policy.budget_series(trace);
-    let step = trace.series().step();
-    let mut energy_kwh = 0.0;
-    let mut carbon_g = 0.0;
-    for (i, &g) in trace.series().values().iter().enumerate() {
-        let p = Power::from_watts(budgets.values()[i]);
-        let e = p.for_duration(step).kwh();
-        energy_kwh += e;
-        carbon_g += e * g;
-    }
-    let total_time = SimDuration::from_secs(step.as_secs() * trace.series().len() as f64);
-    let mean_power = if total_time.is_zero() {
-        Power::ZERO
-    } else {
-        sustain_sim_core::units::Energy::from_kwh(energy_kwh).over_duration(total_time)
-    };
-    ScalingOutcome {
-        energy_kwh,
-        carbon: Carbon::from_grams(carbon_g),
-        mean_power,
-        effective_ci: if energy_kwh > 0.0 {
-            carbon_g / energy_kwh
-        } else {
-            0.0
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sustain_grid::region::{Region, RegionProfile};
     use sustain_grid::synth::generate_calibrated;
-    use sustain_sim_core::time::SimTime;
 
     fn mw(x: f64) -> Power {
         Power::from_mw(x)
@@ -342,29 +295,6 @@ mod tests {
         assert_eq!(p.budget_at(ci(100_000.0)), mw(0.5));
     }
 
-    /// E8 headline: on a volatile grid, carbon-aware scaling cuts the
-    /// effective carbon intensity paid per kWh relative to a static budget
-    /// of the same mean power.
-    #[test]
-    fn linear_scaling_beats_static_per_kwh() {
-        let trace = generate_calibrated(&RegionProfile::january_2023(Region::Finland), 31, 99);
-        let scaled = evaluate_policy(&linear(), &trace);
-        // Static baseline matched to the same mean power.
-        let static_outcome = evaluate_policy(
-            &ScalingPolicy::Static {
-                budget: scaled.mean_power,
-            },
-            &trace,
-        );
-        assert!((static_outcome.energy_kwh - scaled.energy_kwh).abs() < 1.0);
-        assert!(
-            scaled.effective_ci < static_outcome.effective_ci * 0.99,
-            "scaled {} vs static {}",
-            scaled.effective_ci,
-            static_outcome.effective_ci
-        );
-    }
-
     #[test]
     fn budget_series_aligns_with_trace() {
         let trace = generate_calibrated(&RegionProfile::january_2023(Region::Germany), 7, 1);
@@ -391,30 +321,5 @@ mod tests {
             .sum::<f64>()
             / live.len() as f64;
         assert!(diffs < 1.5e6, "mean |Δbudget| = {diffs} W");
-    }
-
-    #[test]
-    fn evaluate_policy_integrates_correctly() {
-        use sustain_sim_core::series::TimeSeries;
-        use sustain_sim_core::time::SimDuration;
-        // Two hours: 100 g then 300 g; threshold policy gives 5 MW then 2 MW.
-        let trace = CarbonTrace::new(
-            "t",
-            TimeSeries::new(
-                SimTime::ZERO,
-                SimDuration::from_hours(1.0),
-                vec![100.0, 300.0],
-            ),
-        );
-        let p = ScalingPolicy::Threshold {
-            floor: mw(2.0),
-            ceiling: mw(5.0),
-            threshold: 200.0,
-        };
-        let out = evaluate_policy(&p, &trace);
-        assert!((out.energy_kwh - 7000.0).abs() < 1e-6);
-        // Carbon: 5000×100 + 2000×300 = 1.1e6 g.
-        assert!((out.carbon.grams() - 1.1e6).abs() < 1.0);
-        assert!((out.mean_power.mw() - 3.5).abs() < 1e-9);
     }
 }

@@ -1,34 +1,19 @@
 //! # sustain-power
 //!
-//! The HPC PowerStack (§3.1 of the paper): component power models with cap
-//! knobs, node-level cap distribution, hierarchical power budgeting,
-//! closed-loop control, carbon-aware total-budget scaling, and a facility
-//! PUE model.
-//!
-//! The hierarchy mirrors the PowerStack reference architecture the paper
-//! cites: the site administrator sets a total budget; [`budget::divide`]
-//! splits it across systems and jobs; [`node::NodePowerModel::distribute`]
-//! splits a node's share across CPU/GPU/DRAM caps; and
-//! [`carbon_scaler::ScalingPolicy`] is the §3.1 extension that makes the
-//! total budget follow grid carbon intensity.
+//! Carbon-aware power budgeting (§3.1 of the paper): the site's total
+//! power budget follows grid carbon intensity
+//! ([`carbon_scaler::ScalingPolicy`]), and a facility PUE model
+//! ([`pue::PueModel`]) turns IT power into facility power. The scheduler
+//! enforces the scaled budget series (`SimConfig::power_budget`) when it
+//! starts, grows and shrinks jobs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod budget;
 pub mod carbon_scaler;
-pub mod components;
-pub mod controller;
-pub mod node;
 pub mod pue;
-pub mod tree;
 
-pub use budget::{divide, BudgetRequest, DivisionPolicy};
-pub use carbon_scaler::{evaluate_policy, ScalingOutcome, ScalingPolicy};
-pub use components::{ComponentKind, ComponentPowerModel};
-pub use controller::PowerController;
-pub use node::{NodeCapAssignment, NodePowerModel};
+pub use carbon_scaler::ScalingPolicy;
 pub use pue::PueModel;
-pub use tree::BudgetNode;

@@ -44,7 +44,7 @@ impl CanonicalHash for Cluster {
 
 /// Mutable allocation state: how many nodes are free.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Allocation {
+pub(crate) struct Allocation {
     total: u32,
     free: u32,
 }
@@ -61,13 +61,8 @@ impl Allocation {
     }
 
     /// Busy node count.
-    pub fn busy(&self) -> u32 {
+    pub(crate) fn busy(&self) -> u32 {
         self.total - self.free
-    }
-
-    /// Total node count.
-    pub fn total(&self) -> u32 {
-        self.total
     }
 
     /// Claims `n` nodes.
@@ -87,7 +82,7 @@ impl Allocation {
     ///
     /// # Panics
     /// Panics when releasing more than are busy.
-    pub fn release(&mut self, n: u32) {
+    pub(crate) fn release(&mut self, n: u32) {
         assert!(
             self.busy() >= n,
             "releasing {n} nodes but only {} busy",
@@ -112,7 +107,6 @@ mod tests {
         assert_eq!(a.free(), 0);
         a.release(10);
         assert_eq!(a.free(), 10);
-        assert_eq!(a.total(), 10);
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod sim;
 
 pub use cluster::Cluster;
 pub use metrics::{JobRecord, Segment, SimOutcome};
-pub use queue::{QueueConfig, QueueSet};
+pub use queue::QueueSet;
 pub use sim::{simulate, try_simulate, CarbonAwareCfg, CheckpointCfg, Policy, SimConfig};

@@ -10,9 +10,8 @@
 //!
 //! This module contains the decision logic: a grow offer is worth taking
 //! only if the speedup on the remaining work amortizes the
-//! reconfiguration cost; shrink demands are mandatory (system authority
-//! under a power budget) but sized here. The simulator consults these
-//! functions at every tick.
+//! reconfiguration cost. The simulator consults [`evaluate_grow`] at
+//! every tick.
 
 use serde::{Deserialize, Serialize};
 use sustain_sim_core::time::SimDuration;
@@ -51,55 +50,6 @@ pub fn evaluate_grow(
     } else {
         OfferDecision::Decline
     }
-}
-
-/// Sizes a *shrink* demand: how many nodes the job must release. Shrinks
-/// are mandatory (the alternative under a power emergency is suspension),
-/// but never below the job's minimum allocation.
-pub fn size_shrink(current: u32, min_alloc: u32, nodes_needed_back: u32) -> u32 {
-    let releasable = current.saturating_sub(min_alloc);
-    current - releasable.min(nodes_needed_back)
-}
-
-/// A grow candidate considered by the system manager.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GrowCandidate {
-    /// Index of the running job in the scheduler's table.
-    pub running_pos: usize,
-    /// Current allocation.
-    pub current: u32,
-    /// Largest useful allocation (class max ∩ exploitable parallelism).
-    pub max_useful: u32,
-    /// Marginal speedup per node at the current allocation (the system
-    /// manager's ranking key).
-    pub marginal_gain: f64,
-}
-
-/// Ranks grow candidates by marginal speedup per extra node, descending —
-/// the system manager hands spare nodes to whoever benefits most. Ties
-/// break by position for determinism.
-pub fn rank_grow_candidates(
-    jobs: &[(usize, SpeedupModel, u32, u32)], // (pos, model, current, max_useful)
-) -> Vec<GrowCandidate> {
-    let mut candidates: Vec<GrowCandidate> = jobs
-        .iter()
-        .filter(|(_, _, current, max_useful)| current < max_useful)
-        .map(|&(pos, model, current, max_useful)| {
-            let gain = model.speedup((current + 1).min(max_useful)) - model.speedup(current.max(1));
-            GrowCandidate {
-                running_pos: pos,
-                current,
-                max_useful,
-                marginal_gain: gain,
-            }
-        })
-        .collect();
-    candidates.sort_by(|a, b| {
-        b.marginal_gain
-            .total_cmp(&a.marginal_gain)
-            .then(a.running_pos.cmp(&b.running_pos))
-    });
-    candidates
 }
 
 #[cfg(test)]
@@ -159,39 +109,5 @@ mod tests {
         // ~117 s on 10 000 work units — not worth a 300 s reconfiguration.
         let d = evaluate_grow(m, 32, 64, 64, 10_000.0, SimDuration::from_secs(300.0));
         assert_eq!(d, OfferDecision::Decline);
-    }
-
-    #[test]
-    fn shrink_respects_minimum() {
-        assert_eq!(size_shrink(16, 4, 8), 8);
-        assert_eq!(size_shrink(16, 4, 100), 4); // clamped at min
-        assert_eq!(size_shrink(4, 4, 2), 4); // nothing releasable
-        assert_eq!(size_shrink(10, 1, 0), 10); // nothing demanded
-    }
-
-    #[test]
-    fn ranking_prefers_steeper_speedup() {
-        let linear = SpeedupModel::Linear;
-        let saturated = SpeedupModel::Amdahl {
-            serial_fraction: 0.5,
-        };
-        let ranked = rank_grow_candidates(&[(0, saturated, 8, 64), (1, linear, 8, 64)]);
-        assert_eq!(ranked.len(), 2);
-        assert_eq!(ranked[0].running_pos, 1, "linear job should rank first");
-        assert!(ranked[0].marginal_gain > ranked[1].marginal_gain);
-    }
-
-    #[test]
-    fn ranking_skips_maxed_out_jobs() {
-        let ranked = rank_grow_candidates(&[(0, SpeedupModel::Linear, 8, 8)]);
-        assert!(ranked.is_empty());
-    }
-
-    #[test]
-    fn ranking_ties_break_by_position() {
-        let m = SpeedupModel::Linear;
-        let ranked = rank_grow_candidates(&[(3, m, 4, 8), (1, m, 4, 8)]);
-        assert_eq!(ranked[0].running_pos, 1);
-        assert_eq!(ranked[1].running_pos, 3);
     }
 }

@@ -81,11 +81,6 @@ impl JobRecord {
         self.end - self.start
     }
 
-    /// Turnaround: submit to completion.
-    pub fn turnaround(&self) -> SimDuration {
-        self.end - self.submit
-    }
-
     /// Actual computing wall time (sum of segment durations).
     pub fn compute_time(&self) -> SimDuration {
         self.segments
@@ -94,7 +89,7 @@ impl JobRecord {
     }
 
     /// Bounded slowdown with the conventional 10-second bound.
-    pub fn bounded_slowdown(&self) -> f64 {
+    pub(crate) fn bounded_slowdown(&self) -> f64 {
         let rt = self.compute_time().as_secs().max(10.0);
         ((self.wait().as_secs() + rt) / rt).max(1.0)
     }
@@ -175,7 +170,8 @@ pub struct HotPathStats {
 
 impl HotPathStats {
     /// Adds another run's counters into this one.
-    pub fn absorb(&mut self, other: &HotPathStats) {
+    #[cfg(test)]
+    pub(crate) fn absorb(&mut self, other: &HotPathStats) {
         self.events += other.events;
         self.schedule_passes += other.schedule_passes;
         self.schedule_skips += other.schedule_skips;
@@ -341,7 +337,7 @@ impl Deserialize for SimOutcome {
 impl SimOutcome {
     /// Builds the aggregate outcome from records plus run-level numbers.
     #[allow(clippy::too_many_arguments)]
-    pub fn from_records(
+    pub(crate) fn from_records(
         records: Vec<JobRecord>,
         unfinished: usize,
         total_nodes: u32,
@@ -419,38 +415,6 @@ pub fn power_profile(
     sustain_sim_core::series::TimeSeries::new(SimTime::ZERO, step, values)
 }
 
-/// Reconstructs the allocated-node profile (mean allocated nodes per
-/// bucket) from job records.
-pub fn utilization_profile(
-    records: &[JobRecord],
-    step: SimDuration,
-    horizon: SimTime,
-    total_nodes: u32,
-) -> sustain_sim_core::series::TimeSeries {
-    assert!(total_nodes > 0);
-    let buckets = (horizon.as_secs() / step.as_secs()).ceil() as usize;
-    let mut node_seconds = vec![0.0f64; buckets.max(1)];
-    for rec in records {
-        for seg in &rec.segments {
-            let mut t = seg.start;
-            while t < seg.end {
-                let idx = ((t.as_secs() / step.as_secs()) as usize).min(node_seconds.len() - 1);
-                let bucket_end = SimTime::from_secs((idx as f64 + 1.0) * step.as_secs());
-                let until = bucket_end.min(seg.end);
-                if until <= t {
-                    node_seconds[idx] += seg.nodes as f64 * (seg.end - t).as_secs();
-                    break;
-                }
-                node_seconds[idx] += seg.nodes as f64 * (until - t).as_secs();
-                t = until;
-            }
-        }
-    }
-    let denom = step.as_secs() * total_nodes as f64;
-    let values = node_seconds.into_iter().map(|ns| ns / denom).collect();
-    sustain_sim_core::series::TimeSeries::new(SimTime::ZERO, step, values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -484,7 +448,6 @@ mod tests {
         let r = record();
         assert_eq!(r.wait().as_hours(), 1.0);
         assert_eq!(r.span().as_hours(), 3.0);
-        assert_eq!(r.turnaround().as_hours(), 4.0);
         assert_eq!(r.compute_time().as_hours(), 2.0);
     }
 
@@ -589,20 +552,6 @@ mod tests {
         // 4 kWh total: 1 kWh in bucket 0, 3 kWh in the clamped last bucket.
         assert!((profile.values()[0] - 1000.0).abs() < 1e-9);
         assert!((profile.values()[1] - 3000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_profile_normalizes_by_cluster() {
-        let recs = vec![record()];
-        let profile = utilization_profile(
-            &recs,
-            SimDuration::from_hours(1.0),
-            SimTime::from_hours(4.0),
-            8,
-        );
-        let v = profile.values();
-        assert!((v[1] - 0.5).abs() < 1e-9); // 4 of 8 nodes
-        assert!((v[2] - 0.0).abs() < 1e-9);
     }
 
     #[test]

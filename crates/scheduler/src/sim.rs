@@ -2396,17 +2396,6 @@ pub fn try_simulate(jobs: &[Job], cfg: &SimConfig) -> Result<SimOutcome, SimErro
     Ok(simulate(jobs, cfg))
 }
 
-/// [`try_simulate`] with a cancellation control: validates up front,
-/// then runs under `ctl` like [`simulate_with_ctl`].
-pub fn try_simulate_with_ctl(
-    jobs: &[Job],
-    cfg: &SimConfig,
-    ctl: &RunCtl,
-) -> Result<SimOutcome, SimError> {
-    cfg.validate()?;
-    simulate_with_ctl(jobs, cfg, ctl)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -27,7 +27,7 @@ use sustain_sim_core::retry::RetryPolicy;
 /// Looks a region up by name, case-insensitively and ignoring spaces
 /// (`"greatbritain"`, `"Great Britain"`, and `"GreatBritain"` all
 /// resolve). Unknown names list the valid set in the error.
-pub fn parse_region(name: &str) -> Result<Region, ConfigError> {
+pub(crate) fn parse_region(name: &str) -> Result<Region, ConfigError> {
     let canon = |s: &str| s.to_ascii_lowercase().replace(' ', "");
     let wanted = canon(name);
     Region::ALL
@@ -54,7 +54,7 @@ pub fn parse_region(name: &str) -> Result<Region, ConfigError> {
 pub struct RunRequest {
     /// Scenario name echoed into the result.
     pub name: String,
-    /// Grid region (see [`parse_region`]).
+    /// Grid region (see `parse_region`).
     pub region: String,
     /// Simulated days.
     pub days: usize,
@@ -195,7 +195,7 @@ pub fn run_etag(req: &RunRequest) -> Option<String> {
 /// Builds the cancellation control for one request: the request's own
 /// `timeout_ms` deadline plus (in the service) the server-wide shutdown
 /// token. Both absent yields the unlimited, zero-overhead control.
-pub fn request_ctl(timeout_ms: Option<u64>, token: Option<&CancelToken>) -> RunCtl {
+pub(crate) fn request_ctl(timeout_ms: Option<u64>, token: Option<&CancelToken>) -> RunCtl {
     let mut ctl = RunCtl::unlimited();
     if let Some(token) = token {
         ctl = ctl.with_token(token.clone());
@@ -210,7 +210,7 @@ pub fn request_ctl(timeout_ms: Option<u64>, token: Option<&CancelToken>) -> RunC
 /// canonical response body (pretty JSON of the full `ScenarioResult`,
 /// identical to what the one-shot CLI prints). Honors the request's
 /// own `timeout_ms`; a server shutdown token is only attached by
-/// [`run_body_with_ctl`].
+/// `run_body_with_ctl`.
 pub fn run_body(req: &RunRequest) -> Result<String, SimError> {
     run_body_with_ctl(req, None)
 }
@@ -219,7 +219,7 @@ pub fn run_body(req: &RunRequest) -> Result<String, SimError> {
 /// cooperatively cancelled (typed `Cancelled`, HTTP 408) when the
 /// token fires, instead of holding shutdown hostage until the
 /// simulation completes.
-pub fn run_body_with_ctl(
+pub(crate) fn run_body_with_ctl(
     req: &RunRequest,
     token: Option<&CancelToken>,
 ) -> Result<String, SimError> {
@@ -526,7 +526,7 @@ pub fn sweep_body_with_ctl(
 
 /// Structured error payload: every non-2xx response carries one.
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ErrorBody {
+pub(crate) struct ErrorBody {
     /// The error detail (wrapped so the top-level JSON shape is
     /// `{"error": {...}}`).
     pub error: ErrorDetail,
@@ -534,7 +534,7 @@ pub struct ErrorBody {
 
 /// The payload of an [`ErrorBody`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct ErrorDetail {
+pub(crate) struct ErrorDetail {
     /// Machine-readable kind: `config`, `invalid_input`, `faulted`,
     /// `cancelled`, `timeout`, `bad_request`, `not_found`,
     /// `method_not_allowed`, `overloaded`, `unavailable` (circuit
@@ -549,7 +549,12 @@ pub struct ErrorDetail {
 }
 
 /// Renders a structured error body.
-pub fn error_body(kind: &str, message: &str, context: Option<&str>, field: Option<&str>) -> String {
+pub(crate) fn error_body(
+    kind: &str,
+    message: &str,
+    context: Option<&str>,
+    field: Option<&str>,
+) -> String {
     let body = ErrorBody {
         error: ErrorDetail {
             kind: kind.to_string(),
@@ -567,7 +572,7 @@ pub fn error_body(kind: &str, message: &str, context: Option<&str>, field: Optio
 /// inside the work unit is ours (500), and cooperatively cancelled
 /// work — deadline expiry or server shutdown — is a request timeout
 /// (408) whose message carries the partial-progress stats.
-pub fn sim_error_response(e: &SimError) -> (u16, String) {
+pub(crate) fn sim_error_response(e: &SimError) -> (u16, String) {
     match e {
         SimError::Config(c) => (
             400,

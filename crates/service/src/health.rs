@@ -4,7 +4,7 @@
 //! ## Circuit breakers
 //!
 //! Each simulation endpoint (`POST /run`, `POST /sweep`) gets its own
-//! [`Breaker`]. A breaker is *closed* (admitting requests) until
+//! `Breaker`. A breaker is *closed* (admitting requests) until
 //! [`breaker_trip`] **consecutive** handler faults — 5xx responses or
 //! handler panics — open it. An open breaker rejects requests with a
 //! typed 503 (`kind: "unavailable"`, `Retry-After` attached) without
@@ -17,7 +17,7 @@
 //!
 //! ## Process health
 //!
-//! [`ProcessHealth`] folds the breakers, the sliding request-error
+//! `ProcessHealth` folds the breakers, the sliding request-error
 //! window ([`sustain_telemetry::requests::WindowStats`]), and the drain
 //! flag into one of `Healthy` / `Degraded` / `Draining`, surfaced by
 //! `GET /readyz` (503 unless `Healthy`). `GET /healthz` stays pure
@@ -32,7 +32,7 @@
 //! pathological allocation) would pin a worker forever. The watchdog
 //! registry tracks every in-flight request's [`CancelToken`]; a
 //! dedicated thread cancels any request still running past
-//! [`watchdog_factor`] × its own deadline budget, with a reason naming
+//! `watchdog_factor` × its own deadline budget, with a reason naming
 //! the watchdog, so the stuck request resolves as a typed 408 at its
 //! next check. Requests without a budget are registered too (so server
 //! shutdown can cancel them) but are never watchdog-cancelled.
@@ -49,14 +49,14 @@ use sustain_telemetry::requests::WindowStats;
 
 /// Environment variable: consecutive handler faults that open an
 /// endpoint's circuit breaker (>= 1).
-pub const BREAKER_TRIP_ENV: &str = "SUSTAIN_BREAKER_TRIP";
+pub(crate) const BREAKER_TRIP_ENV: &str = "SUSTAIN_BREAKER_TRIP";
 /// Environment variable: multiple of a request's own deadline budget
 /// after which the watchdog force-cancels it (>= 1).
-pub const WATCHDOG_FACTOR_ENV: &str = "SUSTAIN_WATCHDOG_FACTOR";
+pub(crate) const WATCHDOG_FACTOR_ENV: &str = "SUSTAIN_WATCHDOG_FACTOR";
 
 /// Default [`BREAKER_TRIP_ENV`]: three consecutive faults open.
-pub const DEFAULT_BREAKER_TRIP: usize = 3;
-/// Default [`WATCHDOG_FACTOR_ENV`]: cancel at 4x the deadline budget.
+pub(crate) const DEFAULT_BREAKER_TRIP: usize = 3;
+/// Default `WATCHDOG_FACTOR_ENV`: cancel at 4x the deadline budget.
 pub const DEFAULT_WATCHDOG_FACTOR: usize = 4;
 /// Rejections an open breaker serves before admitting a half-open
 /// probe.
@@ -65,7 +65,7 @@ pub const BREAKER_PROBE_AFTER: usize = 2;
 /// Sliding-window 5xx rate at or above which the process reports
 /// `Degraded` (given enough samples; see
 /// [`sustain_telemetry::requests::ERROR_WINDOW_MIN_SAMPLES`]).
-pub const DEGRADED_ERROR_RATE: f64 = 0.5;
+pub(crate) const DEGRADED_ERROR_RATE: f64 = 0.5;
 
 static BREAKER_TRIP: AtomicUsize = AtomicUsize::new(DEFAULT_BREAKER_TRIP);
 static WATCHDOG_FACTOR: AtomicUsize = AtomicUsize::new(DEFAULT_WATCHDOG_FACTOR);
@@ -76,7 +76,7 @@ pub fn breaker_trip() -> usize {
 }
 
 /// Sets the breaker trip threshold; rejects 0 with a typed error.
-pub fn try_set_breaker_trip(n: usize) -> Result<(), ConfigError> {
+pub(crate) fn try_set_breaker_trip(n: usize) -> Result<(), ConfigError> {
     if n == 0 {
         return Err(ConfigError::new(
             "health",
@@ -89,7 +89,7 @@ pub fn try_set_breaker_trip(n: usize) -> Result<(), ConfigError> {
 }
 
 /// Watchdog hard-deadline multiple (process-wide knob).
-pub fn watchdog_factor() -> usize {
+pub(crate) fn watchdog_factor() -> usize {
     WATCHDOG_FACTOR.load(Ordering::Relaxed)
 }
 
@@ -106,8 +106,8 @@ pub fn try_set_watchdog_factor(n: usize) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Strict startup parsing of [`BREAKER_TRIP_ENV`] and
-/// [`WATCHDOG_FACTOR_ENV`]: absent keeps the defaults, invalid is a
+/// Strict startup parsing of `BREAKER_TRIP_ENV` and
+/// `WATCHDOG_FACTOR_ENV`: absent keeps the defaults, invalid is a
 /// typed error naming the variable — never a silent fallback.
 pub fn init_health_from_env() -> Result<(), ConfigError> {
     if let Some(n) = env_knob_usize(BREAKER_TRIP_ENV)? {
@@ -132,7 +132,7 @@ enum BreakerState {
 
 /// What the breaker decided about one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Closed breaker: run the handler normally.
     Allow,
     /// Half-open probe: run the handler; its outcome recloses or
@@ -144,7 +144,7 @@ pub enum Admission {
 
 /// Per-endpoint circuit breaker.
 #[derive(Debug)]
-pub struct Breaker {
+pub(crate) struct Breaker {
     state: Mutex<BreakerState>,
 }
 
@@ -247,7 +247,7 @@ impl Breaker {
 
 /// Serializable state of one endpoint's breaker (`GET /stats`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct BreakerSnapshot {
+pub(crate) struct BreakerSnapshot {
     /// Endpoint label, e.g. `"POST /run"`.
     pub endpoint: String,
     /// `"closed"`, `"open"`, or `"half_open"`.
@@ -260,7 +260,7 @@ pub struct BreakerSnapshot {
 
 /// The process health verdict reported by `GET /readyz`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcessHealth {
+pub(crate) enum ProcessHealth {
     /// Ready: every breaker closed, windowed error rate acceptable.
     Healthy,
     /// Alive but shedding or failing: a breaker is open/half-open, or
@@ -294,7 +294,7 @@ struct WatchEntry {
 /// The server's shared self-healing state: breakers keyed by endpoint
 /// label, the watchdog registry, and transition counters.
 #[derive(Default)]
-pub struct Health {
+pub(crate) struct Health {
     breakers: Mutex<BTreeMap<String, Arc<Breaker>>>,
     watched: Mutex<Vec<WatchEntry>>,
     next_watch_id: AtomicU64,
@@ -315,7 +315,7 @@ impl std::fmt::Debug for Health {
 
 /// Deregisters its watchdog entry on drop, so a request that completes
 /// (or unwinds) is never cancelled after the fact.
-pub struct WatchGuard<'a> {
+pub(crate) struct WatchGuard<'a> {
     health: &'a Health,
     id: u64,
 }
@@ -336,7 +336,7 @@ impl Health {
     /// readiness, stats, and shutdown must stay answerable precisely
     /// when the process is unhealthy, so only the simulation endpoints
     /// are breakable.
-    pub fn guarded(endpoint: &str) -> bool {
+    pub(crate) fn guarded(endpoint: &str) -> bool {
         matches!(endpoint, "POST /run" | "POST /sweep")
     }
 
@@ -353,7 +353,7 @@ impl Health {
     }
 
     /// Breaker admission for one request; counts rejections.
-    pub fn admit(&self, endpoint: &str) -> Admission {
+    pub(crate) fn admit(&self, endpoint: &str) -> Admission {
         if !Health::guarded(endpoint) {
             return Admission::Allow;
         }
@@ -383,7 +383,11 @@ impl Health {
     /// `budget`, the request is force-cancelled once it has run for
     /// [`watchdog_factor`] × that budget; without one it is only
     /// cancellable via [`Health::cancel_inflight`] (shutdown).
-    pub fn watch<'a>(&'a self, token: &CancelToken, budget: Option<Duration>) -> WatchGuard<'a> {
+    pub(crate) fn watch<'a>(
+        &'a self,
+        token: &CancelToken,
+        budget: Option<Duration>,
+    ) -> WatchGuard<'a> {
         let id = self.next_watch_id.fetch_add(1, Ordering::Relaxed);
         let expires_at = budget.map(|b| Instant::now() + b * watchdog_factor() as u32);
         lock_unpoisoned(&self.watched).push(WatchEntry {
@@ -398,7 +402,7 @@ impl Health {
     /// One watchdog pass: cancels (and drops) every watched request
     /// past its hard deadline. Called periodically by the server's
     /// watchdog thread; safe to call from anywhere.
-    pub fn scan_watchdog(&self) {
+    pub(crate) fn scan_watchdog(&self) {
         let now = Instant::now();
         let mut watched = lock_unpoisoned(&self.watched);
         watched.retain(|e| match e.expires_at {
@@ -417,14 +421,14 @@ impl Health {
 
     /// Cancels every watched in-flight request (server shutdown). Not
     /// counted as watchdog cancels.
-    pub fn cancel_inflight(&self, reason: &str) {
+    pub(crate) fn cancel_inflight(&self, reason: &str) {
         for entry in lock_unpoisoned(&self.watched).iter() {
             entry.token.cancel(reason);
         }
     }
 
     /// Whether every breaker is currently closed.
-    pub fn all_breakers_closed(&self) -> bool {
+    pub(crate) fn all_breakers_closed(&self) -> bool {
         lock_unpoisoned(&self.breakers)
             .values()
             .all(|b| b.is_closed())
@@ -432,7 +436,7 @@ impl Health {
 
     /// Folds drain state, breakers, and the sliding error window into
     /// the process health verdict.
-    pub fn process_health(&self, draining: bool, window: &WindowStats) -> ProcessHealth {
+    pub(crate) fn process_health(&self, draining: bool, window: &WindowStats) -> ProcessHealth {
         if draining {
             return ProcessHealth::Draining;
         }
@@ -462,7 +466,7 @@ impl Health {
 
 /// Body of the `self_healing` field of `GET /stats`.
 #[derive(Debug, Clone, Serialize)]
-pub struct SelfHealingSnapshot {
+pub(crate) struct SelfHealingSnapshot {
     /// Process-wide retry/heal/quarantine counters (the sweep layer).
     pub retry: RetryStats,
     /// Breaker transitions closed → open.

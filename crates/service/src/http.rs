@@ -14,10 +14,10 @@ use std::time::Duration;
 use sustain_sim_core::ctl::Deadline;
 
 /// Hard cap on the request head (request line + headers).
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Hard cap on a request body.
-pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// Granularity of the socket read timeout used to poll an idle-read
 /// [`Deadline`]: small enough that a fired deadline is noticed
@@ -27,7 +27,7 @@ const READ_SLICE: Duration = Duration::from_millis(100);
 
 /// One parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, uppercased as received (`GET`, `POST`, …).
     pub method: String,
     /// Request path (query strings are kept verbatim; the API routes on
@@ -44,7 +44,7 @@ pub struct Request {
 /// Why a request could not be parsed. Every variant maps to a 4xx
 /// response; the connection is closed afterwards either way.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The request line or headers were malformed or over the size cap.
     BadRequest(String),
     /// The declared body length exceeded [`MAX_BODY_BYTES`].
@@ -114,7 +114,7 @@ fn read_some(
 /// can discard the response before the peer reads it — so signal EOF
 /// with a write-side shutdown, then read until the peer closes (or a
 /// short timeout for peers that never do).
-pub fn drain_unread(stream: &mut TcpStream) {
+pub(crate) fn drain_unread(stream: &mut TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.shutdown(std::net::Shutdown::Write);
     let mut sink = [0u8; 1024];
@@ -135,7 +135,7 @@ pub fn drain_unread(stream: &mut TcpStream) {
 /// typed [`HttpError::Timeout`] once the deadline fires, so one silent
 /// connection can never pin a worker forever. `None` preserves plain
 /// blocking reads.
-pub fn read_request(
+pub(crate) fn read_request(
     stream: &mut TcpStream,
     read_deadline: Option<Deadline>,
 ) -> Result<Request, HttpError> {
@@ -266,14 +266,18 @@ pub fn reason(status: u16) -> &'static str {
 /// Writes one JSON response and flushes; the connection is then done
 /// (`Connection: close`). Write failures are returned so the caller can
 /// count them, but there is nothing more to do for this peer.
-pub fn write_json_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
+pub(crate) fn write_json_response(
+    stream: &mut TcpStream,
+    status: u16,
+    body: &str,
+) -> std::io::Result<()> {
     write_json_response_with_headers(stream, status, body, &[])
 }
 
 /// [`write_json_response`] with extra response headers (e.g. a
 /// deterministic `ETag`) spliced in before the blank line. A `304`
 /// carries no body per RFC 9110, whatever `body` the caller passed.
-pub fn write_json_response_with_headers(
+pub(crate) fn write_json_response_with_headers(
     stream: &mut TcpStream,
     status: u16,
     body: &str,

@@ -47,12 +47,6 @@ pub mod http;
 pub mod server;
 pub mod signal;
 
-pub use api::{
-    run_body, run_body_with_ctl, run_etag, sweep_body, sweep_body_with_ctl, RunRequest,
-    SweepRequest,
-};
-pub use health::{
-    init_health_from_env, Health, ProcessHealth, SelfHealingSnapshot, BREAKER_TRIP_ENV,
-    WATCHDOG_FACTOR_ENV,
-};
-pub use server::{serve, ReadyBody, ServeOptions, ServerHandle, StatsBody};
+pub use api::{run_body, run_etag, sweep_body, sweep_body_with_ctl, RunRequest, SweepRequest};
+pub use health::init_health_from_env;
+pub use server::{serve, ServeOptions, ServerHandle};

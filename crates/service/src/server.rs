@@ -98,7 +98,7 @@ impl Default for ServeOptions {
 /// Body of `GET /stats`: a point-in-time snapshot of the shared
 /// simulation infrastructure plus the service's own request counters.
 #[derive(Debug, Clone, Serialize)]
-pub struct StatsBody {
+pub(crate) struct StatsBody {
     /// Worker threads in the pool.
     pub workers: usize,
     /// Configured process thread count (the shared budget ceiling).
@@ -127,7 +127,7 @@ pub struct StatsBody {
 /// Body of `GET /readyz`: the process health verdict plus the inputs it
 /// was derived from.
 #[derive(Debug, Clone, Serialize)]
-pub struct ReadyBody {
+pub(crate) struct ReadyBody {
     /// `healthy`, `degraded`, or `draining` (non-`healthy` is a 503).
     pub status: String,
     /// Sliding-window request outcomes feeding the verdict.

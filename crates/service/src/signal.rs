@@ -20,7 +20,8 @@ pub fn triggered() -> bool {
 
 /// Test/embedding hook: latch the flag programmatically, exactly as a
 /// signal would.
-pub fn trigger() {
+#[cfg(test)]
+pub(crate) fn trigger() {
     TRIGGERED.store(true, Ordering::SeqCst);
 }
 

@@ -106,7 +106,8 @@ impl Deadline {
     }
 
     /// Time left before the deadline (zero once expired).
-    pub fn remaining(&self) -> Duration {
+    #[cfg(test)]
+    pub(crate) fn remaining(&self) -> Duration {
         self.at.saturating_duration_since(Instant::now())
     }
 
@@ -143,11 +144,6 @@ impl RunCtl {
     pub fn with_deadline(mut self, deadline: Deadline) -> RunCtl {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// True when neither a token nor a deadline is attached.
-    pub fn is_unlimited(&self) -> bool {
-        self.token.is_none() && self.deadline.is_none()
     }
 
     /// Returns the reason work should stop, if any: an explicit
@@ -207,7 +203,6 @@ mod tests {
     #[test]
     fn unlimited_ctl_never_cancels() {
         let ctl = RunCtl::unlimited();
-        assert!(ctl.is_unlimited());
         assert!(ctl.check(SimTime::from_hours(5.0)).is_ok());
         assert_eq!(ctl.cancelled_reason(), None);
     }

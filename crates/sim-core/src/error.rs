@@ -128,7 +128,7 @@ pub enum SimError {
 /// | `Cancelled`    | `NeverRetry` | A deliberate stop (shutdown, deadline); retrying |
 /// |                |              | would defy the operator or the budget            |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Transience {
+pub(crate) enum Transience {
     /// A re-execution may succeed: the failure is environmental, not a
     /// property of the input.
     Transient,
@@ -153,7 +153,7 @@ impl SimError {
     /// The match is deliberately exhaustive — no wildcard arm — so
     /// adding a `SimError` variant without deciding its transience is a
     /// compile error here, not a silent misclassification at runtime.
-    pub fn transience(&self) -> Transience {
+    pub(crate) fn transience(&self) -> Transience {
         match self {
             SimError::Faulted { .. } => Transience::Transient,
             SimError::Config(_) => Transience::Permanent,
@@ -309,7 +309,7 @@ pub fn ensure_ordered(
 /// the variable name) on anything unparseable — `two`, `-1`, `1.5`,
 /// an empty string. Pure so it can be unit-tested without touching the
 /// process environment; [`env_knob_usize`] adds the lookup.
-pub fn parse_env_usize(name: &str, raw: &str) -> Result<usize, ConfigError> {
+pub(crate) fn parse_env_usize(name: &str, raw: &str) -> Result<usize, ConfigError> {
     raw.trim().parse::<usize>().map_err(|_| {
         ConfigError::new(
             "env",

@@ -116,32 +116,21 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// The firing time of the earliest pending (non-cancelled) event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Purge cancelled heads so the peek is accurate.
-        while let Some(s) = self.heap.peek() {
-            if !self.cancelled.contains(&s.seq) {
-                return Some(s.time);
-            }
-            if let Some(s) = self.heap.pop() {
-                self.cancelled.remove(&s.seq);
-            }
-        }
-        None
-    }
-
     /// Number of live (scheduled, not yet fired or cancelled) entries.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.pending.len()
     }
 
     /// `true` if no live events remain.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Drops every pending event.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
         self.pending.clear();
         self.cancelled.clear();
@@ -194,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_secs(1.0), "a");
-        q.schedule(SimTime::from_secs(4.0), "b");
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4.0)));
-    }
-
-    #[test]
     fn len_and_clear() {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_secs(1.0), 1);
@@ -231,7 +211,6 @@ mod tests {
     fn interleaved_schedule_and_pop_stays_ordered() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10.0), "late");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(10.0)));
         q.schedule(SimTime::from_secs(1.0), "early");
         let (t, e) = q.pop().unwrap();
         assert_eq!((t, e), (SimTime::from_secs(1.0), "early"));

@@ -4,7 +4,7 @@
 //! builds via the [`faultpoint!`] macro. Each site is default-off: the
 //! fast path is one relaxed atomic load of a process-wide `ARMED` flag,
 //! so un-armed sites cost nothing measurable. Sites are armed through
-//! the [`FAULTS_ENV`] environment variable (or programmatically via
+//! the `FAULTS_ENV` environment variable (or programmatically via
 //! [`arm`] in tests) with a spec of the form
 //!
 //! ```text
@@ -20,7 +20,7 @@
 //! * `trigger` — `N` (a 1-based hit ordinal: fire on exactly the Nth
 //!   time the site is reached) or `pF` (fire each hit with probability
 //!   `F` in `(0, 1]`, drawn from an [`RngStream`] seeded by
-//!   [`FAULTS_SEED_ENV`], default 0 — deterministic across runs).
+//!   `FAULTS_SEED_ENV`, default 0 — deterministic across runs).
 //!
 //! Injection is observable: [`hit_count`] / [`fired_count`] report how
 //! often a site was reached / actually fired, so chaos tests can assert
@@ -34,12 +34,12 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Environment variable holding the fault spec (see module docs).
-pub const FAULTS_ENV: &str = "SUSTAIN_FAULTS";
+pub(crate) const FAULTS_ENV: &str = "SUSTAIN_FAULTS";
 /// Environment variable seeding probabilistic triggers (default 0).
-pub const FAULTS_SEED_ENV: &str = "SUSTAIN_FAULTS_SEED";
+pub(crate) const FAULTS_SEED_ENV: &str = "SUSTAIN_FAULTS_SEED";
 
 /// How long `delay`-mode faults sleep when they fire.
-pub const DELAY_MODE_SLEEP: Duration = Duration::from_millis(50);
+pub(crate) const DELAY_MODE_SLEEP: Duration = Duration::from_millis(50);
 
 /// An injected fault surfaced as a typed error by a fallible site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -215,7 +215,7 @@ pub fn disarm() {
     *guard = None;
 }
 
-/// Strictly applies [`FAULTS_ENV`] (seeded by [`FAULTS_SEED_ENV`],
+/// Strictly applies `FAULTS_ENV` (seeded by `FAULTS_SEED_ENV`,
 /// default 0) if set; returns the number of sites armed, `None` when
 /// the variable is unset, and a typed [`ConfigError`] on a malformed
 /// spec or seed — a fault plan the operator *tried* to set and got

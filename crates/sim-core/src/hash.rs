@@ -43,9 +43,9 @@ impl Default for CanonicalHasher {
 
 impl CanonicalHasher {
     /// FNV-1a-64 offset basis.
-    pub const OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+    pub(crate) const OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
     /// FNV-1a-64 prime.
-    pub const PRIME: u64 = 0x0000_0100_0000_01B3;
+    pub(crate) const PRIME: u64 = 0x0000_0100_0000_01B3;
 
     /// Start a new hash at the FNV offset basis.
     pub fn new() -> CanonicalHasher {
@@ -56,7 +56,7 @@ impl CanonicalHasher {
 
     /// Mix raw bytes (no length prefix — callers that need framing use
     /// [`write_str`](Self::write_str) / [`write_len`](Self::write_len)).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(Self::PRIME);
@@ -92,7 +92,7 @@ impl CanonicalHasher {
 
     /// Mix a collection length prefix (alias for
     /// [`write_usize`](Self::write_usize), named for intent).
-    pub fn write_len(&mut self, len: usize) {
+    pub(crate) fn write_len(&mut self, len: usize) {
         self.write_usize(len);
     }
 

@@ -13,7 +13,6 @@
 //! * [`hash`] — content-addressed canonical hashing of config inputs;
 //! * [`faults`] — the default-off deterministic fault-injection registry;
 //! * [`event`] — a deterministic future-event list;
-//! * [`engine`] — a generic discrete-event simulation driver;
 //! * [`retry`] — deterministic bounded-backoff retry over transient faults;
 //! * [`rng`] — reproducible random streams with named sub-stream derivation;
 //! * [`stats`] — streaming/batch statistics, correlation, error metrics;
@@ -32,7 +31,6 @@
 
 pub mod cache;
 pub mod ctl;
-pub mod engine;
 pub mod error;
 pub mod event;
 pub mod faults;
@@ -46,10 +44,8 @@ pub mod units;
 
 pub use cache::{CacheStats, LruCache};
 pub use ctl::{CancelToken, Deadline, RunCtl};
-pub use engine::{Ctx, Engine, Process, RunOutcome};
-pub use error::{ConfigError, SimError, Transience, Validate};
+pub use error::{ConfigError, SimError, Validate};
 pub use event::{EventId, EventQueue};
-pub use faults::FaultError;
 pub use hash::{CanonicalHash, CanonicalHasher};
 pub use retry::{RetryPolicy, RetryStats};
 pub use rng::RngStream;

@@ -1,7 +1,7 @@
 //! Deterministic retry with bounded exponential backoff.
 //!
 //! The recovery half of the fault model (DESIGN.md §11): work that
-//! fails with a [`Transience::Transient`] error is re-executed up to a
+//! fails with a `Transience::Transient` error is re-executed up to a
 //! bounded number of attempts, with an exponential backoff whose jitter
 //! is derived from the work's own seed via [`RngStream::derive`] — the
 //! same machinery that makes every simulation reproducible — so retry
@@ -15,7 +15,7 @@
 //! environmental fault is allowed to waste the whole run.
 //!
 //! Policy knobs are process-wide and strictly parsed
-//! ([`RETRY_MAX_ENV`], [`RETRY_BACKOFF_ENV`]); counters
+//! (`RETRY_MAX_ENV`, `RETRY_BACKOFF_ENV`); counters
 //! ([`RetryStats`]) are surfaced through `GET /stats` and the CLI
 //! `--stats` flag next to the cache counters.
 
@@ -29,15 +29,15 @@ use std::time::Duration;
 
 /// Environment variable bounding attempts per unit of work (>= 1;
 /// 1 disables retry entirely).
-pub const RETRY_MAX_ENV: &str = "SUSTAIN_RETRY_MAX";
+pub(crate) const RETRY_MAX_ENV: &str = "SUSTAIN_RETRY_MAX";
 /// Environment variable setting the base backoff in milliseconds
 /// (0 disables sleeping between attempts — useful under test).
-pub const RETRY_BACKOFF_ENV: &str = "SUSTAIN_RETRY_BACKOFF_MS";
+pub(crate) const RETRY_BACKOFF_ENV: &str = "SUSTAIN_RETRY_BACKOFF_MS";
 
 /// Default attempt bound when [`RETRY_MAX_ENV`] is unset.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 3;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: usize = 3;
 /// Default base backoff when [`RETRY_BACKOFF_ENV`] is unset.
-pub const DEFAULT_BACKOFF_MS: u64 = 25;
+pub(crate) const DEFAULT_BACKOFF_MS: u64 = 25;
 /// Hard ceiling on a single backoff sleep, whatever the base.
 pub const BACKOFF_CAP_MS: u64 = 2_000;
 
@@ -56,7 +56,7 @@ pub fn base_backoff_ms() -> u64 {
 
 /// Sets the process-wide attempt bound. Zero is rejected: an attempt
 /// budget of 0 would mean "never run the work at all".
-pub fn try_set_max_attempts(n: usize) -> Result<(), ConfigError> {
+pub(crate) fn try_set_max_attempts(n: usize) -> Result<(), ConfigError> {
     if n == 0 {
         return Err(ConfigError::new(
             "env",
@@ -69,11 +69,11 @@ pub fn try_set_max_attempts(n: usize) -> Result<(), ConfigError> {
 }
 
 /// Sets the process-wide base backoff (milliseconds; 0 = no sleeping).
-pub fn set_base_backoff_ms(ms: u64) {
+pub(crate) fn set_base_backoff_ms(ms: u64) {
     BACKOFF_MS.store(ms, Ordering::Relaxed);
 }
 
-/// Strictly applies [`RETRY_MAX_ENV`] and [`RETRY_BACKOFF_ENV`] if
+/// Strictly applies `RETRY_MAX_ENV` and `RETRY_BACKOFF_ENV` if
 /// set: unset keeps the defaults, anything unparseable (or a zero
 /// attempt bound) is a typed [`ConfigError`] naming the variable.
 pub fn init_retry_from_env() -> Result<(), ConfigError> {
@@ -115,7 +115,7 @@ impl RetryPolicy {
     }
 
     /// The policy configured by the process-wide knobs
-    /// ([`RETRY_MAX_ENV`] / [`RETRY_BACKOFF_ENV`]).
+    /// (`RETRY_MAX_ENV` / `RETRY_BACKOFF_ENV`).
     pub fn from_global() -> RetryPolicy {
         RetryPolicy::new(max_attempts(), Duration::from_millis(base_backoff_ms()))
     }
@@ -158,12 +158,12 @@ static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static TOMBSTONE_SKIPS: AtomicU64 = AtomicU64::new(0);
 
 /// Records one re-execution of a transiently-failed unit of work.
-pub fn note_retry() {
+pub(crate) fn note_retry() {
     RETRIES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records a unit of work that succeeded after at least one retry.
-pub fn note_heal() {
+pub(crate) fn note_heal() {
     HEALED.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -200,7 +200,7 @@ pub fn retry_stats() -> RetryStats {
     }
 }
 
-/// Runs `work` under `policy`, re-executing on [`Transience::Transient`]
+/// Runs `work` under `policy`, re-executing on `Transience::Transient`
 /// failures with deterministic backoff, and returns the outcome plus
 /// how many attempts actually executed (0 when a pending cancellation
 /// preempted the first attempt).

@@ -115,12 +115,6 @@ impl RngStream {
         }
     }
 
-    /// Uniform index in `[0, n)`.
-    #[inline]
-    pub fn uniform_usize(&mut self, n: usize) -> usize {
-        self.uniform_u64(n as u64) as usize
-    }
-
     /// Bernoulli trial with success probability `p`.
     #[inline]
     pub fn bernoulli(&mut self, p: f64) -> bool {
@@ -128,7 +122,7 @@ impl RngStream {
     }
 
     /// Standard normal variate (Marsaglia polar method).
-    pub fn normal_std(&mut self) -> f64 {
+    pub(crate) fn normal_std(&mut self) -> f64 {
         loop {
             let u = 2.0 * self.uniform() - 1.0;
             let v = 2.0 * self.uniform() - 1.0;
@@ -159,20 +153,6 @@ impl RngStream {
         -(1.0 - self.uniform()).ln() / rate
     }
 
-    /// Weibull variate with shape `k` and scale `lambda`.
-    #[inline]
-    pub fn weibull(&mut self, k: f64, lambda: f64) -> f64 {
-        debug_assert!(k > 0.0 && lambda > 0.0);
-        lambda * (-(1.0 - self.uniform()).ln()).powf(1.0 / k)
-    }
-
-    /// Pareto variate with minimum `xm` and tail index `alpha`.
-    #[inline]
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
-        debug_assert!(xm > 0.0 && alpha > 0.0);
-        xm / (1.0 - self.uniform()).powf(1.0 / alpha)
-    }
-
     /// Poisson variate (Knuth's algorithm; fine for the small means used in
     /// arrival thinning).
     pub fn poisson(&mut self, mean: f64) -> u64 {
@@ -194,34 +174,6 @@ impl RngStream {
                 return k;
             }
             k += 1;
-        }
-    }
-
-    /// Picks an index according to non-negative `weights`.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty or sums to zero.
-    pub fn weighted_choice(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(
-            !weights.is_empty() && total > 0.0,
-            "weighted_choice requires positive total weight"
-        );
-        let mut x = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(i + 1);
-            items.swap(i, j);
         }
     }
 }
@@ -345,15 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_and_pareto_support() {
-        let mut r = RngStream::new(19);
-        for _ in 0..1000 {
-            assert!(r.weibull(1.5, 3.0) >= 0.0);
-            assert!(r.pareto(2.0, 1.1) >= 2.0);
-        }
-    }
-
-    #[test]
     fn poisson_mean_small_and_large() {
         let mut r = RngStream::new(23);
         let mut s_small = RunningStats::new();
@@ -364,30 +307,6 @@ mod tests {
         }
         assert!((s_small.mean() - 3.0).abs() < 0.1);
         assert!((s_large.mean() - 100.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn weighted_choice_follows_weights() {
-        let mut r = RngStream::new(29);
-        let w = [1.0, 0.0, 3.0];
-        let mut counts = [0u32; 3];
-        for _ in 0..40_000 {
-            counts[r.weighted_choice(&w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = RngStream::new(31);
-        let mut v: Vec<u32> = (0..100).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

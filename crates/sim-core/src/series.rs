@@ -6,7 +6,7 @@
 //! step integration (for energy = ∫power and carbon = ∫CI·P), resampling to
 //! coarser resolutions, and elementwise arithmetic.
 
-use crate::stats::{RunningStats, Summary};
+use crate::stats::RunningStats;
 use crate::time::{SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::sync::OnceLock;
@@ -121,17 +121,6 @@ impl TimeSeries {
         Self::new(start, step, vec![value; n])
     }
 
-    /// Builds a series by sampling `f` at each interval start.
-    pub fn from_fn(
-        start: SimTime,
-        step: SimDuration,
-        n: usize,
-        mut f: impl FnMut(SimTime) -> f64,
-    ) -> Self {
-        let values = (0..n).map(|i| f(start + step * i as f64)).collect();
-        Self::new(start, step, values)
-    }
-
     /// First covered instant.
     pub fn start(&self) -> SimTime {
         self.start
@@ -165,7 +154,8 @@ impl TimeSeries {
     /// Mutable raw sample access. Drops the cumulative index and the
     /// statistics: they are rebuilt from the (possibly modified) samples
     /// on next use.
-    pub fn values_mut(&mut self) -> &mut [f64] {
+    #[cfg(test)]
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         self.cum = OnceLock::new();
         self.stats_memo = OnceLock::new();
         &mut self.values
@@ -212,7 +202,8 @@ impl TimeSeries {
     }
 
     /// Index of the interval containing `t`, or `None` if out of range.
-    pub fn index_of(&self, t: SimTime) -> Option<usize> {
+    #[cfg(test)]
+    fn index_of(&self, t: SimTime) -> Option<usize> {
         if t < self.start || t >= self.end() {
             return None;
         }
@@ -392,7 +383,7 @@ impl TimeSeries {
     ///
     /// # Panics
     /// Panics if `factor == 0`.
-    pub fn downsample_mean(&self, factor: usize) -> TimeSeries {
+    pub(crate) fn downsample_mean(&self, factor: usize) -> TimeSeries {
         assert!(factor > 0, "downsample factor must be positive");
         let values: Vec<f64> = self
             .values
@@ -421,7 +412,7 @@ impl TimeSeries {
 
     /// Streaming statistics over all samples. Computed by one Welford
     /// pass on first call, then served from the memo until
-    /// [`TimeSeries::values_mut`] drops it.
+    /// `TimeSeries::values_mut` drops it.
     pub fn stats(&self) -> RunningStats {
         self.stats_memo
             .get_or_init(|| {
@@ -434,11 +425,6 @@ impl TimeSeries {
             .clone()
     }
 
-    /// Batch summary (percentiles etc.) over all samples.
-    pub fn summary(&self) -> Summary {
-        Summary::of(&self.values)
-    }
-
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f64) -> f64) -> TimeSeries {
         TimeSeries::new(
@@ -448,26 +434,9 @@ impl TimeSeries {
         )
     }
 
-    /// Elementwise combination of two aligned series.
-    ///
-    /// # Panics
-    /// Panics if the series are not aligned (same start, step, length).
-    pub fn zip_with(&self, other: &TimeSeries, f: impl Fn(f64, f64) -> f64) -> TimeSeries {
-        assert!(
-            self.start == other.start && self.step == other.step && self.len() == other.len(),
-            "zip_with requires aligned series"
-        );
-        let values = self
-            .values
-            .iter()
-            .zip(&other.values)
-            .map(|(&a, &b)| f(a, b))
-            .collect();
-        TimeSeries::new(self.start, self.step, values)
-    }
-
     /// Scales every sample by `k`.
-    pub fn scale(&self, k: f64) -> TimeSeries {
+    #[cfg(test)]
+    pub(crate) fn scale(&self, k: f64) -> TimeSeries {
         self.map(|v| v * k)
     }
 
@@ -616,36 +585,16 @@ mod tests {
     }
 
     #[test]
-    fn map_zip_scale() {
+    fn map_and_scale() {
         let a = hourly(vec![1.0, 2.0]);
-        let b = hourly(vec![10.0, 20.0]);
-        let sum = a.zip_with(&b, |x, y| x + y);
-        assert_eq!(sum.values(), &[11.0, 22.0]);
         assert_eq!(a.scale(3.0).values(), &[3.0, 6.0]);
         assert_eq!(a.map(|v| v * v).values(), &[1.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "aligned")]
-    fn zip_with_misaligned_panics() {
-        let a = hourly(vec![1.0]);
-        let b = hourly(vec![1.0, 2.0]);
-        let _ = a.zip_with(&b, |x, _| x);
-    }
-
-    #[test]
-    fn from_fn_samples_interval_starts() {
-        let ts = TimeSeries::from_fn(SimTime::ZERO, SimDuration::from_hours(1.0), 3, |t| {
-            t.as_hours()
-        });
-        assert_eq!(ts.values(), &[0.0, 1.0, 2.0]);
     }
 
     #[test]
     fn stats_and_summary() {
         let ts = hourly(vec![1.0, 2.0, 3.0, 4.0]);
         assert!((ts.stats().mean() - 2.5).abs() < 1e-12);
-        assert_eq!(ts.summary().count, 4);
     }
 
     #[test]

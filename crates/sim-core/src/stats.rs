@@ -2,8 +2,7 @@
 //!
 //! [`RunningStats`] is Welford's online algorithm (numerically stable mean /
 //! variance in one pass); [`Summary`] is a batch snapshot with percentiles;
-//! [`Histogram`] is a fixed-bin counting histogram; plus correlation and
-//! least-squares helpers for the calibration and forecasting code.
+//! plus a text sparkline for terminal output.
 
 use serde::{Deserialize, Serialize};
 
@@ -39,28 +38,9 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Merges another accumulator (parallel Welford / Chan et al.).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
@@ -82,23 +62,9 @@ impl RunningStats {
         }
     }
 
-    /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation (`+inf` when empty).
@@ -111,17 +77,9 @@ impl RunningStats {
         self.max
     }
 
-    /// Coefficient of variation (std dev / mean); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / self.mean().abs()
-        }
-    }
-
     /// Sum of observations.
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.mean() * self.n as f64
     }
 }
@@ -193,7 +151,7 @@ impl Summary {
 ///
 /// # Panics
 /// Panics on an empty slice or a percentile outside `[0, 100]`.
-pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile out of range: {p}");
     if sorted.len() == 1 {
@@ -204,177 +162,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
     sorted[lo] + (sorted[hi] - sorted[lo]) * frac
-}
-
-/// Fixed-bin counting histogram over `[lo, hi)` with out-of-range capture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `lo >= hi` or `bins == 0`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(lo < hi && bins > 0, "invalid histogram bounds");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.bins.len() as f64) as usize;
-            let last = self.bins.len() - 1;
-            self.bins[idx.min(last)] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    pub fn bin(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// Number of bins.
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// `(low_edge, high_edge)` of bin `i`.
-    pub fn bin_bounds(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + i as f64 * w, self.lo + (i + 1) as f64 * w)
-    }
-
-    /// Observations below range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations recorded (including out-of-range).
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Fraction of in-range observations falling in bin `i`.
-    pub fn fraction(&self, i: usize) -> f64 {
-        let in_range = self.count - self.underflow - self.overflow;
-        if in_range == 0 {
-            0.0
-        } else {
-            self.bins[i] as f64 / in_range as f64
-        }
-    }
-}
-
-/// Pearson correlation coefficient of two equal-length samples.
-///
-/// Returns 0 for degenerate inputs (length < 2 or zero variance).
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "pearson requires equal lengths");
-    let n = x.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = x.iter().sum::<f64>() / n as f64;
-    let my = y.iter().sum::<f64>() / n as f64;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = x[i] - mx;
-        let dy = y[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        0.0
-    } else {
-        sxy / (sxx * syy).sqrt()
-    }
-}
-
-/// Ordinary least squares fit `y ≈ slope * x + intercept`.
-///
-/// Returns `(slope, intercept)`. Degenerate inputs give a flat fit through
-/// the mean of `y`.
-pub fn linear_fit(x: &[f64], y: &[f64]) -> (f64, f64) {
-    assert_eq!(x.len(), y.len(), "linear_fit requires equal lengths");
-    let n = x.len();
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let mx = x.iter().sum::<f64>() / n as f64;
-    let my = y.iter().sum::<f64>() / n as f64;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    for i in 0..n {
-        sxy += (x[i] - mx) * (y[i] - my);
-        sxx += (x[i] - mx) * (x[i] - mx);
-    }
-    if sxx == 0.0 {
-        (0.0, my)
-    } else {
-        let slope = sxy / sxx;
-        (slope, my - slope * mx)
-    }
-}
-
-/// Mean absolute percentage error between forecasts and actuals, in percent.
-/// Pairs with `actual == 0` are skipped.
-pub fn mape(actual: &[f64], forecast: &[f64]) -> f64 {
-    assert_eq!(actual.len(), forecast.len());
-    let mut total = 0.0;
-    let mut n = 0u32;
-    for (&a, &f) in actual.iter().zip(forecast) {
-        if a != 0.0 {
-            total += ((a - f) / a).abs();
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        100.0 * total / n as f64
-    }
-}
-
-/// Root-mean-square error between two equal-length series.
-pub fn rmse(actual: &[f64], forecast: &[f64]) -> f64 {
-    assert_eq!(actual.len(), forecast.len());
-    if actual.is_empty() {
-        return 0.0;
-    }
-    let se: f64 = actual
-        .iter()
-        .zip(forecast)
-        .map(|(a, f)| (a - f) * (a - f))
-        .sum();
-    (se / actual.len() as f64).sqrt()
 }
 
 /// Renders a unicode sparkline of a sample (8 block levels). Handy for
@@ -420,44 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_single_pass() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = RunningStats::new();
-        for &x in &all {
-            whole.push(x);
-        }
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        for &x in &all[..37] {
-            a.push(x);
-        }
-        for &x in &all[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = RunningStats::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&RunningStats::new());
-        assert_eq!(a.count(), before.count());
-        assert_eq!(a.mean(), before.mean());
-        let mut empty = RunningStats::new();
-        empty.merge(&before);
-        assert_eq!(empty.count(), 2);
-        assert_eq!(empty.mean(), before.mean());
-    }
-
-    #[test]
     fn percentiles_interpolate() {
         let sorted = [1.0, 2.0, 3.0, 4.0, 5.0];
         assert_eq!(percentile_sorted(&sorted, 0.0), 1.0);
@@ -487,46 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..10 {
-            h.record(i as f64 + 0.5);
-        }
-        h.record(-1.0);
-        h.record(10.0);
-        h.record(25.0);
-        assert_eq!(h.count(), 13);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        for i in 0..10 {
-            assert_eq!(h.bin(i), 1, "bin {i}");
-            let (lo, hi) = h.bin_bounds(i);
-            assert!((lo - i as f64).abs() < 1e-12);
-            assert!((hi - (i + 1) as f64).abs() < 1e-12);
-        }
-        assert!((h.fraction(0) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y: Vec<f64> = x.iter().map(|v| 2.0 * v + 1.0).collect();
-        let z: Vec<f64> = x.iter().map(|v| -v).collect();
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        assert!((pearson(&x, &z) + 1.0).abs() < 1e-12);
-        assert_eq!(pearson(&x, &[5.0, 5.0, 5.0, 5.0]), 0.0);
-    }
-
-    #[test]
-    fn linear_fit_recovers_line() {
-        let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 3.0 * v - 7.0).collect();
-        let (slope, intercept) = linear_fit(&x, &y);
-        assert!((slope - 3.0).abs() < 1e-9);
-        assert!((intercept + 7.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sparkline_shape() {
         assert_eq!(sparkline(&[]), "");
         let s = sparkline(&[0.0, 1.0]);
@@ -536,15 +245,5 @@ mod tests {
         // Constant input renders without panicking.
         let flat = sparkline(&[5.0; 4]);
         assert_eq!(flat.chars().count(), 4);
-    }
-
-    #[test]
-    fn error_metrics() {
-        let a = [10.0, 20.0, 30.0];
-        let f = [11.0, 18.0, 33.0];
-        assert!((rmse(&a, &f) - (14.0f64 / 3.0).sqrt()).abs() < 1e-9);
-        let expected_mape = 100.0 * (0.1 + 0.1 + 0.1) / 3.0;
-        assert!((mape(&a, &f) - expected_mape).abs() < 1e-9);
-        assert_eq!(mape(&[0.0], &[5.0]), 0.0);
     }
 }

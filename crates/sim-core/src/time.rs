@@ -17,15 +17,13 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// Seconds in one minute.
-pub const MINUTE: f64 = 60.0;
+pub(crate) const MINUTE: f64 = 60.0;
 /// Seconds in one hour.
 pub const HOUR: f64 = 3_600.0;
 /// Seconds in one day.
-pub const DAY: f64 = 86_400.0;
-/// Seconds in one (7-day) week.
-pub const WEEK: f64 = 7.0 * DAY;
+pub(crate) const DAY: f64 = 86_400.0;
 /// Seconds in one (365-day) non-leap year.
-pub const YEAR: f64 = 365.0 * DAY;
+pub(crate) const YEAR: f64 = 365.0 * DAY;
 
 /// A point in simulated time, measured in seconds since the simulation epoch.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
@@ -72,7 +70,8 @@ impl SimTime {
 
     /// Creates a time `d` days after the epoch.
     #[inline]
-    pub fn from_days(d: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_days(d: f64) -> Self {
         Self::from_secs(d * DAY)
     }
 
@@ -102,7 +101,7 @@ impl SimTime {
 
     /// Zero-based day index since the epoch (day 0 is the first day).
     #[inline]
-    pub fn day_index(self) -> u64 {
+    pub(crate) fn day_index(self) -> u64 {
         (self.0 / DAY) as u64
     }
 
@@ -118,15 +117,6 @@ impl SimTime {
     #[inline]
     pub fn is_weekend(self) -> bool {
         self.weekday() >= 5
-    }
-
-    /// Duration elapsed since `earlier`.
-    ///
-    /// # Panics
-    /// Panics if `earlier` is later than `self`.
-    #[inline]
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration::from_secs(self.0 - earlier.0)
     }
 
     /// Saturating subtraction: the duration since `earlier`, or zero if
@@ -235,36 +225,10 @@ impl SimDuration {
         self.0 / DAY
     }
 
-    /// Fractional 365-day years.
-    #[inline]
-    pub fn as_years(self) -> f64 {
-        self.0 / YEAR
-    }
-
     /// `true` if the duration is exactly zero.
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
-    }
-
-    /// The larger of two durations.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The smaller of two durations.
-    #[inline]
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 }
 
@@ -448,7 +412,6 @@ mod tests {
         let t2 = t + d;
         assert_eq!(t2 - t, d);
         assert_eq!(t2 - d, t);
-        assert_eq!(t2.since(t), d);
     }
 
     #[test]
@@ -528,6 +491,5 @@ mod tests {
     #[test]
     fn year_constant_consistency() {
         assert_eq!(SimDuration::from_years(1.0).as_days(), 365.0);
-        assert!((SimDuration::from_years(2.0).as_years() - 2.0).abs() < 1e-12);
     }
 }

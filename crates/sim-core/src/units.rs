@@ -29,7 +29,7 @@ pub struct Carbon(f64);
 pub struct CarbonIntensity(f64);
 
 /// Joules per kWh.
-pub const JOULES_PER_KWH: f64 = 3.6e6;
+pub(crate) const JOULES_PER_KWH: f64 = 3.6e6;
 
 impl Power {
     /// Zero watts.
@@ -80,26 +80,9 @@ impl Power {
 
     /// Clamps into `[lo, hi]`.
     #[inline]
-    pub fn clamp(self, lo: Power, hi: Power) -> Power {
+    #[cfg(test)]
+    pub(crate) fn clamp(self, lo: Power, hi: Power) -> Power {
         Power(self.0.clamp(lo.0, hi.0))
-    }
-
-    /// The larger of two powers.
-    #[inline]
-    pub fn max(self, other: Power) -> Power {
-        Power(self.0.max(other.0))
-    }
-
-    /// The smaller of two powers.
-    #[inline]
-    pub fn min(self, other: Power) -> Power {
-        Power(self.0.min(other.0))
-    }
-
-    /// `true` if exactly zero.
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -118,12 +101,6 @@ impl Energy {
     #[inline]
     pub fn from_kwh(kwh: f64) -> Self {
         Energy(kwh * JOULES_PER_KWH)
-    }
-
-    /// From megawatt-hours.
-    #[inline]
-    pub fn from_mwh(mwh: f64) -> Self {
-        Energy(mwh * 1e3 * JOULES_PER_KWH)
     }
 
     /// In joules.
@@ -197,18 +174,6 @@ impl Carbon {
     #[inline]
     pub fn tons(self) -> f64 {
         self.0 / 1e6
-    }
-
-    /// The larger of two amounts.
-    #[inline]
-    pub fn max(self, other: Carbon) -> Carbon {
-        Carbon(self.0.max(other.0))
-    }
-
-    /// The smaller of two amounts.
-    #[inline]
-    pub fn min(self, other: Carbon) -> Carbon {
-        Carbon(self.0.min(other.0))
     }
 }
 
@@ -419,9 +384,8 @@ mod tests {
     }
 
     #[test]
-    fn mwh_roundtrip() {
-        let e = Energy::from_mwh(1.0);
-        assert!((e.kwh() - 1000.0).abs() < 1e-9);
+    fn mwh_of_kwh() {
+        let e = Energy::from_kwh(1000.0);
         assert!((e.mwh() - 1.0).abs() < 1e-12);
     }
 }

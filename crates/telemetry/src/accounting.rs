@@ -52,14 +52,13 @@ pub fn profile_job(
 ) -> JobCarbonProfile {
     let energy = record.energy();
     let carbon = record.carbon(trace);
-    // Green share: walk segments hour by hour against the detector.
+    // Green share: split each segment at trace-bucket boundaries and
+    // classify every piece by the bucket it lies in.
     let threshold = detector.threshold_for(trace);
     let mut green_energy = 0.0;
     for seg in &record.segments {
         let mut t = seg.start;
         while t < seg.end {
-            // Align sub-windows to trace bucket boundaries so each one is
-            // classified by the bucket it actually lies in.
             let seg_end = trace.bucket_end_after(t).min(seg.end);
             let e = seg.power.for_duration(seg_end - t).kwh();
             if trace.at(t).grams_per_kwh() < threshold {

@@ -65,7 +65,7 @@ impl Carbon500Entry {
     }
 
     /// Carbon attributable to one hour of operation.
-    pub fn hourly_carbon(&self) -> Carbon {
+    pub(crate) fn hourly_carbon(&self) -> Carbon {
         let hours = self.lifetime.as_hours();
         let embodied_per_hour = self.embodied * (1.0 / hours);
         let kwh = self.avg_power_w / 1000.0;

@@ -1,31 +1,10 @@
-//! Serialization of reports and rankings (CSV and JSON).
+//! CSV export of job carbon profiles.
 //!
 //! Operational-data-analytics output must land in tools users already
-//! have; CSV covers spreadsheets and plotting scripts, JSON covers
-//! dashboards.
+//! have; CSV covers spreadsheets and plotting scripts (the profiles
+//! serialize to JSON through serde for dashboards).
 
 use crate::accounting::JobCarbonProfile;
-use crate::carbon500::Carbon500Row;
-use serde::Serialize;
-
-/// Serializes any value to pretty JSON.
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => s,
-        // The Value-based serializer has no failure path for in-memory
-        // values; keep the loud failure in case a backend grows one.
-        Err(e) => panic!("serialize value to JSON: {e}"),
-    }
-}
-
-/// Escapes a CSV field (quotes fields containing separators or quotes).
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
 
 /// Renders job carbon profiles as CSV.
 pub fn profiles_to_csv(profiles: &[JobCarbonProfile]) -> String {
@@ -42,23 +21,6 @@ pub fn profiles_to_csv(profiles: &[JobCarbonProfile]) -> String {
             p.node_seconds,
             p.green_energy_fraction,
             p.effective_ci
-        ));
-    }
-    out
-}
-
-/// Renders Carbon500 rows as CSV.
-pub fn carbon500_to_csv(rows: &[Carbon500Row]) -> String {
-    let mut out =
-        String::from("rank,name,efficiency_gflops_hours_per_kg,hourly_carbon_kg,embodied_share\n");
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{:.3},{:.3},{:.4}\n",
-            r.rank,
-            csv_field(&r.name),
-            r.efficiency,
-            r.hourly_carbon_kg,
-            r.embodied_share
         ));
     }
     out
@@ -94,29 +56,8 @@ mod tests {
 
     #[test]
     fn json_roundtrips() {
-        let json = to_json(&profile());
+        let json = serde_json::to_string_pretty(&profile()).unwrap();
         let back: JobCarbonProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(back, profile());
-    }
-
-    #[test]
-    fn csv_escaping() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a,b"), "\"a,b\"");
-        assert_eq!(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
-    }
-
-    #[test]
-    fn carbon500_csv() {
-        let rows = vec![Carbon500Row {
-            rank: 1,
-            name: "LRZ, Garching".into(),
-            efficiency: 123.4,
-            hourly_carbon_kg: 56.7,
-            embodied_share: 0.8,
-        }];
-        let csv = carbon500_to_csv(&rows);
-        assert!(csv.contains("\"LRZ, Garching\""));
-        assert!(csv.contains("123.400"));
     }
 }

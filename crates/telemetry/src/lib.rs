@@ -1,9 +1,9 @@
 //! # sustain-telemetry
 //!
-//! DCDB-style operational data analytics for carbon (§3.4 of the paper):
-//! a hierarchical sensor tree, per-job/per-user carbon accounting, user-
-//! facing carbon reports with real-world analogies, green-period core-hour
-//! incentives, the Carbon500 ranking (§2.2), and CSV/JSON export.
+//! Carbon accounting for users and sites (§3.4 of the paper): per-job and
+//! per-user carbon accounting from scheduler records, user-facing carbon
+//! reports with real-world analogies, green-period core-hour incentives,
+//! the Carbon500 ranking (§2.2), and CSV/JSON export.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
@@ -13,17 +13,12 @@
 pub mod accounting;
 pub mod carbon500;
 pub mod export;
-pub mod feed;
 pub mod incentive;
-pub mod project;
 pub mod report;
 pub mod requests;
-pub mod sensor;
 
 pub use accounting::{aggregate_by_user, profile_job, site_account, JobCarbonProfile};
 pub use carbon500::{rank, Carbon500Entry, Carbon500Row};
-pub use feed::feed_from_records;
-pub use incentive::{ElasticityModel, IncentiveScheme, JobBill};
-pub use report::{render, to_text, JobReport};
+pub use incentive::{ElasticityModel, IncentiveScheme};
+pub use report::{render, to_text};
 pub use requests::{EndpointSnapshot, RequestLog};
-pub use sensor::{Reading, Sensor, SensorTree};

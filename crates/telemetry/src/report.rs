@@ -11,14 +11,14 @@ use serde::{Deserialize, Serialize};
 use sustain_sim_core::units::Carbon;
 
 /// Average combustion-car emissions, g CO₂e per km (EU fleet average).
-pub const CAR_G_PER_KM: f64 = 120.0;
+pub(crate) const CAR_G_PER_KM: f64 = 120.0;
 
 /// CO₂ sequestered by one tree in one year, kg.
-pub const TREE_KG_PER_YEAR: f64 = 21.0;
+pub(crate) const TREE_KG_PER_YEAR: f64 = 21.0;
 
 /// Reference driving distances for the car analogy (the paper's "between
 /// two regions within a country").
-pub const DRIVES: [(&str, f64); 4] = [
+pub(crate) const DRIVES: [(&str, f64); 4] = [
     ("Munich → Garching", 13.0),
     ("Munich → Nuremberg", 170.0),
     ("Munich → Berlin", 585.0),
@@ -26,18 +26,18 @@ pub const DRIVES: [(&str, f64); 4] = [
 ];
 
 /// Kilometres of average-car driving equivalent to `carbon`.
-pub fn car_km_equivalent(carbon: Carbon) -> f64 {
+pub(crate) fn car_km_equivalent(carbon: Carbon) -> f64 {
     carbon.grams() / CAR_G_PER_KM
 }
 
 /// Tree-years of sequestration equivalent to `carbon`.
-pub fn tree_years_equivalent(carbon: Carbon) -> f64 {
+pub(crate) fn tree_years_equivalent(carbon: Carbon) -> f64 {
     carbon.kg() / TREE_KG_PER_YEAR
 }
 
 /// The longest reference drive not exceeding the carbon's car-km
 /// equivalent, if any.
-pub fn nearest_drive(carbon: Carbon) -> Option<(&'static str, f64)> {
+pub(crate) fn nearest_drive(carbon: Carbon) -> Option<(&'static str, f64)> {
     let km = car_km_equivalent(carbon);
     DRIVES.iter().rfind(|(_, d)| *d <= km).copied()
 }
@@ -198,7 +198,7 @@ mod tests {
         use sustain_sim_core::units::Energy;
         let site = SiteAccount {
             jobs: 42,
-            energy: Energy::from_mwh(3.5),
+            energy: Energy::from_kwh(3500.0),
             carbon: Carbon::from_tons(1.2),
             green_energy_fraction: 0.31,
         };

@@ -21,18 +21,18 @@ use std::sync::Arc;
 /// Capacity of the sliding error window: the readiness state machine
 /// judges the last this-many requests, not lifetime totals, so a burst
 /// of faults degrades the process and a burst of successes heals it.
-pub const ERROR_WINDOW: usize = 64;
+pub(crate) const ERROR_WINDOW: usize = 64;
 
 /// Fewest window samples before an error *rate* is meaningful; below
 /// this the window reports a zero rate rather than letting one early
 /// fault read as "100 % failing".
 pub const ERROR_WINDOW_MIN_SAMPLES: usize = 8;
 
-/// Snapshot of the sliding error window: the last [`ERROR_WINDOW`]
+/// Snapshot of the sliding error window: the last `ERROR_WINDOW`
 /// requests and how many of them were 5xx.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WindowStats {
-    /// Requests currently in the window (saturates at [`ERROR_WINDOW`]).
+    /// Requests currently in the window (saturates at `ERROR_WINDOW`).
     pub samples: u64,
     /// 5xx responses among them.
     pub errors_5xx: u64,
@@ -53,13 +53,13 @@ impl WindowStats {
 /// buckets; a final unbounded bucket catches everything slower. The
 /// spacing is roughly geometric: sub-millisecond health checks land in
 /// the first buckets, multi-second scenario runs in the last.
-pub const LATENCY_BUCKET_BOUNDS_US: [u64; 12] = [
+pub(crate) const LATENCY_BUCKET_BOUNDS_US: [u64; 12] = [
     250, 500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 1_000_000, 5_000_000,
 ];
 
 /// Number of histogram buckets (the bounds above plus the overflow
 /// bucket).
-pub const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
+pub(crate) const LATENCY_BUCKETS: usize = LATENCY_BUCKET_BOUNDS_US.len() + 1;
 
 /// Live (atomic) counters for one endpoint.
 #[derive(Debug, Default)]

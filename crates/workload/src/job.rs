@@ -99,7 +99,7 @@ impl Job {
     /// Over-allocated nodes beyond [`Job::efficient_nodes`] contribute no
     /// speedup — they idle (and still burn power), which is precisely the
     /// waste §3.4 describes.
-    pub fn runtime_at(&self, nodes: u32) -> SimDuration {
+    pub(crate) fn runtime_at(&self, nodes: u32) -> SimDuration {
         assert!(nodes > 0, "runtime on zero nodes");
         let useful = nodes.min(self.efficient_nodes).max(1);
         SimDuration::from_secs(self.work / self.speedup.speedup(useful))
@@ -115,13 +115,9 @@ impl Job {
         self.power_per_node * nodes as f64
     }
 
-    /// Node-seconds consumed at an allocation (for accounting).
-    pub fn node_seconds_at(&self, nodes: u32) -> f64 {
-        nodes as f64 * self.runtime_at(nodes).as_secs()
-    }
-
     /// Over-allocation factor: requested / efficient (1.0 = right-sized).
-    pub fn overallocation_factor(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn overallocation_factor(&self) -> f64 {
         self.requested_nodes as f64 / self.efficient_nodes.max(1) as f64
     }
 
@@ -258,9 +254,6 @@ mod tests {
         // Runtime at the requested 16 nodes equals runtime at 4 nodes.
         assert_eq!(j.runtime_at(16), j.runtime_at(4));
         assert_eq!(j.overallocation_factor(), 4.0);
-        // It still burns 16 nodes' worth of node-seconds.
-        assert!((j.node_seconds_at(16) - 16.0 * 3600.0).abs() < 1e-6);
-        assert!((j.node_seconds_at(4) - 4.0 * 3600.0).abs() < 1e-6);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! very short phases yield less saving — the central design trade-off of
 //! such runtimes.
 
-use crate::speedup::SpeedupModel;
 use serde::{Deserialize, Serialize};
 use sustain_sim_core::rng::RngStream;
 use sustain_sim_core::time::SimDuration;
@@ -42,7 +41,8 @@ impl Phase {
     }
 
     /// `true` for communication phases.
-    pub fn is_communication(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_communication(&self) -> bool {
         matches!(self, Phase::Communication { .. })
     }
 }
@@ -181,7 +181,8 @@ pub fn synth_phases(
 }
 
 /// Communication fraction of a phase list (by nominal time).
-pub fn communication_fraction(phases: &[Phase]) -> f64 {
+#[cfg(test)]
+pub(crate) fn communication_fraction(phases: &[Phase]) -> f64 {
     let total: f64 = phases.iter().map(Phase::seconds).sum();
     if total == 0.0 {
         return 0.0;
@@ -192,15 +193,6 @@ pub fn communication_fraction(phases: &[Phase]) -> f64 {
         .map(Phase::seconds)
         .sum();
     comm / total
-}
-
-/// Derived slowdown-model view: how an app's sensitivity to frequency
-/// relates to its speedup model (communication-bound apps have worse
-/// parallel efficiency too). Used by consistency tests.
-pub fn equivalent_speedup_model(communication_fraction: f64) -> SpeedupModel {
-    SpeedupModel::Communication {
-        overhead: communication_fraction * 0.02,
-    }
 }
 
 #[cfg(test)]
@@ -315,12 +307,6 @@ mod tests {
         let a = synth_phases(50, 5.0, 0.2, 9);
         let b = synth_phases(50, 5.0, 0.2, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn equivalent_speedup_model_is_communicationlike() {
-        let m = equivalent_speedup_model(0.5);
-        assert!(m.speedup(64) < 64.0);
     }
 
     #[test]

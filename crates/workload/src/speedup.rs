@@ -59,18 +59,6 @@ impl SpeedupModel {
     pub fn efficiency(&self, nodes: u32) -> f64 {
         self.speedup(nodes) / nodes as f64
     }
-
-    /// The smallest node count whose efficiency still meets
-    /// `min_efficiency`, searching `1..=max_nodes` from above. Returns the
-    /// largest efficient allocation (the "right-size" for §3.4 studies).
-    pub fn max_efficient_nodes(&self, max_nodes: u32, min_efficiency: f64) -> u32 {
-        for n in (1..=max_nodes).rev() {
-            if self.efficiency(n) >= min_efficiency {
-                return n;
-            }
-        }
-        1
-    }
 }
 
 #[cfg(test)]
@@ -142,20 +130,6 @@ mod tests {
                 last = s;
             }
         }
-    }
-
-    #[test]
-    fn max_efficient_nodes_respects_threshold() {
-        let m = SpeedupModel::Amdahl {
-            serial_fraction: 0.05,
-        };
-        let n = m.max_efficient_nodes(128, 0.5);
-        assert!(m.efficiency(n) >= 0.5);
-        if n < 128 {
-            assert!(m.efficiency(n + 1) < 0.5);
-        }
-        // Ideal scaling: everything is efficient.
-        assert_eq!(SpeedupModel::Linear.max_efficient_nodes(128, 0.99), 128);
     }
 
     #[test]

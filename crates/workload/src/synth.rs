@@ -153,15 +153,6 @@ impl WorkloadConfig {
             ..WorkloadConfig::default()
         }
     }
-
-    /// A malleability-friendly workload for the §3.2 experiments.
-    pub fn malleable_mix(malleable_fraction: f64) -> WorkloadConfig {
-        WorkloadConfig {
-            malleable_fraction,
-            checkpointable_fraction: 0.5,
-            ..WorkloadConfig::default()
-        }
-    }
 }
 
 /// Generates a job trace covering `horizon` with deterministic output for
@@ -274,18 +265,18 @@ pub fn generate(config: &WorkloadConfig, horizon: SimDuration, seed: u64) -> Vec
 /// (see [`WorkloadCache::with_capacity`]). Job sets are the largest
 /// cached artifacts (tens of thousands of jobs for a busy month), so the
 /// bound is tighter than the trace cache's.
-pub const DEFAULT_WORKLOAD_CACHE_CAPACITY: usize = 64;
+pub(crate) const DEFAULT_WORKLOAD_CACHE_CAPACITY: usize = 64;
 
 /// Environment variable overriding the global workload cache capacity.
 /// `0` **disables** the cache entirely (every request regenerates), as
 /// it does for every cache in the workspace.
-pub const WORKLOAD_CACHE_CAP_ENV: &str = "SUSTAIN_WORKLOAD_CACHE_CAP";
+pub(crate) const WORKLOAD_CACHE_CAP_ENV: &str = "SUSTAIN_WORKLOAD_CACHE_CAP";
 
 /// Cache key for a synthesized job set: the canonical fingerprint of the
 /// [`WorkloadConfig`] plus the exact horizon bits and the seed — every
 /// input [`generate`] depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WorkloadKey {
+pub(crate) struct WorkloadKey {
     config_fingerprint: u64,
     horizon_bits: u64,
     seed: u64,
@@ -309,7 +300,7 @@ impl WorkloadKey {
 /// deterministic and the job set is immutable once built, so one
 /// generation can serve the whole sweep as a shared `Arc<Vec<Job>>`.
 ///
-/// Capacity `0` disables caching (see [`WORKLOAD_CACHE_CAP_ENV`]).
+/// Capacity `0` disables caching (see `WORKLOAD_CACHE_CAP_ENV`).
 #[derive(Debug)]
 pub struct WorkloadCache {
     inner: LruCache<WorkloadKey, Arc<Vec<Job>>>,
@@ -323,7 +314,8 @@ impl Default for WorkloadCache {
 
 impl WorkloadCache {
     /// Create an empty cache with the default capacity bound.
-    pub fn new() -> WorkloadCache {
+    #[cfg(test)]
+    pub(crate) fn new() -> WorkloadCache {
         WorkloadCache::default()
     }
 
@@ -335,11 +327,6 @@ impl WorkloadCache {
         WorkloadCache {
             inner: LruCache::with_sizer(capacity, |jobs| jobs.len() * std::mem::size_of::<Job>()),
         }
-    }
-
-    /// Current capacity bound (`0` = caching disabled).
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity()
     }
 
     /// Change the capacity bound. Setting `0` disables the cache and
@@ -378,20 +365,22 @@ impl WorkloadCache {
     }
 
     /// Number of cached job sets.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.len()
     }
 
     /// `true` if nothing is cached.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
 }
 
 /// The process-wide [`WorkloadCache`] used by [`generate_arc`].
 ///
-/// Capacity defaults to [`DEFAULT_WORKLOAD_CACHE_CAPACITY`] and can be
-/// overridden (first use wins) via [`WORKLOAD_CACHE_CAP_ENV`], or changed
+/// Capacity defaults to `DEFAULT_WORKLOAD_CACHE_CAPACITY` and can be
+/// overridden (first use wins) via `WORKLOAD_CACHE_CAP_ENV`, or changed
 /// at runtime with [`WorkloadCache::set_capacity`].
 pub fn global_workload_cache() -> &'static WorkloadCache {
     static CACHE: OnceLock<WorkloadCache> = OnceLock::new();
@@ -416,7 +405,7 @@ pub fn global_workload_cache() -> &'static WorkloadCache {
     })
 }
 
-/// Strictly applies [`WORKLOAD_CACHE_CAP_ENV`] to the process-wide cache
+/// Strictly applies `WORKLOAD_CACHE_CAP_ENV` to the process-wide cache
 /// if set; returns the applied capacity. Boundary code (CLI/service
 /// startup) calls this once so a malformed value becomes a typed
 /// [`ConfigError`] instead of a silently-used default. Safe to call
@@ -547,7 +536,11 @@ mod tests {
 
     #[test]
     fn malleable_mix_produces_malleable_jobs() {
-        let cfg = WorkloadConfig::malleable_mix(0.6);
+        let cfg = WorkloadConfig {
+            malleable_fraction: 0.6,
+            checkpointable_fraction: 0.5,
+            ..WorkloadConfig::default()
+        };
         let jobs = generate(&cfg, SimDuration::from_hours(24.0 * 10.0), 23);
         let malleable = jobs.iter().filter(|j| j.class.is_malleable()).count();
         let frac = malleable as f64 / jobs.len() as f64;

@@ -1,16 +1,12 @@
 //! Integration tests for the extension layers: site lifetime reports,
-//! project budget accounting, the Countdown runtime, seasonal grids,
-//! wafer accounting, and conservative backfilling — exercised through the
+//! the Countdown runtime, seasonal grids, DRAM reuse, and conservative
+//! backfilling — exercised through the
 //! public API end to end.
 
 use sustain_hpc::carbon_model::lifecycle::dram_reuse_into_successor;
-use sustain_hpc::carbon_model::process::{FabProfile, TechnologyNode};
-use sustain_hpc::carbon_model::wafer::WaferSpec;
 use sustain_hpc::core::prelude::*;
 use sustain_hpc::core::{lifetime_report, Site};
 use sustain_hpc::grid::seasonal::{generate_year, monthly_means, SeasonalShape};
-use sustain_hpc::telemetry::incentive::IncentiveScheme;
-use sustain_hpc::telemetry::project::{Project, ProjectLedger};
 use sustain_hpc::workload::phases::{run_phases, synth_phases, CountdownGovernor, CpuFreqModel};
 
 /// Site reports, the §2 dominance claim, and Carbon500 agree on the
@@ -26,49 +22,6 @@ fn site_reports_consistent_with_dominance_claim() {
     // Operational at 85 % utilization + PUE vs 100 % flat: same magnitude.
     assert!(lrz.operational_t > 0.5 * dominance.operational_hydro_t);
     assert!(lrz.operational_t < 1.5 * dominance.operational_hydro_t);
-}
-
-/// Project ledger over a real scheduled week: budgets are conserved and
-/// incentives reward green projects.
-#[test]
-fn project_ledger_end_to_end() {
-    let mut scenario =
-        Scenario::baseline("ledger", RegionProfile::january_2023(Region::Finland), 5);
-    scenario.cluster = Cluster::new(600);
-    let result = run(&scenario);
-    let trace = generate_calibrated(&scenario.region, scenario.days, scenario.seed);
-    let det = GreenDetector::default();
-
-    // Map users to two projects by parity.
-    let mut ledger = ProjectLedger::new(
-        vec![
-            Project {
-                id: 0,
-                allocation_node_hours: 1e9,
-            },
-            Project {
-                id: 1,
-                allocation_node_hours: 1e9,
-            },
-        ],
-        IncentiveScheme::default(),
-    );
-    for rec in &result.outcome.records {
-        ledger.charge(rec.user % 2, rec, &trace, &det).unwrap();
-    }
-    let total_consumed: f64 = ledger.accounts().map(|(_, a)| a.consumed_node_hours).sum();
-    let expected: f64 = result
-        .outcome
-        .records
-        .iter()
-        .map(|r| r.node_seconds() / 3600.0)
-        .sum();
-    assert!((total_consumed - expected).abs() < 1e-6 * expected);
-    // Discounts never increase the bill.
-    for (_, acc) in ledger.accounts() {
-        assert!(acc.charged_node_hours <= acc.consumed_node_hours + 1e-9);
-        assert!(acc.carbon.grams() > 0.0);
-    }
 }
 
 /// Countdown on a scheduled cluster's typical app profile: savings exist
@@ -101,20 +54,6 @@ fn seasonal_structure_visible_in_year() {
     let winter = (means[0].1 + means[11].1) / 2.0;
     let summer = (means[5].1 + means[6].1 + means[7].1) / 3.0;
     assert!(summer < 0.85 * winter, "summer {summer} vs winter {winter}");
-}
-
-/// Wafer accounting agrees with the area model within a factor and
-/// reproduces the A100's die count per wafer.
-#[test]
-fn wafer_model_cross_checks_area_model() {
-    let wafer = WaferSpec::default();
-    let fab = FabProfile::for_node(TechnologyNode::N7);
-    let gross = wafer.gross_dies(8.26);
-    assert!((50..=75).contains(&gross));
-    let via_wafer = wafer.die_carbon_via_wafer(8.26, &fab);
-    let via_area = fab.die_carbon(8.26);
-    assert!(via_wafer > via_area);
-    assert!(via_wafer.kg() < 2.0 * via_area.kg());
 }
 
 /// DDR4→DDR5 reuse is worth a material share of a successor's DRAM

@@ -22,6 +22,7 @@
 
 use serde::{Serialize, Value};
 use std::path::PathBuf;
+use std::sync::Mutex;
 use sustain_hpc::prelude::*;
 use sustain_hpc::scheduler::metrics::SimOutcome;
 use sustain_hpc::scheduler::queue::QueueSet;
@@ -47,8 +48,19 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
+/// Serializes the fair-share scenarios. The oracle toggle is process-
+/// global and tests run concurrently, so without it one scenario's
+/// oracle replay would flip a sibling's production replay into full
+/// resorts, and the sibling could switch the toggle off in the middle
+/// of this scenario's oracle replay.
+static ORACLE_TOGGLE: Mutex<()> = Mutex::new(());
+
 /// Compares (or, under `GOLDEN_REGEN=1`, rewrites) one scenario.
 fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
+    let _guard = cfg
+        .fair_share
+        .is_some()
+        .then(|| ORACLE_TOGGLE.lock().unwrap_or_else(|p| p.into_inner()));
     let got = canonical(&simulate(jobs, cfg));
     let path = golden_path(name);
     if std::env::var("GOLDEN_REGEN").as_deref() == Ok("1") {
@@ -74,10 +86,8 @@ fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
     );
     // Fair-share scenarios additionally replay in full-resort oracle
     // mode: the incremental repositioning and the rebuild-and-sort
-    // reference must land on the same bytes. The toggle is process-
-    // global and tests run concurrently, so a sibling scenario may
-    // momentarily replay in oracle mode too — equally byte-identical,
-    // just slower.
+    // reference must land on the same bytes. `_guard` holds
+    // `ORACLE_TOGGLE` for both replays.
     if cfg.fair_share.is_some() {
         sustain_hpc::scheduler::sim::set_fair_share_oracle_resort(true);
         let got = canonical(&simulate(jobs, cfg));

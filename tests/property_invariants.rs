@@ -1,70 +1,20 @@
 //! Property-based tests (proptest) on the core invariants of every
-//! substrate: budget conservation, scheduler feasibility, time-series
-//! integration bounds, speedup monotonicity, carbon accounting linearity,
-//! and yield-model ranges.
+//! substrate: scheduler feasibility, time-series integration bounds,
+//! speedup monotonicity, carbon accounting linearity, and yield-model
+//! ranges.
 
 use proptest::prelude::*;
 use sustain_hpc::carbon_model::process::{FabProfile, TechnologyNode, YieldModel};
 use sustain_hpc::grid::trace::CarbonTrace;
-use sustain_hpc::power::budget::{check_invariants, divide, BudgetRequest, DivisionPolicy};
-use sustain_hpc::power::node::NodePowerModel;
 use sustain_hpc::scheduler::cluster::Cluster;
 use sustain_hpc::scheduler::sim::{simulate, Policy, SimConfig};
 use sustain_hpc::sim_core::series::TimeSeries;
 use sustain_hpc::sim_core::time::{SimDuration, SimTime};
-use sustain_hpc::sim_core::units::Power;
 use sustain_hpc::workload::job::JobBuilder;
 use sustain_hpc::workload::phases::{run_phases, synth_phases, CountdownGovernor, CpuFreqModel};
 use sustain_hpc::workload::speedup::SpeedupModel;
 
 proptest! {
-    /// Budget division: all three policies conserve the budget, respect
-    /// floors and demands, and are work-conserving — for any feasible
-    /// request set.
-    #[test]
-    fn budget_division_invariants(
-        demands in prop::collection::vec((1.0f64..500.0, 0.0f64..1.0), 1..12),
-        extra in 0.0f64..5000.0,
-        policy_idx in 0usize..3,
-    ) {
-        let requests: Vec<BudgetRequest> = demands
-            .iter()
-            .enumerate()
-            .map(|(i, &(demand, min_frac))| {
-                BudgetRequest::new(
-                    format!("r{i}"),
-                    Power::from_watts(demand * min_frac),
-                    Power::from_watts(demand),
-                )
-                .priority(i as u32 % 3)
-            })
-            .collect();
-        let floor_sum: f64 = requests.iter().map(|r| r.min.watts()).sum();
-        let total = Power::from_watts(floor_sum + extra);
-        let policy = [
-            DivisionPolicy::EqualShare,
-            DivisionPolicy::DemandProportional,
-            DivisionPolicy::PriorityOrder,
-        ][policy_idx];
-        let assigned = divide(total, &requests, policy);
-        check_invariants(total, &requests, &assigned);
-    }
-
-    /// Node cap distribution: for any budget, the assignment stays within
-    /// component ranges and total power stays within the clamped budget.
-    #[test]
-    fn node_distribution_feasible(budget_w in 0.0f64..5000.0) {
-        let node = NodePowerModel::gpu_node();
-        let a = node.distribute(Power::from_watts(budget_w));
-        prop_assert!(a.total_power <= node.max_power() * 1.0001);
-        prop_assert!(a.total_power >= node.min_power() * 0.9999);
-        for (cap, comp) in a.caps.iter().zip(&node.components) {
-            prop_assert!(*cap >= comp.idle * 0.9999);
-            prop_assert!(*cap <= comp.max * 1.0001);
-        }
-        prop_assert!((0.0..=1.0).contains(&a.relative_perf));
-    }
-
     /// Time-series step integration is bounded by min/max times the window
     /// and is additive over adjacent windows.
     #[test]
@@ -241,8 +191,8 @@ proptest! {
         let from = SimTime::from_hours(n * from_frac);
         let to = SimTime::from_hours(n * to_frac);
         let e = sustain_hpc::sim_core::units::Energy::from_kwh(10.0);
-        let c1 = t1.carbon_for_energy(e, from, to).grams();
-        let c2 = t2.carbon_for_energy(e, from, to).grams();
+        let c1 = e.carbon_at(t1.mean_over(from, to)).grams();
+        let c2 = e.carbon_at(t2.mean_over(from, to)).grams();
         prop_assert!((c2 - 2.0 * c1).abs() < 1e-6 * c1.abs().max(1.0));
     }
 
@@ -276,7 +226,7 @@ proptest! {
     }
 
     /// Malleability protocol: an accepted grow offer always shortens the
-    /// projected completion; shrink sizing respects the minimum.
+    /// projected completion.
     #[test]
     fn malleable_decisions_consistent(
         current in 1u32..64,
@@ -285,7 +235,7 @@ proptest! {
         cost_s in 0.0f64..600.0,
         serial in 0.0f64..0.3,
     ) {
-        use sustain_hpc::scheduler::malleable::{evaluate_grow, size_shrink, OfferDecision};
+        use sustain_hpc::scheduler::malleable::{evaluate_grow, OfferDecision};
         let proposed = current + extra;
         let model = SpeedupModel::Amdahl { serial_fraction: serial };
         let cap = 128u32;
@@ -303,11 +253,6 @@ proptest! {
             OfferDecision::Accept => prop_assert!(t_after < t_now),
             OfferDecision::Decline => prop_assert!(t_after >= t_now),
         }
-        // Shrink sizing.
-        let min_alloc = (current / 2).max(1);
-        let shrunk = size_shrink(current, min_alloc, extra);
-        prop_assert!(shrunk >= min_alloc);
-        prop_assert!(shrunk <= current);
     }
 
     /// Seasonal year synthesis: always 8760 hourly samples, all at or

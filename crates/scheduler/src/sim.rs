@@ -481,18 +481,20 @@ type UserSet = std::collections::HashSet<u32, UserBuildHasher>;
 /// dominated. Reads deref to the index slice; every mutation goes
 /// through a method that keeps the arrays in lockstep.
 ///
-/// `need` is maintained for every scheduler: EASY walks scan it
+/// `need` serves the backfilling schedulers: EASY walks scan it
 /// forward ([`PendQueue::next_fit`]) and the conservative plan scans it
-/// backward ([`PendQueue::fit_end`]). FCFS alone maintains it unread.
+/// backward ([`PendQueue::fit_end`]). FCFS never backfills, so it is
+/// maintained only when something reads it (`track_need`). Likewise
 /// `user` and `counts` serve only the fair-share fix-up, so they are
-/// maintained only under fair share (`track_users`) and other
-/// schedulers do not pay for their upkeep.
+/// maintained only under fair share (`track_users`). A scheduler does
+/// not pay for the upkeep of an array it never reads.
 #[derive(Default)]
 struct PendQueue {
     idx: Vec<usize>,
     /// Each entry's minimum allocation (`job.bounds().0`): an entry
     /// with `need > free` cannot start, so backfill skips it in bulk
     /// and the conservative plan stops before a tail of such entries.
+    /// Backfilling schedulers only (`track_need`).
     need: Vec<u32>,
     /// Each entry's user id (fair share only; see above). Makes the
     /// fair-share dirty scan in [`Sim::fixup_pending`] a sequential
@@ -504,6 +506,7 @@ struct PendQueue {
     /// entirely, and a reached count turns the clean suffix into one
     /// bulk `copy_within` instead of a per-element test.
     counts: UserMap<u32>,
+    track_need: bool,
     track_users: bool,
 }
 
@@ -517,7 +520,9 @@ impl std::ops::Deref for PendQueue {
 impl PendQueue {
     fn insert(&mut self, pos: usize, idx: usize, job: &Job) {
         self.idx.insert(pos, idx);
-        self.need.insert(pos, job.bounds().0);
+        if self.track_need {
+            self.need.insert(pos, job.bounds().0);
+        }
         if self.track_users {
             self.user.insert(pos, job.user);
             *self.counts.entry(job.user).or_insert(0) += 1;
@@ -529,7 +534,9 @@ impl PendQueue {
             self.uncount(pos);
             self.user.remove(pos);
         }
-        self.need.remove(pos);
+        if self.track_need {
+            self.need.remove(pos);
+        }
         self.idx.remove(pos)
     }
 
@@ -540,7 +547,9 @@ impl PendQueue {
             }
             self.user.drain(..n);
         }
-        self.need.drain(..n);
+        if self.track_need {
+            self.need.drain(..n);
+        }
         self.idx.drain(..n);
     }
 
@@ -553,7 +562,9 @@ impl PendQueue {
         self.user.clear();
         for i in order {
             self.idx.push(i);
-            self.need.push(jobs[i].bounds().0);
+            if self.track_need {
+                self.need.push(jobs[i].bounds().0);
+            }
             if self.track_users {
                 self.user.push(jobs[i].user);
             }
@@ -566,7 +577,9 @@ impl PendQueue {
     #[inline(always)]
     fn keep(&mut self, write: usize, read: usize) {
         self.idx[write] = self.idx[read];
-        self.need[write] = self.need[read];
+        if self.track_need {
+            self.need[write] = self.need[read];
+        }
         if self.track_users {
             self.user[write] = self.user[read];
         }
@@ -580,7 +593,9 @@ impl PendQueue {
             return;
         }
         self.idx.copy_within(from..to, write);
-        self.need.copy_within(from..to, write);
+        if self.track_need {
+            self.need.copy_within(from..to, write);
+        }
         if self.track_users {
             self.user.copy_within(from..to, write);
         }
@@ -591,6 +606,7 @@ impl PendQueue {
     /// scan over the dense `u32`s, with no `jobs[i]` load per entry.
     #[inline]
     fn next_fit(&self, from: usize, free: u32) -> usize {
+        debug_assert!(self.track_need);
         self.need[from..]
             .iter()
             .position(|&m| m <= free)
@@ -602,6 +618,7 @@ impl PendQueue {
     /// [`PendQueue::next_fit`], for the conservative plan's exit.
     #[inline]
     fn fit_end(&self, end: usize, free: u32) -> usize {
+        debug_assert!(self.track_need);
         self.need[..end]
             .iter()
             .rposition(|&m| m <= free)
@@ -636,7 +653,9 @@ impl PendQueue {
         let len = self.idx.len();
         self.shift(write, read, len);
         self.idx.truncate(write + len - read);
-        self.need.truncate(write + len - read);
+        if self.track_need {
+            self.need.truncate(write + len - read);
+        }
         if self.track_users {
             self.user.truncate(write + len - read);
         }
@@ -815,6 +834,7 @@ impl<'a> Sim<'a> {
             queue: EventQueue::with_capacity(jobs.len() * 2 + 16),
             alloc: Allocation::new(cfg.cluster.nodes),
             pending: PendQueue {
+                track_need: !matches!(cfg.policy, Policy::Fcfs),
                 track_users: cfg.fair_share.is_some(),
                 ..PendQueue::default()
             },
@@ -1130,7 +1150,9 @@ impl<'a> Sim<'a> {
         let clean = q.idx.len();
         let total = clean + moved.len();
         q.idx.resize(total, usize::MAX);
-        q.need.resize(total, 0);
+        if q.track_need {
+            q.need.resize(total, 0);
+        }
         q.user.resize(total, 0);
         let mut src = clean; // clean entries still at [0..src)
         let mut dst = total; // everything at [dst..total) is placed
@@ -1145,13 +1167,17 @@ impl<'a> Sim<'a> {
             let len = src - pos;
             if len > 0 {
                 q.idx.copy_within(pos..src, dst - len);
-                q.need.copy_within(pos..src, dst - len);
+                if q.track_need {
+                    q.need.copy_within(pos..src, dst - len);
+                }
                 q.user.copy_within(pos..src, dst - len);
                 dst -= len;
             }
             dst -= 1;
             q.idx[dst] = m.4;
-            q.need[dst] = self.jobs[m.4].bounds().0;
+            if q.track_need {
+                q.need[dst] = self.jobs[m.4].bounds().0;
+            }
             q.user[dst] = self.jobs[m.4].user;
             src = pos;
         }
@@ -3238,12 +3264,16 @@ mod tests {
         }
     }
 
-    /// The parallel arrays, and under fair share the per-user counts,
-    /// describe exactly the jobs `idx` names.
+    /// The maintained parallel arrays, and under fair share the
+    /// per-user counts, describe exactly the jobs `idx` names.
     fn assert_lockstep(sim: &Sim, users: u32) {
         let q = &sim.pending;
-        let need: Vec<u32> = q.iter().map(|&i| sim.jobs[i].bounds().0).collect();
-        assert_eq!(q.need, need, "`need` out of step with `idx`");
+        if q.track_need {
+            let need: Vec<u32> = q.iter().map(|&i| sim.jobs[i].bounds().0).collect();
+            assert_eq!(q.need, need, "`need` out of step with `idx`");
+        } else {
+            assert!(q.need.is_empty());
+        }
         if q.track_users {
             let user: Vec<u32> = q.iter().map(|&i| sim.jobs[i].user).collect();
             assert_eq!(q.user, user, "`user` out of step with `idx`");
@@ -3286,9 +3316,21 @@ mod tests {
         let plain = SimConfig::easy(Cluster::new(12));
         let mut fs = plain.clone();
         fs.fair_share = Some(FairShareCfg::default());
-        // Plain, fair share, and fair share in the legacy-key regime.
+        let mut fcfs = plain.clone();
+        fcfs.policy = Policy::Fcfs;
+        let mut fcfs_fs = fs.clone();
+        fcfs_fs.policy = Policy::Fcfs;
+        // EASY plain, with fair share, and with fair share in the
+        // legacy-key regime; then FCFS, which maintains no `need`,
+        // without and with fair share.
         let mut work = HotPathStats::default();
-        for (cfg, legacy) in [(&plain, false), (&fs, false), (&fs, true)] {
+        for (cfg, legacy) in [
+            (&plain, false),
+            (&fs, false),
+            (&fs, true),
+            (&fcfs, false),
+            (&fcfs_fs, false),
+        ] {
             for seed in 0..8 {
                 let mut rng = sustain_sim_core::rng::RngStream::new(seed);
                 let mut sim = Sim::new(&jobs, cfg);
@@ -3313,7 +3355,8 @@ mod tests {
                             }
                             sim.pending.drain_front(n);
                         }
-                        3 if !sim.pending.is_empty() => {
+                        // FCFS never backfills.
+                        3 if !sim.pending.is_empty() && sim.pending.track_need => {
                             let head =
                                 sim.pending[rng.uniform_u64(sim.pending.len() as u64) as usize];
                             sim.backfill(head, now);

@@ -16,6 +16,9 @@ use sustain_sim_core::ctl::Deadline;
 /// Hard cap on the request head (request line + headers).
 pub(crate) const MAX_HEAD_BYTES: usize = 16 * 1024;
 
+/// Largest single read while looking for the end of the head.
+const HEAD_CHUNK: usize = 4 * 1024;
+
 /// Hard cap on a request body.
 pub(crate) const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
@@ -148,30 +151,35 @@ pub(crate) fn read_request(
         let _ = stream.set_read_timeout(Some(READ_SLICE));
     }
     let deadline = read_deadline.as_ref();
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Byte-at-a-time until CRLFCRLF: request heads are tiny and this
-    // keeps the parser trivially correct about not consuming body bytes.
+    // Chunked reads until CRLFCRLF, never holding more than the head
+    // cap; bytes that arrived past the terminator are the body's start.
+    let mut buf: Vec<u8> = Vec::with_capacity(HEAD_CHUNK);
+    let mut chunk = [0u8; HEAD_CHUNK];
+    let mut scanned = 0usize;
     let head_end = loop {
-        match read_some(stream, &mut byte, deadline)? {
-            0 => {
-                return Err(HttpError::Incomplete(format!(
-                    "connection closed after {} header bytes",
-                    head.len()
-                )))
-            }
-            _ => head.push(byte[0]),
+        // A terminator may straddle two reads: rescan 3 old bytes.
+        let from = scanned.saturating_sub(3);
+        if let Some(p) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break from + p + 4;
         }
-        if head.ends_with(b"\r\n\r\n") {
-            break head.len();
-        }
-        if head.len() > MAX_HEAD_BYTES {
+        scanned = buf.len();
+        if buf.len() >= MAX_HEAD_BYTES {
             return Err(HttpError::BadRequest(format!(
                 "request head exceeds {MAX_HEAD_BYTES} bytes"
             )));
         }
+        let want = chunk.len().min(MAX_HEAD_BYTES - buf.len());
+        match read_some(stream, &mut chunk[..want], deadline)? {
+            0 => {
+                return Err(HttpError::Incomplete(format!(
+                    "connection closed after {} header bytes",
+                    buf.len()
+                )))
+            }
+            n => buf.extend_from_slice(&chunk[..n]),
+        }
     };
-    let head_text = std::str::from_utf8(&head[..head_end])
+    let head_text = std::str::from_utf8(&buf[..head_end])
         .map_err(|_| HttpError::BadRequest("request head is not UTF-8".into()))?;
     let mut lines = head_text.split("\r\n");
     let request_line = lines
@@ -222,12 +230,17 @@ pub(crate) fn read_request(
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::PayloadTooLarge(content_length));
     }
-    if expects_continue && content_length > 0 {
+    // The body starts with whatever the head reads over-fetched; bytes
+    // past the declared length (a pipelined request) are dropped, as
+    // the connection closes after one response.
+    let mut body = buf.split_off(head_end);
+    body.truncate(content_length);
+    let mut filled = body.len();
+    if expects_continue && filled < content_length {
         // Best-effort: a client that did not wait is fine too.
         let _ = stream.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
     }
-    let mut body = vec![0u8; content_length];
-    let mut filled = 0;
+    body.resize(content_length, 0);
     while filled < content_length {
         match read_some(stream, &mut body[filled..], deadline)? {
             0 => {
@@ -310,12 +323,25 @@ mod tests {
     /// socket (the parser takes `TcpStream`, not a generic reader, to
     /// stay mirror-free with production).
     fn parse_raw(raw: &[u8]) -> Result<Request, HttpError> {
+        parse_raw_in(&[raw])
+    }
+
+    /// [`parse_raw`] with the bytes sent as separate writes a short
+    /// pause apart (Nagle off), so each reaches the parser as a segment
+    /// of its own.
+    fn parse_raw_in(segments: &[&[u8]]) -> Result<Request, HttpError> {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let raw = raw.to_vec();
+        let segments: Vec<Vec<u8>> = segments.iter().map(|s| s.to_vec()).collect();
         let writer = std::thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(&raw).unwrap();
+            s.set_nodelay(true).unwrap();
+            for (i, segment) in segments.iter().enumerate() {
+                if i > 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                s.write_all(segment).unwrap();
+            }
             // Close the write half so reads observe EOF.
             s.shutdown(std::net::Shutdown::Write).unwrap();
         });
@@ -387,6 +413,77 @@ mod tests {
             parse_raw(huge.as_bytes()),
             Err(HttpError::PayloadTooLarge(_))
         ));
+    }
+
+    #[test]
+    fn head_and_body_split_at_every_byte_offset() {
+        let raw = b"POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world";
+        for at in 1..raw.len() {
+            let req = parse_raw_in(&[&raw[..at], &raw[at..]])
+                .unwrap_or_else(|e| panic!("split at {at}: {e}"));
+            assert_eq!(req.path, "/run", "split at {at}");
+            assert_eq!(req.body, b"hello world", "split at {at}");
+        }
+    }
+
+    #[test]
+    fn body_arriving_with_the_head_is_kept() {
+        // One write: the first chunked head read over-fetches into the
+        // body, which is larger than a chunk, so the rest is read after.
+        let body = "x".repeat(3 * HEAD_CHUNK);
+        let raw = format!(
+            "POST /run HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        let req = parse_raw(raw.as_bytes()).unwrap();
+        assert_eq!(req.body, body.as_bytes());
+        // Bytes past the declared length are not part of this request.
+        let req = parse_raw(b"POST /run HTTP/1.1\r\nContent-Length: 2\r\n\r\nabGET /").unwrap();
+        assert_eq!(req.body, b"ab");
+    }
+
+    #[test]
+    fn expect_continue_gets_the_interim_response_before_the_body() {
+        let head = b"POST /run HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 4\r\n\r\n";
+        // Body in the same segment: parsed like any other request.
+        let mut whole = head.to_vec();
+        whole.extend_from_slice(b"abcd");
+        assert_eq!(parse_raw(&whole).unwrap().body, b"abcd");
+        // Body held back until the interim response arrives.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(head).unwrap();
+            let mut interim = [0u8; 25];
+            s.read_exact(&mut interim).unwrap();
+            s.write_all(b"abcd").unwrap();
+            interim
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        let req = read_request(&mut conn, Some(Deadline::after_millis(5_000))).unwrap();
+        assert_eq!(&client.join().unwrap(), b"HTTP/1.1 100 Continue\r\n\r\n");
+        assert_eq!(req.body, b"abcd");
+    }
+
+    #[test]
+    fn over_cap_head_is_a_bad_request() {
+        let raw = format!(
+            "GET /x HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(MAX_HEAD_BYTES)
+        );
+        match parse_raw(raw.as_bytes()) {
+            Err(HttpError::BadRequest(m)) => assert!(m.contains("exceeds"), "{m}"),
+            other => panic!("expected BadRequest, got {other:?}"),
+        }
+        // Up to the cap, a head is fine.
+        let line = "GET /x HTTP/1.1\r\nX-Pad: \r\n\r\n";
+        let raw = line.replace(
+            "X-Pad: ",
+            &format!("X-Pad: {}", "a".repeat(MAX_HEAD_BYTES - line.len())),
+        );
+        assert_eq!(raw.len(), MAX_HEAD_BYTES);
+        assert_eq!(parse_raw(raw.as_bytes()).unwrap().path, "/x");
     }
 
     #[test]

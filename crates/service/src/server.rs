@@ -17,13 +17,16 @@
 //! The accept queue is bounded (`queue_depth`); a connection arriving
 //! while it is full is answered `429 Too Many Requests` immediately and
 //! closed, so overload is explicit and cheap instead of an unbounded
-//! backlog. On shutdown (SIGINT/SIGTERM, `POST /shutdown`, or
-//! [`ServerHandle::shutdown`]) the listener stops accepting and the
-//! server-wide [`CancelToken`] fires: in-flight and queued simulation
-//! work is *cooperatively cancelled* and answered with a typed
-//! `Cancelled` 408 instead of holding the drain hostage until it
-//! completes — but every accepted request still gets a response; none
-//! is ever dropped with an empty socket.
+//! backlog. The accept thread blocks in `accept()`: it does not wake
+//! while no client connects. On shutdown (SIGINT/SIGTERM, `POST /shutdown`,
+//! or [`ServerHandle::shutdown`]) the handle wakes it with a connection
+//! of its own, and the server-wide [`CancelToken`] fires: in-flight and
+//! queued simulation work is *cooperatively cancelled* and answered
+//! with a typed `Cancelled` 408 instead of holding the drain hostage
+//! until it completes. Every accepted connection still gets a response;
+//! none is ever dropped with an empty socket. One that reaches the
+//! accept thread after shutdown began, ahead of the wake connection, is
+//! answered a typed 503 with `Retry-After`.
 //!
 //! ## Fault containment
 //!
@@ -35,10 +38,10 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -56,6 +59,14 @@ use crate::http::{
     drain_unread, read_request, write_json_response, write_json_response_with_headers, HttpError,
     Request,
 };
+
+/// Pause after a failed `accept()` (say, out of file descriptors), so
+/// the accept thread does not spin while the condition lasts. The idle
+/// path never sleeps: `accept()` blocks.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Bound on the shutdown wake's connect to the server's own listener.
+const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How often the watchdog thread sweeps the in-flight registry. Small
 /// enough that a stuck request is cancelled promptly even under tiny
@@ -142,6 +153,11 @@ struct Inner {
     queue_signal: Condvar,
     /// Stop accepting; drain and exit.
     shutdown: AtomicBool,
+    /// Client address of the connection [`ServerHandle::shutdown`] made
+    /// to wake the blocked accept thread; `None` until it connected.
+    /// Held locked while it connects, so the accept thread can always
+    /// tell the wake from a client racing the shutdown.
+    wake: Mutex<Option<SocketAddr>>,
     /// A client asked for shutdown via `POST /shutdown` (the embedding
     /// loop polls this and calls [`ServerHandle::shutdown`]).
     shutdown_requested: AtomicBool,
@@ -195,15 +211,41 @@ impl ServerHandle {
     /// Begins shutdown: the listener stops accepting and the server's
     /// [`CancelToken`] fires, so queued and in-flight requests are
     /// answered promptly — completed work with 200, cancelled work
-    /// with a typed 408. Returns immediately.
+    /// with a typed 408. Returns once the accept thread is woken.
     pub fn shutdown(&self) {
         self.inner.cancel.cancel("shutdown requested");
         // In-flight requests run under their own per-request tokens
         // (so the watchdog can cancel one without cancelling all):
         // walk the registry and fire each of them too.
         self.inner.health.cancel_inflight("shutdown requested");
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
         self.inner.queue_signal.notify_all();
+        if first {
+            self.wake_accept();
+        }
+    }
+
+    /// Unblocks the accept thread's `accept()` with a connection to the
+    /// listener (std has no other way to interrupt it), recording the
+    /// connection's client address so the thread knows it for the wake.
+    /// A server bound to an unspecified address is reached through the
+    /// loopback address of the same family.
+    fn wake_accept(&self) {
+        let mut wake = self
+            .inner
+            .wake
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut target = self.addr;
+        if target.ip().is_unspecified() {
+            target.set_ip(match target {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Ok(conn) = TcpStream::connect_timeout(&target, WAKE_CONNECT_TIMEOUT) {
+            *wake = conn.local_addr().ok();
+        }
     }
 
     /// Waits for the accept thread and every worker to exit (after
@@ -211,7 +253,18 @@ impl ServerHandle {
     /// drained).
     pub fn join(mut self) {
         if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+            // Without a wake connection the accept thread stays blocked
+            // until the next client arrives; it owns nothing the drain
+            // needs, so it is left detached rather than waited for.
+            let woken = self
+                .inner
+                .wake
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .is_some();
+            if woken {
+                let _ = t.join();
+            }
         }
         for t in self.worker_threads.drain(..) {
             let _ = t.join();
@@ -231,7 +284,6 @@ impl ServerHandle {
 pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&options.addr)?;
     let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
 
     let workers = options
         .max_inflight
@@ -241,6 +293,7 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         queue: Mutex::new(VecDeque::new()),
         queue_signal: Condvar::new(),
         shutdown: AtomicBool::new(false),
+        wake: Mutex::new(None),
         shutdown_requested: AtomicBool::new(false),
         cancel: CancelToken::new(),
         in_flight: AtomicUsize::new(0),
@@ -290,59 +343,68 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
 }
 
 /// Accepts connections until shutdown, enqueueing each for a worker or
-/// answering 429 when the queue is full.
+/// answering 429 when the queue is full. After shutdown begins it keeps
+/// accepting until the wake connection arrives, answering each client
+/// ahead of it a typed 503: connections are accepted in arrival order,
+/// so every client that connected before the wake gets a response.
 fn accept_loop(listener: TcpListener, inner: &Inner) {
-    while !inner.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut conn, _peer)) => {
-                let enqueued = {
-                    let mut queue = match inner.queue.lock() {
-                        Ok(q) => q,
-                        Err(_) => return, // a worker panicked holding the lock
-                    };
-                    if queue.len() < inner.options.queue_depth {
-                        queue.push_back(conn);
-                        true
-                    } else {
-                        // Hand the stream back out of the lock scope so
-                        // the 429 write does not serialize the queue.
-                        drop(queue);
-                        inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
-                        let body = api::error_body(
-                            "overloaded",
-                            "accept queue is full; retry later",
-                            None,
-                            None,
-                        );
-                        let _ = write_json_response_with_headers(
-                            &mut conn,
-                            429,
-                            &body,
-                            &[("Retry-After", "1")],
-                        );
-                        // The request bytes were never read: drain so
-                        // the 429 survives the close instead of being
-                        // RST-discarded.
-                        drain_unread(&mut conn);
-                        false
-                    }
-                };
-                if enqueued {
-                    inner.queue_signal.notify_one();
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+    loop {
+        let (mut conn, peer) = match listener.accept() {
+            Ok(accepted) => accepted,
             Err(_) => {
-                // Transient accept errors (ECONNABORTED etc.): back off
-                // briefly and keep serving.
-                std::thread::sleep(Duration::from_millis(5));
+                // Transient accept errors (ECONNABORTED, EMFILE etc.):
+                // back off briefly and keep serving.
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
             }
+        };
+        let mut queue = match inner.queue.lock() {
+            Ok(q) => q,
+            Err(_) => return, // a worker panicked holding the lock
+        };
+        // Read under the queue lock, where workers read it before they
+        // exit: a connection queued here is always seen by a worker.
+        if inner.shutdown.load(Ordering::SeqCst) {
+            drop(queue);
+            let wake = *inner.wake.lock().unwrap_or_else(PoisonError::into_inner);
+            if wake == Some(peer) {
+                break;
+            }
+            reject(
+                &mut conn,
+                503,
+                "unavailable",
+                "server is shutting down; retry later",
+            );
+        } else if queue.len() < inner.options.queue_depth {
+            queue.push_back(conn);
+            drop(queue);
+            inner.queue_signal.notify_one();
+        } else {
+            // Release the queue before the 429 write so it does not
+            // serialize the workers.
+            drop(queue);
+            inner.rejected_overload.fetch_add(1, Ordering::Relaxed);
+            reject(
+                &mut conn,
+                429,
+                "overloaded",
+                "accept queue is full; retry later",
+            );
         }
     }
     // Wake every worker so the drain check runs even on an empty queue.
     inner.queue_signal.notify_all();
+}
+
+/// Answers a connection the accept thread turns away, with a typed
+/// error and `Retry-After`, without reading its request: the unread
+/// bytes are drained afterwards so the response survives the close
+/// instead of being RST-discarded.
+fn reject(conn: &mut TcpStream, status: u16, kind: &str, message: &str) {
+    let body = api::error_body(kind, message, None, None);
+    let _ = write_json_response_with_headers(conn, status, &body, &[("Retry-After", "1")]);
+    drain_unread(conn);
 }
 
 /// Pops connections and processes them until shutdown *and* an empty
@@ -648,9 +710,9 @@ fn parse_body<T: Deserialize>(body: &[u8]) -> Result<T, (u16, String)> {
     })
 }
 
-/// Builds the `GET /stats` body.
-fn stats_response(inner: &Inner) -> (u16, String) {
-    let stats = StatsBody {
+/// Snapshots the `GET /stats` body.
+fn stats_body(inner: &Inner) -> StatsBody {
+    StatsBody {
         workers: inner.workers,
         threads: rayon::current_num_threads(),
         queue_depth: inner.options.queue_depth,
@@ -662,8 +724,12 @@ fn stats_response(inner: &Inner) -> (u16, String) {
         hot_path: hot_path_totals(),
         self_healing: inner.health.snapshot(),
         requests: inner.log.snapshot(),
-    };
-    match serde_json::to_string_pretty(&stats) {
+    }
+}
+
+/// Builds the `GET /stats` response.
+fn stats_response(inner: &Inner) -> (u16, String) {
+    match serde_json::to_string_pretty(&stats_body(inner)) {
         Ok(body) => (200, body),
         Err(e) => (
             500,
@@ -677,11 +743,11 @@ fn stats_response(inner: &Inner) -> (u16, String) {
     }
 }
 
-/// Builds the `GET /readyz` response: 200 only when the process is
-/// [`ProcessHealth::Healthy`]; a degraded or draining process answers
-/// 503 (with `Retry-After`) so load balancers stop routing here while
-/// `GET /healthz` keeps reporting liveness.
-fn ready_response(inner: &Inner) -> (u16, String) {
+/// Snapshots the `GET /readyz` body and its verdict: 200 only when the
+/// process is [`ProcessHealth::Healthy`]; a degraded or draining
+/// process answers 503 (with `Retry-After`) so load balancers stop
+/// routing here while `GET /healthz` keeps reporting liveness.
+fn ready_body(inner: &Inner) -> (u16, ReadyBody) {
     let draining = inner.shutdown.load(Ordering::SeqCst)
         || inner.shutdown_requested.load(Ordering::SeqCst)
         || inner.cancel.is_cancelled();
@@ -697,6 +763,12 @@ fn ready_response(inner: &Inner) -> (u16, String) {
     } else {
         503
     };
+    (status, body)
+}
+
+/// Builds the `GET /readyz` response.
+fn ready_response(inner: &Inner) -> (u16, String) {
+    let (status, body) = ready_body(inner);
     match serde_json::to_string_pretty(&body) {
         Ok(body) => (status, body),
         Err(e) => (
@@ -866,6 +938,179 @@ mod tests {
         let other_resp = raw_response(addr, &other_raw);
         assert_ne!(header_of(&other_resp, "etag").as_ref(), Some(&etag));
 
+        handle.shutdown_and_join();
+    }
+
+    #[test]
+    fn idle_shutdown_returns_promptly_on_loopback_and_unspecified_binds() {
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let handle = serve(ServeOptions {
+                addr: addr.to_string(),
+                ..ServeOptions::default()
+            })
+            .unwrap();
+            let started = Instant::now();
+            handle.shutdown_and_join();
+            let took = started.elapsed();
+            assert!(
+                took < Duration::from_secs(1),
+                "{addr}: shutdown took {took:?}"
+            );
+        }
+    }
+
+    /// Sends `GET /healthz` on `conn` and reads the whole response;
+    /// `None` when the connection was reset or refused unanswered.
+    fn healthz_on(conn: io::Result<TcpStream>) -> Option<String> {
+        let mut conn = conn.ok()?;
+        // A request turned away unread may meet a closed socket.
+        let _ = conn.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+        let mut response = String::new();
+        conn.read_to_string(&mut response).ok()?;
+        Some(response)
+    }
+
+    fn assert_typed_503(response: &str) {
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert_eq!(header_of(response, "retry-after").as_deref(), Some("1"));
+        let body = response.split_once("\r\n\r\n").unwrap().1;
+        let v: Value = serde_json::from_str(body).unwrap();
+        assert_eq!(v["error"]["kind"].as_str(), Some("unavailable"), "{body}");
+    }
+
+    #[test]
+    fn connections_racing_shutdown_get_a_200_or_a_typed_503() {
+        const CLIENTS: usize = 8;
+        let handle = serve(ServeOptions::default()).unwrap();
+        let addr = handle.local_addr();
+        // Half the clients connect before shutdown begins, so they are
+        // accepted (or wait in the backlog ahead of the wake) and must
+        // be answered. The other half connect while it runs: one the
+        // listener never accepted is reset or refused, which is no
+        // response but no silent close either.
+        let go = Arc::new(std::sync::Barrier::new(CLIENTS + 1));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|i| {
+                let early = (i % 2 == 0).then(|| TcpStream::connect(addr));
+                let go = Arc::clone(&go);
+                std::thread::spawn(move || {
+                    go.wait();
+                    let response = healthz_on(early.unwrap_or_else(|| TcpStream::connect(addr)));
+                    (i % 2 == 0, response)
+                })
+            })
+            .collect();
+        go.wait();
+        handle.shutdown_and_join();
+        for client in clients {
+            let (early, response) = client.join().unwrap();
+            let Some(response) = response else {
+                assert!(
+                    !early,
+                    "a client connected before shutdown was not answered"
+                );
+                continue;
+            };
+            assert!(
+                !response.is_empty(),
+                "a connection was closed without a response"
+            );
+            if !response.starts_with("HTTP/1.1 200") {
+                assert_typed_503(&response);
+            }
+        }
+    }
+
+    #[test]
+    fn a_connection_accepted_after_shutdown_began_gets_a_typed_503() {
+        let handle = serve(ServeOptions::default()).unwrap();
+        // Shutdown has begun but the wake has not connected yet: the
+        // accept thread takes the client for one racing the shutdown.
+        handle.inner.shutdown.store(true, Ordering::SeqCst);
+        handle.inner.queue_signal.notify_all();
+        let response = healthz_on(TcpStream::connect(handle.local_addr())).unwrap();
+        assert_typed_503(&response);
+        handle.wake_accept();
+        handle.join();
+    }
+
+    /// The streaming writer renders `x` exactly as it renders the
+    /// `Value` tree `x` lowers to, pretty and compact.
+    fn assert_streams_like_its_tree<T: Serialize>(x: &T) {
+        let tree = x.to_value();
+        assert_eq!(
+            serde_json::to_string_pretty(x).unwrap(),
+            serde_json::to_string_pretty(&tree).unwrap()
+        );
+        assert_eq!(
+            serde_json::to_string(x).unwrap(),
+            serde_json::to_string(&tree).unwrap()
+        );
+    }
+
+    #[test]
+    fn every_body_type_streams_like_its_value_tree() {
+        let handle = serve(ServeOptions::default()).unwrap();
+        let addr = handle.local_addr();
+        // Traffic, so the stats and readiness bodies carry entries.
+        let (status, _) = post(addr, "/run", r#"{"days": 2, "nodes": 600}"#);
+        assert_eq!(status, 200);
+        let (status, _) = request(addr, "GET /nope HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, 404);
+
+        let run = api::RunRequest {
+            days: 2,
+            nodes: 600,
+            ..api::RunRequest::default()
+        };
+        let scenario = run.to_scenario().unwrap();
+        let result = sustain_hpc_core::scenario::run_with_ctl(
+            &scenario,
+            &sustain_sim_core::ctl::RunCtl::unlimited(),
+        )
+        .unwrap();
+        assert_streams_like_its_tree(&result);
+
+        let row: api::SweepRow = serde_json::from_str(
+            r#"{"name": "n", "seed": 1, "jobs": 2, "unfinished": 0,
+                "makespan_hours": 1.5, "mean_wait_hours": 0.25, "utilization": 0.5,
+                "energy_kwh": 3.0, "carbon_kg": 1.0, "facility_carbon_kg": 1.2,
+                "grid_mean_ci": 400.0}"#,
+        )
+        .unwrap();
+        let sweep = api::SweepResponse {
+            axis: "seed".into(),
+            master_seed: 7,
+            derive_seeds: true,
+            points: vec![
+                api::SweepPointOutcome {
+                    index: 0,
+                    value: 1.0,
+                    row: Some(row),
+                    error: None,
+                },
+                api::SweepPointOutcome {
+                    index: 1,
+                    value: f64::NAN,
+                    row: None,
+                    error: Some(sustain_sim_core::error::SimError::invalid_input(
+                        "a \"quoted\"\nmessage",
+                    )),
+                },
+            ],
+        };
+        assert_streams_like_its_tree(&sweep);
+
+        assert_streams_like_its_tree(&api::ErrorBody {
+            error: api::ErrorDetail {
+                kind: "bad_request".into(),
+                message: "tab\there".into(),
+                context: Some("RunRequest".into()),
+                field: None,
+            },
+        });
+        assert_streams_like_its_tree(&stats_body(&handle.inner));
+        assert_streams_like_its_tree(&ready_body(&handle.inner).1);
         handle.shutdown_and_join();
     }
 

@@ -8,7 +8,7 @@
 
 use crate::stats::RunningStats;
 use crate::time::{SimDuration, SimTime};
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Value};
 use std::sync::OnceLock;
 
 /// A regularly sampled series: `values[i]` is the value over
@@ -62,14 +62,17 @@ impl PartialEq for TimeSeries {
 }
 
 impl Serialize for TimeSeries {
-    fn to_value(&self) -> Value {
+    fn serialize<S: Sink>(&self, s: &mut S) {
         // Mirrors the derive output for the three data-bearing fields;
         // the prefix index and the statistics are caches, not state.
-        Value::Object(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("step".to_string(), self.step.to_value()),
-            ("values".to_string(), self.values.to_value()),
-        ])
+        s.begin_object();
+        s.field("start");
+        self.start.serialize(s);
+        s.field("step");
+        self.step.serialize(s);
+        s.field("values");
+        self.values.serialize(s);
+        s.end_object();
     }
 }
 

@@ -1,5 +1,5 @@
-//! The service's self-healing layer: per-endpoint circuit breakers, a
-//! process health state machine, and the in-flight request watchdog.
+//! The service's self-healing layer: per-endpoint circuit breakers and
+//! a process health state machine.
 //!
 //! ## Circuit breakers
 //!
@@ -23,26 +23,11 @@
 //! `GET /readyz` (503 unless `Healthy`). `GET /healthz` stays pure
 //! liveness — a degraded process is alive but asks the load balancer
 //! to back off.
-//!
-//! ## Watchdog
-//!
-//! Requests that carry a `timeout_ms` budget already cancel themselves
-//! cooperatively — but only at their next check bucket. A handler stuck
-//! somewhere that never reaches a check (an armed `delay` fault, a
-//! pathological allocation) would pin a worker forever. The watchdog
-//! registry tracks every in-flight request's [`CancelToken`]; a
-//! dedicated thread cancels any request still running past
-//! `watchdog_factor` × its own deadline budget, with a reason naming
-//! the watchdog, so the stuck request resolves as a typed 408 at its
-//! next check. Requests without a budget are registered too (so server
-//! shutdown can cancel them) but are never watchdog-cancelled.
 
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
-use sustain_sim_core::ctl::CancelToken;
 use sustain_sim_core::error::{env_knob_usize, ConfigError};
 use sustain_sim_core::retry::{retry_stats, RetryStats};
 use sustain_telemetry::requests::WindowStats;
@@ -50,14 +35,9 @@ use sustain_telemetry::requests::WindowStats;
 /// Environment variable: consecutive handler faults that open an
 /// endpoint's circuit breaker (>= 1).
 pub(crate) const BREAKER_TRIP_ENV: &str = "SUSTAIN_BREAKER_TRIP";
-/// Environment variable: multiple of a request's own deadline budget
-/// after which the watchdog force-cancels it (>= 1).
-pub(crate) const WATCHDOG_FACTOR_ENV: &str = "SUSTAIN_WATCHDOG_FACTOR";
 
 /// Default [`BREAKER_TRIP_ENV`]: three consecutive faults open.
 pub(crate) const DEFAULT_BREAKER_TRIP: usize = 3;
-/// Default `WATCHDOG_FACTOR_ENV`: cancel at 4x the deadline budget.
-pub const DEFAULT_WATCHDOG_FACTOR: usize = 4;
 /// Rejections an open breaker serves before admitting a half-open
 /// probe.
 pub const BREAKER_PROBE_AFTER: usize = 2;
@@ -68,7 +48,6 @@ pub const BREAKER_PROBE_AFTER: usize = 2;
 pub(crate) const DEGRADED_ERROR_RATE: f64 = 0.5;
 
 static BREAKER_TRIP: AtomicUsize = AtomicUsize::new(DEFAULT_BREAKER_TRIP);
-static WATCHDOG_FACTOR: AtomicUsize = AtomicUsize::new(DEFAULT_WATCHDOG_FACTOR);
 
 /// Consecutive handler faults that open a breaker (process-wide knob).
 pub fn breaker_trip() -> usize {
@@ -88,33 +67,12 @@ pub(crate) fn try_set_breaker_trip(n: usize) -> Result<(), ConfigError> {
     Ok(())
 }
 
-/// Watchdog hard-deadline multiple (process-wide knob).
-pub(crate) fn watchdog_factor() -> usize {
-    WATCHDOG_FACTOR.load(Ordering::Relaxed)
-}
-
-/// Sets the watchdog factor; rejects 0 with a typed error.
-pub fn try_set_watchdog_factor(n: usize) -> Result<(), ConfigError> {
-    if n == 0 {
-        return Err(ConfigError::new(
-            "health",
-            WATCHDOG_FACTOR_ENV,
-            "must be >= 1 (multiple of the request deadline), got 0",
-        ));
-    }
-    WATCHDOG_FACTOR.store(n, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Strict startup parsing of `BREAKER_TRIP_ENV` and
-/// `WATCHDOG_FACTOR_ENV`: absent keeps the defaults, invalid is a
-/// typed error naming the variable — never a silent fallback.
+/// Strict startup parsing of `BREAKER_TRIP_ENV`: absent keeps the
+/// default, invalid is a typed error naming the variable — never a
+/// silent fallback.
 pub fn init_health_from_env() -> Result<(), ConfigError> {
     if let Some(n) = env_knob_usize(BREAKER_TRIP_ENV)? {
         try_set_breaker_trip(n)?;
-    }
-    if let Some(n) = env_knob_usize(WATCHDOG_FACTOR_ENV)? {
-        try_set_watchdog_factor(n)?;
     }
     Ok(())
 }
@@ -148,8 +106,7 @@ pub(crate) struct Breaker {
     state: Mutex<BreakerState>,
 }
 
-/// Recovers a poisoned std mutex: breaker and watchdog state are plain
-/// data, valid whatever a panicking thread was doing.
+/// Recovers a poisoned std mutex: breaker state is plain data, valid whatever a panicking thread was doing.
 fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
@@ -281,49 +238,14 @@ impl ProcessHealth {
     }
 }
 
-/// One watched in-flight request.
-struct WatchEntry {
-    id: u64,
-    token: CancelToken,
-    /// Hard wall-clock deadline ([`watchdog_factor`] × the request's
-    /// own budget); `None` = no budget, shutdown-cancellable only.
-    expires_at: Option<Instant>,
-    budget: Duration,
-}
-
 /// The server's shared self-healing state: breakers keyed by endpoint
-/// label, the watchdog registry, and transition counters.
+/// label, and transition counters.
 #[derive(Default)]
 pub(crate) struct Health {
     breakers: Mutex<BTreeMap<String, Arc<Breaker>>>,
-    watched: Mutex<Vec<WatchEntry>>,
-    next_watch_id: AtomicU64,
     breaker_opens: AtomicU64,
     breaker_rejections: AtomicU64,
     breaker_recloses: AtomicU64,
-    watchdog_cancels: AtomicU64,
-}
-
-impl std::fmt::Debug for Health {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Health")
-            .field("breakers", &lock_unpoisoned(&self.breakers).len())
-            .field("watched", &lock_unpoisoned(&self.watched).len())
-            .finish()
-    }
-}
-
-/// Deregisters its watchdog entry on drop, so a request that completes
-/// (or unwinds) is never cancelled after the fact.
-pub(crate) struct WatchGuard<'a> {
-    health: &'a Health,
-    id: u64,
-}
-
-impl Drop for WatchGuard<'_> {
-    fn drop(&mut self) {
-        lock_unpoisoned(&self.health.watched).retain(|e| e.id != self.id);
-    }
 }
 
 impl Health {
@@ -379,54 +301,6 @@ impl Health {
         }
     }
 
-    /// Registers one in-flight request with the watchdog. With a
-    /// `budget`, the request is force-cancelled once it has run for
-    /// [`watchdog_factor`] × that budget; without one it is only
-    /// cancellable via [`Health::cancel_inflight`] (shutdown).
-    pub(crate) fn watch<'a>(
-        &'a self,
-        token: &CancelToken,
-        budget: Option<Duration>,
-    ) -> WatchGuard<'a> {
-        let id = self.next_watch_id.fetch_add(1, Ordering::Relaxed);
-        let expires_at = budget.map(|b| Instant::now() + b * watchdog_factor() as u32);
-        lock_unpoisoned(&self.watched).push(WatchEntry {
-            id,
-            token: token.clone(),
-            expires_at,
-            budget: budget.unwrap_or_default(),
-        });
-        WatchGuard { health: self, id }
-    }
-
-    /// One watchdog pass: cancels (and drops) every watched request
-    /// past its hard deadline. Called periodically by the server's
-    /// watchdog thread; safe to call from anywhere.
-    pub(crate) fn scan_watchdog(&self) {
-        let now = Instant::now();
-        let mut watched = lock_unpoisoned(&self.watched);
-        watched.retain(|e| match e.expires_at {
-            Some(at) if now >= at => {
-                e.token.cancel(&format!(
-                    "watchdog cancelled request stuck past {}x its deadline budget of {:.3}s",
-                    watchdog_factor(),
-                    e.budget.as_secs_f64()
-                ));
-                self.watchdog_cancels.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            _ => true,
-        });
-    }
-
-    /// Cancels every watched in-flight request (server shutdown). Not
-    /// counted as watchdog cancels.
-    pub(crate) fn cancel_inflight(&self, reason: &str) {
-        for entry in lock_unpoisoned(&self.watched).iter() {
-            entry.token.cancel(reason);
-        }
-    }
-
     /// Whether every breaker is currently closed.
     pub(crate) fn all_breakers_closed(&self) -> bool {
         lock_unpoisoned(&self.breakers)
@@ -458,7 +332,6 @@ impl Health {
             breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
             breaker_rejections: self.breaker_rejections.load(Ordering::Relaxed),
             breaker_recloses: self.breaker_recloses.load(Ordering::Relaxed),
-            watchdog_cancels: self.watchdog_cancels.load(Ordering::Relaxed),
             breakers,
         }
     }
@@ -475,8 +348,6 @@ pub(crate) struct SelfHealingSnapshot {
     pub breaker_rejections: u64,
     /// Breaker transitions half-open → closed.
     pub breaker_recloses: u64,
-    /// In-flight requests force-cancelled by the watchdog.
-    pub watchdog_cancels: u64,
     /// Per-endpoint breaker states.
     pub breakers: Vec<BreakerSnapshot>,
 }
@@ -591,64 +462,13 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_cancels_only_past_the_hard_deadline() {
-        let health = Health::new();
-        let stuck = CancelToken::new();
-        let fine = CancelToken::new();
-        let unbudgeted = CancelToken::new();
-        let _g1 = health.watch(&stuck, Some(Duration::ZERO));
-        let _g2 = health.watch(&fine, Some(Duration::from_secs(3600)));
-        let _g3 = health.watch(&unbudgeted, None);
-        health.scan_watchdog();
-        assert!(stuck.is_cancelled());
-        let reason = stuck.reason().unwrap();
-        assert!(reason.contains("watchdog"), "{reason}");
-        assert!(!fine.is_cancelled());
-        assert!(!unbudgeted.is_cancelled());
-        assert_eq!(health.snapshot().watchdog_cancels, 1);
-        // Re-scanning never double-counts a cancelled entry.
-        health.scan_watchdog();
-        assert_eq!(health.snapshot().watchdog_cancels, 1);
-    }
-
-    #[test]
-    fn dropped_watch_guard_deregisters_before_the_deadline() {
-        let health = Health::new();
-        let token = CancelToken::new();
-        {
-            let _guard = health.watch(&token, Some(Duration::ZERO));
-        }
-        health.scan_watchdog();
-        assert!(!token.is_cancelled());
-        assert_eq!(health.snapshot().watchdog_cancels, 0);
-    }
-
-    #[test]
-    fn shutdown_cancels_every_watched_request_without_counting() {
-        let health = Health::new();
-        let a = CancelToken::new();
-        let b = CancelToken::new();
-        let _g1 = health.watch(&a, None);
-        let _g2 = health.watch(&b, Some(Duration::from_secs(3600)));
-        health.cancel_inflight("shutdown requested");
-        assert_eq!(a.reason().as_deref(), Some("shutdown requested"));
-        assert_eq!(b.reason().as_deref(), Some("shutdown requested"));
-        assert_eq!(health.snapshot().watchdog_cancels, 0);
-    }
-
-    #[test]
     fn knobs_reject_zero_with_typed_errors() {
         let _guard = lock_unpoisoned(&KNOB_LOCK);
         let err = try_set_breaker_trip(0).unwrap_err();
         assert!(err.to_string().contains(BREAKER_TRIP_ENV), "{err}");
-        let err = try_set_watchdog_factor(0).unwrap_err();
-        assert!(err.to_string().contains(WATCHDOG_FACTOR_ENV), "{err}");
-        // Valid values stick (restore the defaults afterwards).
+        // Valid values stick (restore the default afterwards).
         try_set_breaker_trip(5).unwrap();
         assert_eq!(breaker_trip(), 5);
         try_set_breaker_trip(DEFAULT_BREAKER_TRIP).unwrap();
-        try_set_watchdog_factor(7).unwrap();
-        assert_eq!(watchdog_factor(), 7);
-        try_set_watchdog_factor(DEFAULT_WATCHDOG_FACTOR).unwrap();
     }
 }

@@ -19,8 +19,9 @@
 //! |                  | when a breaker is open, the windowed error rate is high      |
 //! |                  | (`Degraded`), or shutdown has begun (`Draining`)             |
 //! | `GET /stats`     | Trace/outcome/workload cache, hot-path, self-healing         |
-//! |                  | (retry/breaker/watchdog), and per-endpoint request counters  |
-//! | `POST /shutdown` | Ask the embedding loop to drain and exit                     |
+//! |                  | (retry/breaker), and per-endpoint request counters           |
+//! | `POST /shutdown` | Cancel in-flight work and ask the embedding loop to drain    |
+//! |                  | and exit                                                     |
 //!
 //! Responses are byte-identical to the one-shot CLI (`sustain-hpc run`
 //! / `sweep`): both call the same [`api::run_body`] / [`api::sweep_body`]

@@ -8,22 +8,25 @@
 //! use (the rayon shim's extra-worker budget). Worker 0 is the *primary* and processes requests
 //! without a lease — the service always makes progress even when sweeps
 //! have the whole budget. Every other worker must hold a
-//! [`rayon::try_lease_worker`] lease while processing, so the total
-//! number of active threads in the process never exceeds the configured
-//! thread count, no matter how requests and sweep points interleave.
+//! [`rayon::lease_worker`] lease while processing, blocking until one is
+//! free, so the total number of active threads in the process never
+//! exceeds the configured thread count, no matter how requests and sweep
+//! points interleave.
 //!
 //! ## Overload and shutdown
 //!
 //! The accept queue is bounded (`queue_depth`); a connection arriving
 //! while it is full is answered `429 Too Many Requests` immediately and
 //! closed, so overload is explicit and cheap instead of an unbounded
-//! backlog. The accept thread blocks in `accept()`: it does not wake
-//! while no client connects. On shutdown (SIGINT/SIGTERM, `POST /shutdown`,
-//! or [`ServerHandle::shutdown`]) the handle wakes it with a connection
-//! of its own, and the server-wide [`CancelToken`] fires: in-flight and
-//! queued simulation work is *cooperatively cancelled* and answered
-//! with a typed `Cancelled` 408 instead of holding the drain hostage
-//! until it completes. Every accepted connection still gets a response;
+//! backlog. The accept thread blocks in `accept()` and idle workers
+//! block on the queue: an idle server does not wake. On shutdown
+//! (SIGINT/SIGTERM, `POST /shutdown`, or [`ServerHandle::shutdown`])
+//! the handle wakes the accept thread with a connection of its own, and
+//! the server-wide [`CancelToken`] fires. Every request's `RunCtl`
+//! carries a clone of that one token, so in-flight and queued
+//! simulation work is *cooperatively cancelled* and answered with a
+//! typed `Cancelled` 408 instead of holding the drain hostage until it
+//! completes. Every accepted connection still gets a response;
 //! none is ever dropped with an empty socket. One that reaches the
 //! accept thread after shutdown began, ahead of the wake connection, is
 //! answered a typed 503 with `Retry-After`.
@@ -67,12 +70,6 @@ const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Bound on the shutdown wake's connect to the server's own listener.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// How often the watchdog thread sweeps the in-flight registry. Small
-/// enough that a stuck request is cancelled promptly even under tiny
-/// test deadlines; the sweep itself is one short lock over a handful of
-/// entries.
-const WATCHDOG_SCAN_INTERVAL: Duration = Duration::from_millis(5);
 
 /// How the serve loop is configured. `Default` binds an ephemeral
 /// loopback port with 4 in-flight slots and a queue of 16.
@@ -129,7 +126,7 @@ pub(crate) struct StatsBody {
     pub workload_cache: CacheStats,
     /// Process-wide scheduler hot-path totals.
     pub hot_path: HotPathStats,
-    /// Retry/breaker/watchdog counters and per-endpoint breaker states.
+    /// Retry/breaker counters and per-endpoint breaker states.
     pub self_healing: SelfHealingSnapshot,
     /// Per-endpoint request counts and latency histograms.
     pub requests: Vec<EndpointSnapshot>,
@@ -151,7 +148,8 @@ pub(crate) struct ReadyBody {
 struct Inner {
     queue: Mutex<VecDeque<TcpStream>>,
     queue_signal: Condvar,
-    /// Stop accepting; drain and exit.
+    /// Stop accepting; drain and exit. Raised under the queue lock (see
+    /// [`Inner::begin_shutdown`]).
     shutdown: AtomicBool,
     /// Client address of the connection [`ServerHandle::shutdown`] made
     /// to wake the blocked accept thread; `None` until it connected.
@@ -161,17 +159,33 @@ struct Inner {
     /// A client asked for shutdown via `POST /shutdown` (the embedding
     /// loop polls this and calls [`ServerHandle::shutdown`]).
     shutdown_requested: AtomicBool,
-    /// Server-wide cancellation token threaded through every request's
-    /// `RunCtl`: fired on shutdown so in-flight simulations stop at
-    /// their next check bucket with a typed `Cancelled` (408).
+    /// Server-wide cancellation token, cloned into every request's
+    /// `RunCtl`: fired on shutdown (either way it is asked for) so
+    /// in-flight simulations stop at their next check bucket with a
+    /// typed `Cancelled` (408).
     cancel: CancelToken,
     in_flight: AtomicUsize,
     rejected_overload: AtomicU64,
     log: RequestLog,
-    /// Circuit breakers, watchdog registry, and self-healing counters.
+    /// Circuit breakers and self-healing counters.
     health: Health,
     options: ServeOptions,
     workers: usize,
+}
+
+impl Inner {
+    /// Raises the shutdown flag and wakes every idle worker. The flag is
+    /// set under the queue lock, where workers read it before they wait,
+    /// so no worker can miss the wake-up. Returns whether this call
+    /// raised it.
+    fn begin_shutdown(&self) -> bool {
+        let first = {
+            let _queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            !self.shutdown.swap(true, Ordering::SeqCst)
+        };
+        self.queue_signal.notify_all();
+        first
+    }
 }
 
 /// A running server. Dropping the handle does *not* stop the server;
@@ -214,13 +228,7 @@ impl ServerHandle {
     /// with a typed 408. Returns once the accept thread is woken.
     pub fn shutdown(&self) {
         self.inner.cancel.cancel("shutdown requested");
-        // In-flight requests run under their own per-request tokens
-        // (so the watchdog can cancel one without cancelling all):
-        // walk the registry and fire each of them too.
-        self.inner.health.cancel_inflight("shutdown requested");
-        let first = !self.inner.shutdown.swap(true, Ordering::SeqCst);
-        self.inner.queue_signal.notify_all();
-        if first {
+        if self.inner.begin_shutdown() {
             self.wake_accept();
         }
     }
@@ -309,7 +317,7 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
         .name("svc-accept".to_string())
         .spawn(move || accept_loop(listener, &accept_inner))?;
 
-    let mut worker_threads = Vec::with_capacity(workers + 1);
+    let mut worker_threads = Vec::with_capacity(workers);
     for index in 0..workers {
         let worker_inner = Arc::clone(&inner);
         worker_threads.push(
@@ -318,21 +326,6 @@ pub fn serve(options: ServeOptions) -> io::Result<ServerHandle> {
                 .spawn(move || worker_loop(index, &worker_inner))?,
         );
     }
-
-    // The watchdog sweeps the in-flight registry and force-cancels any
-    // request stuck past the hard multiple of its own deadline budget;
-    // it exits with the rest of the pool on shutdown.
-    let watchdog_inner = Arc::clone(&inner);
-    worker_threads.push(
-        std::thread::Builder::new()
-            .name("svc-watchdog".to_string())
-            .spawn(move || {
-                while !watchdog_inner.shutdown.load(Ordering::SeqCst) {
-                    watchdog_inner.health.scan_watchdog();
-                    std::thread::sleep(WATCHDOG_SCAN_INTERVAL);
-                }
-            })?,
-    );
 
     Ok(ServerHandle {
         addr,
@@ -393,8 +386,6 @@ fn accept_loop(listener: TcpListener, inner: &Inner) {
             );
         }
     }
-    // Wake every worker so the drain check runs even on an empty queue.
-    inner.queue_signal.notify_all();
 }
 
 /// Answers a connection the accept thread turns away, with a typed
@@ -427,33 +418,21 @@ fn worker_loop(index: usize, inner: &Inner) {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (q, _timeout) = match inner
-                    .queue_signal
-                    .wait_timeout(queue, Duration::from_millis(50))
-                {
-                    Ok(r) => r,
+                queue = match inner.queue_signal.wait(queue) {
+                    Ok(q) => q,
                     Err(_) => return,
                 };
-                queue = q;
             }
         };
         let Some(mut conn) = conn else { return };
 
         // Workers beyond the primary lease a slot from the shared
-        // budget before doing any work, so service load and sweep load
-        // together never exceed the configured thread count. The
-        // primary (index 0) runs lease-free: guaranteed progress, no
-        // deadlock when sweeps hold the entire budget.
-        let _lease = if index == 0 {
-            None
-        } else {
-            let mut lease = rayon::try_lease_worker();
-            while lease.is_none() {
-                std::thread::sleep(Duration::from_micros(200));
-                lease = rayon::try_lease_worker();
-            }
-            lease
-        };
+        // budget before doing any work, blocking until a slot frees, so
+        // service load and sweep load together never exceed the
+        // configured thread count. The primary (index 0) runs
+        // lease-free: guaranteed progress, no deadlock when sweeps hold
+        // the entire budget.
+        let _lease = (index != 0).then(rayon::lease_worker);
         // Fault boundary: a panicking handler (or an armed
         // `service::dispatch` fault site) must not take the worker
         // down — the peer gets a typed 500 and the loop keeps serving.
@@ -616,8 +595,7 @@ fn route(req: &Request, inner: &Inner) -> (u16, String, Option<String>) {
                         return (304, String::new(), etag);
                     }
                 }
-                let (token, _watch) = request_token(inner, run_req.timeout_ms);
-                match api::run_body_with_ctl(&run_req, Some(&token)) {
+                match api::run_body_with_ctl(&run_req, Some(&inner.cancel)) {
                     Ok(body) => (200, body, etag),
                     Err(e) => {
                         let (status, body) = api::sim_error_response(&e);
@@ -629,8 +607,7 @@ fn route(req: &Request, inner: &Inner) -> (u16, String, Option<String>) {
         },
         ("POST", "/sweep") => match parse_body::<api::SweepRequest>(&req.body) {
             Ok(sweep_req) => {
-                let (token, _watch) = request_token(inner, sweep_req.timeout_ms);
-                match api::sweep_body_with_ctl(&sweep_req, Some(&token), None) {
+                match api::sweep_body_with_ctl(&sweep_req, Some(&inner.cancel), None) {
                     Ok(body) => (200, body, None),
                     Err(e) => {
                         let (status, body) = api::sim_error_response(&e);
@@ -641,10 +618,11 @@ fn route(req: &Request, inner: &Inner) -> (u16, String, Option<String>) {
             Err((status, body)) => (status, body, None),
         },
         ("POST", "/shutdown") => {
-            // Fire the server token right here: in-flight simulations
-            // stop at their next check bucket instead of riding out
-            // the drain (the embedding loop still observes the flag
-            // and stops the listener via `ServerHandle::shutdown`).
+            // Fire the server token right here: every in-flight
+            // simulation holds a clone of it, so each stops at its next
+            // check bucket instead of riding out the drain (the
+            // embedding loop still observes the flag and stops the
+            // listener via `ServerHandle::shutdown`).
             inner.cancel.cancel("shutdown requested");
             inner.shutdown_requested.store(true, Ordering::SeqCst);
             (200, "{\n  \"status\": \"draining\"\n}".to_string(), None)
@@ -670,28 +648,6 @@ fn route(req: &Request, inner: &Inner) -> (u16, String, Option<String>) {
             None,
         ),
     }
-}
-
-/// Builds the per-request cancellation token and registers it with the
-/// watchdog for the request's lifetime. Each request gets its *own*
-/// token (not a clone of the server-wide one) so the watchdog can
-/// cancel one stuck request without cancelling its neighbours; server
-/// shutdown still reaches it, both via the post-registration check here
-/// (closing the race with a shutdown that fired just before
-/// registration) and via [`Health::cancel_inflight`] walking the
-/// registry.
-fn request_token<'a>(
-    inner: &'a Inner,
-    timeout_ms: Option<u64>,
-) -> (CancelToken, crate::health::WatchGuard<'a>) {
-    let token = CancelToken::new();
-    let watch = inner
-        .health
-        .watch(&token, timeout_ms.map(Duration::from_millis));
-    if let Some(reason) = inner.cancel.reason() {
-        token.cancel(&reason);
-    }
-    (token, watch)
 }
 
 /// Parses a JSON request body into `T`, mapping failure to a 400 with a
@@ -1026,8 +982,7 @@ mod tests {
         let handle = serve(ServeOptions::default()).unwrap();
         // Shutdown has begun but the wake has not connected yet: the
         // accept thread takes the client for one racing the shutdown.
-        handle.inner.shutdown.store(true, Ordering::SeqCst);
-        handle.inner.queue_signal.notify_all();
+        assert!(handle.inner.begin_shutdown());
         let response = healthz_on(TcpStream::connect(handle.local_addr())).unwrap();
         assert_typed_503(&response);
         handle.wake_accept();

@@ -4,9 +4,10 @@
 //! operator asked us to stop?". Rather than pulling in a signal crate,
 //! this module registers a handler through libc's `signal` symbol
 //! (always linked on unix) that flips an `AtomicBool` — the only kind
-//! of work an async-signal-safe handler may do. The serve loop polls
-//! [`triggered`] between accepts and drains in-flight requests before
-//! exiting.
+//! of work an async-signal-safe handler may do. The `serve`
+//! subcommand's main thread polls [`triggered`] (the accept thread
+//! blocks in `accept()` and never reads it), then shuts the server
+//! down, draining in-flight requests before exiting.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -37,9 +37,9 @@
 //! Environment knobs (`SUSTAIN_THREADS`, `SUSTAIN_TRACE_CACHE_CAP`,
 //! `SUSTAIN_OUTCOME_CACHE_CAP`, `SUSTAIN_WORKLOAD_CACHE_CAP`,
 //! `SUSTAIN_FAULTS`, `SUSTAIN_FAULTS_SEED`, `SUSTAIN_RETRY_MAX`,
-//! `SUSTAIN_RETRY_BACKOFF_MS`, `SUSTAIN_BREAKER_TRIP`,
-//! `SUSTAIN_WATCHDOG_FACTOR`) are parsed strictly at startup: an invalid value is a typed error
-//! and a non-zero exit, never a silent fallback.
+//! `SUSTAIN_RETRY_BACKOFF_MS`, `SUSTAIN_BREAKER_TRIP`) are parsed
+//! strictly at startup: an invalid value is a typed error and a
+//! non-zero exit, never a silent fallback.
 
 use std::fs;
 use std::path::{Path, PathBuf};

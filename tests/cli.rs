@@ -160,8 +160,6 @@ fn invalid_env_knobs_are_rejected_with_typed_errors() {
         ("SUSTAIN_RETRY_BACKOFF_MS", "soon"),
         ("SUSTAIN_BREAKER_TRIP", "0"),
         ("SUSTAIN_BREAKER_TRIP", "-3"),
-        ("SUSTAIN_WATCHDOG_FACTOR", "0"),
-        ("SUSTAIN_WATCHDOG_FACTOR", "4.5"),
     ] {
         let out = if var == "SUSTAIN_FAULTS_SEED" {
             // The seed is only read when a fault plan is present.
@@ -201,7 +199,6 @@ fn valid_env_knobs_are_accepted() {
         .env("SUSTAIN_RETRY_MAX", "5")
         .env("SUSTAIN_RETRY_BACKOFF_MS", "10")
         .env("SUSTAIN_BREAKER_TRIP", "4")
-        .env("SUSTAIN_WATCHDOG_FACTOR", "6")
         .output()
         .unwrap();
     assert!(

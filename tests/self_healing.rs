@@ -11,8 +11,8 @@
 //!   typed 503s with `Retry-After`, half-opens after a bounded number of
 //!   rejections, and recloses on a successful probe — `GET /readyz`
 //!   tracking the whole arc;
-//! * a request stuck past a factor of its own deadline budget is killed
-//!   by the watchdog with a typed 408 naming the watchdog.
+//! * a request held past its own deadline budget is answered a typed
+//!   408 naming the deadline, and its worker serves on.
 //!
 //! The fault registry and the retry/health knobs are process-global, so
 //! every test serializes on one mutex and disarms on drop.
@@ -639,15 +639,14 @@ fn breaker_opens_probes_and_recloses_with_typed_503s() {
 }
 
 // ---------------------------------------------------------------------
-// Watchdog: a stuck request is cancelled past factor × its budget.
+// Stuck requests: a request held past its budget is a typed 408.
 // ---------------------------------------------------------------------
 
-/// A request stuck (injected delay) past `watchdog_factor()` times its
-/// own deadline budget is cancelled by the watchdog thread with a typed
-/// 408 naming the watchdog — and the worker survives to serve the next
-/// request normally.
+/// A request held (injected delay) past its own deadline budget is
+/// cancelled at its next check with a typed 408 naming the deadline —
+/// and the worker survives to serve the next request normally.
 #[test]
-fn watchdog_cancels_a_stuck_request_with_a_typed_408() {
+fn a_stuck_request_gets_a_typed_408_naming_its_deadline() {
     let _guard = fault_lock();
     let handle = serve(ServeOptions::default()).expect("serve");
     let addr = handle.local_addr();
@@ -656,41 +655,94 @@ fn watchdog_cancels_a_stuck_request_with_a_typed_408() {
     // Warm the trace cache for this (profile, days, seed) — different
     // node count, so the outcome cache cannot short-circuit the stuck
     // request — letting it reach the simulation well inside its 20ms
-    // soft budget.
+    // budget.
     let (status, body) = split_response(&post_run_raw(
         addr,
         &format!(r#"{{"days": 2, "nodes": 500, "seed": {seed}}}"#),
     ));
     assert_eq!(status, 200, "warmup run: {body}");
 
-    // Factor 2 × 20ms budget = 40ms hard deadline, safely inside the
-    // 50ms injected delay; restore the knob before asserting.
-    health::try_set_watchdog_factor(2).expect("factor >= 1");
+    // The 50ms injected delay holds the request past its 20ms budget.
     faults::arm("scenario::run:delay:1", 7).expect("valid spec");
     let raw = post_run_raw(
         addr,
         &format!(r#"{{"days": 2, "nodes": 600, "seed": {seed}, "timeout_ms": 20}}"#),
     );
     faults::disarm();
-    health::try_set_watchdog_factor(health::DEFAULT_WATCHDOG_FACTOR).expect("restore factor");
 
     let (status, body) = split_response(&raw);
-    assert_eq!(status, 408, "watchdogged request is a typed 408: {body}");
+    assert_eq!(status, 408, "stuck request is a typed 408: {body}");
+    let v: serde_json::Value = serde_json::from_str(&body).expect("typed body");
+    assert_eq!(v["error"]["kind"].as_str(), Some("cancelled"), "{body}");
     assert!(
-        body.contains("cancelled") && body.contains("watchdog"),
-        "the 408 must name the watchdog: {body}"
+        body.contains("deadline of 0.020s exceeded"),
+        "the 408 must name the deadline: {body}"
     );
 
-    // The worker survives and the watchdog cancellation is counted.
+    // The worker survives.
     let (status, _) = post_run(addr, fresh_seed());
-    assert_eq!(status, 200, "worker must survive a watchdogged request");
-    let (status, stats) = get(addr, "/stats");
-    assert_eq!(status, 200);
-    let v: serde_json::Value = serde_json::from_str(&stats).expect("stats parse");
-    assert!(
-        v["self_healing"]["watchdog_cancels"].as_u64().unwrap_or(0) >= 1,
-        "watchdog cancels must be surfaced in stats: {stats}"
+    assert_eq!(status, 200, "worker must survive a stuck request");
+
+    handle.shutdown_and_join();
+}
+
+/// Restores the process thread count on drop, even when the test body
+/// panics.
+struct ThreadsGuard(usize);
+
+impl Drop for ThreadsGuard {
+    fn drop(&mut self) {
+        sustain_hpc::core::sweep::set_threads(self.0);
+    }
+}
+
+/// `POST /shutdown` alone, with no `ServerHandle::shutdown` call,
+/// reaches a run already in flight: every request's control holds a
+/// clone of the server's one cancel token, so the run ends at its next
+/// check with a typed 408 instead of riding out the drain.
+#[test]
+fn post_shutdown_cancels_a_run_already_in_flight() {
+    let _guard = fault_lock();
+    // Two workers: one holds the run, the other serves the shutdown.
+    let _threads = ThreadsGuard(sustain_hpc::core::sweep::effective_threads());
+    sustain_hpc::core::sweep::set_threads(2);
+    let handle = serve(ServeOptions {
+        max_inflight: 2,
+        ..ServeOptions::default()
+    })
+    .expect("serve");
+    let addr = handle.local_addr();
+
+    // Every hourly tick of the carbon-aware run sleeps 50ms, so the run
+    // stays in flight for seconds, checking its control at each tick.
+    faults::arm("sim::tick:delay:p1.0", 7).expect("valid spec");
+    let json = format!(
+        r#"{{"days": 3, "nodes": 600, "policy": "carbon", "seed": {}}}"#,
+        fresh_seed()
     );
+    let run = std::thread::spawn(move || post_run_raw(addr, &json));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while faults::hit_count("sim::tick") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the run never reached its event loop"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let (status, body) = split_response(&raw_response(
+        addr,
+        "POST /shutdown HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
+    ));
+    assert_eq!(status, 200, "{body}");
+    let (status, body) = split_response(&run.join().expect("run thread"));
+    faults::disarm();
+    let head = &body[..body.len().min(200)];
+    assert_eq!(status, 408, "the in-flight run must be cancelled: {head}");
+    let v: serde_json::Value = serde_json::from_str(&body).expect("typed body");
+    assert_eq!(v["error"]["kind"].as_str(), Some("cancelled"), "{body}");
+    assert!(body.contains("shutdown requested"), "{body}");
+    assert!(handle.shutdown_requested());
 
     handle.shutdown_and_join();
 }

@@ -407,6 +407,11 @@ struct RunJob {
     /// failure strikes a checkpointable job.
     seg_start_work: f64,
     finish_ev: EventId,
+    /// When `finish_ev` fires: the job's end, fixed when the event was
+    /// scheduled rather than re-derived from `now` and the remaining
+    /// work, so a conservative reservation planned against it is the
+    /// same at every later pass.
+    finish_at: SimTime,
 }
 
 struct Book {
@@ -1423,6 +1428,7 @@ impl<'a> Sim<'a> {
             seg_start: now,
             seg_start_work: work_remaining,
             finish_ev,
+            finish_at,
         });
     }
 
@@ -1491,8 +1497,8 @@ impl<'a> Sim<'a> {
         run.work_remaining += self.cfg.reshape_cost.as_secs() * run.rate;
         run.seg_start_work = run.work_remaining;
         self.queue.cancel(run.finish_ev);
-        let finish_at = now + SimDuration::from_secs(run.work_remaining / run.rate);
-        run.finish_ev = self.queue.schedule(finish_at, Ev::Finish(job.id));
+        run.finish_at = now + SimDuration::from_secs(run.work_remaining / run.rate);
+        run.finish_ev = self.queue.schedule(run.finish_at, Ev::Finish(job.id));
         self.books[run.idx].reshapes += 1;
     }
 
@@ -1733,13 +1739,8 @@ impl<'a> Sim<'a> {
             // slot search consumes it directly.
             events.clear();
             for r in &self.running {
-                let remaining = SimDuration::from_secs(
-                    (r.work_remaining - (now - r.last_update).as_secs().max(0.0) * r.rate).max(0.0)
-                        / r.rate,
-                );
-                let t = now + remaining;
-                if t > now {
-                    sorted_insert(&mut events, (t, r.alloc as i64));
+                if r.finish_at > now {
+                    sorted_insert(&mut events, (r.finish_at, r.alloc as i64));
                 }
             }
 

@@ -379,4 +379,31 @@ mod tests {
         }
         assert!(saw_conservative, "corpus lost its conservative scenarios");
     }
+
+    /// Perf smoke for the kept conservative plan: on every conservative
+    /// scenario the passes place under a third of the entries pending at
+    /// their starts (about 0.13 and 0.17 at smoke scale). Entries whose
+    /// reservations no event can have moved keep them between passes.
+    /// Catches a plan that is rebuilt at every pass (about 0.56 and
+    /// 0.54).
+    #[test]
+    fn conservative_plan_persists_across_passes() {
+        let mut saw_conservative = false;
+        for sc in scenarios(Scale::Smoke) {
+            if !matches!(sc.cfg.policy, Policy::ConservativeBackfill) {
+                continue;
+            }
+            saw_conservative = true;
+            let hp = simulate(&sc.jobs, &sc.cfg).hot_path;
+            assert!(hp.backfill_scanned > 0, "{}: no plan pass", sc.name);
+            assert!(
+                hp.backfill_visits * 3 < hp.backfill_scanned,
+                "{}: placed {} of {} pending entries",
+                sc.name,
+                hp.backfill_visits,
+                hp.backfill_scanned
+            );
+        }
+        assert!(saw_conservative, "corpus lost its conservative scenarios");
+    }
 }

@@ -156,15 +156,17 @@ pub struct HotPathStats {
     /// entries the walk examined (reached the eligibility and
     /// allocation checks); entries skipped in bulk because their
     /// minimum allocation exceeds the free nodes are not counted. Under
-    /// conservative backfill: entries a plan round placed (a slot
-    /// search each); the entries behind the last one that could start
-    /// now are not placed.
+    /// conservative backfill: entries a plan pass placed (a slot search
+    /// each); entries that kept their reservation from an earlier pass,
+    /// and the entries behind the last one that could start now, are
+    /// not placed.
     pub backfill_visits: u64,
     /// Pending entries the backfill would have worked on without its
     /// skips: under EASY, the entries the walk passed over, examined or
     /// skipped in bulk; under conservative backfill, the pending length
-    /// at the start of each plan round. `backfill_visits /
-    /// backfill_scanned` is the share of the queue actually worked on.
+    /// at the start of each plan pass, and again at each full rebuild
+    /// within a pass. `backfill_visits / backfill_scanned` is the share
+    /// of the queue actually worked on.
     pub backfill_scanned: u64,
 }
 

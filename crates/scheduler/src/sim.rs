@@ -433,9 +433,11 @@ struct Book {
 /// plateau.
 #[derive(Default)]
 struct Scratch {
-    /// Time-sorted (time, ±nodes) availability/reservation profile for
-    /// conservative planning.
-    events: Vec<(SimTime, i64)>,
+    /// Time-sorted availability/reservation profile for conservative
+    /// planning. Unlike the other buffers it carries state between
+    /// passes: the first [`Sim::plan_len`] entries' reservations stay in
+    /// it (DESIGN.md §6).
+    profile: Vec<Step>,
     /// Time-sorted (time, freed nodes) profile for the EASY shadow.
     frees: Vec<(SimTime, u32)>,
     /// Keyed pending entries for a full fair-share resort (the test
@@ -443,6 +445,66 @@ struct Scratch {
     keyed: Vec<(std::cmp::Reverse<u32>, f64, SimTime, JobId, usize)>,
     /// Per-user decayed-usage memo for one legacy resort.
     usage_memo: UserMap<f64>,
+}
+
+/// Whose step a conservative profile [`Step`] is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Owner {
+    /// The end of the running job with this job index.
+    Run(usize),
+    /// The reservation of the pending entry at this queue position.
+    Res(usize),
+}
+
+/// One step of the conservative availability profile: at `t`, `delta`
+/// nodes are freed (+) or reserved (−). Within a time, running jobs'
+/// ends come first, in `Sim::running` order, then reservations in the
+/// order they were placed: the order a fresh build produces, which the
+/// slot search's window check can see.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Step {
+    t: SimTime,
+    delta: i64,
+    owner: Owner,
+}
+
+/// Inserts the end of running job `idx` (`nodes` freed at `t`) into a
+/// conservative profile: after the running jobs' ends of equal time and
+/// before the reservations, where a fresh build puts the job that
+/// started last.
+fn insert_run_end(profile: &mut Vec<Step>, t: SimTime, nodes: u32, idx: usize) {
+    let at = profile.partition_point(|e| e.t < t || (e.t == t && matches!(e.owner, Owner::Run(_))));
+    let (delta, owner) = (nodes as i64, Owner::Run(idx));
+    profile.insert(at, Step { t, delta, owner });
+}
+
+/// Inserts a step of the reservation of the entry at `pos` at the upper
+/// bound of its time, after every step of equal time (see
+/// [`sorted_insert`]).
+fn insert_reservation(profile: &mut Vec<Step>, t: SimTime, delta: i64, pos: usize) {
+    let at = profile.partition_point(|e| e.t <= t);
+    let owner = Owner::Res(pos);
+    profile.insert(at, Step { t, delta, owner });
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch: rebuild the conservative plan at every pass
+    /// and after every start, as before the plan was kept. The
+    /// differential tests compare it with the kept plan; production
+    /// code has no such switch.
+    static REBUILD_EVERY_PASS: Cell<bool> = const { Cell::new(false) };
+}
+
+#[cfg(test)]
+fn rebuild_every_pass() -> bool {
+    REBUILD_EVERY_PASS.with(Cell::get)
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn rebuild_every_pass() -> bool {
+    false
 }
 
 /// The single pending-order key (see [`Sim::pending_key`]).
@@ -822,6 +884,14 @@ struct Sim<'a> {
     /// legacy switch. Cleared by usage recordings and by inserts
     /// carrying nonzero usage.
     usage_all_zero: bool,
+    /// Leading pending entries whose conservative reservations are in
+    /// `scratch.profile`, as a fresh plan at the last pass placed them.
+    /// 0 means the profile is rebuilt at the next pass. Every change
+    /// the rules of DESIGN.md §6 cannot prove harmless sets it to 0.
+    plan_len: usize,
+    /// Nodes taken out by failures and not yet repaired. While any is
+    /// down the conservative plan is rebuilt at every pass.
+    nodes_down: u32,
     /// Reusable planning buffers.
     scratch: Scratch,
 }
@@ -892,6 +962,8 @@ impl<'a> Sim<'a> {
             trace_hits: Cell::new(0),
             trace_misses: Cell::new(0),
             stats: HotPathStats::default(),
+            plan_len: 0,
+            nodes_down: 0,
             scratch: Scratch::default(),
         }
     }
@@ -1307,6 +1379,7 @@ impl<'a> Sim<'a> {
                 pend_key_cmp(&self.pending_key_legacy(p, now), &key) != std::cmp::Ordering::Greater
             });
             self.pending.insert(pos, idx, job);
+            self.plan_len = self.plan_len.min(pos);
             return;
         }
         let key = self.pending_key(idx);
@@ -1314,6 +1387,8 @@ impl<'a> Sim<'a> {
             pend_key_cmp(&self.pending_key(p), &key) != std::cmp::Ordering::Greater
         });
         self.pending.insert(pos, idx, job);
+        // The entries ahead of a new one keep their reservations.
+        self.plan_len = self.plan_len.min(pos);
     }
 
     /// Budget lookup hoisted to bucket granularity: the value is cached
@@ -1459,6 +1534,9 @@ impl<'a> Sim<'a> {
         self.quiescent = false;
         self.close_segment(pos, now);
         let run = self.running.remove(pos);
+        if self.plan_len > 0 {
+            self.drop_run_end(run.idx, run.finish_at);
+        }
         let job = &self.jobs[run.idx];
         self.alloc.release(run.alloc);
         self.running_power -= job.power_at(run.alloc);
@@ -1473,9 +1551,31 @@ impl<'a> Sim<'a> {
         self.record_usage(user, node_seconds, now);
     }
 
+    /// Removes a finished job's end from the kept conservative profile.
+    /// A kept plan holds every running job's end, so the step is there;
+    /// should it not be, the plan is rebuilt.
+    fn drop_run_end(&mut self, idx: usize, finish_at: SimTime) {
+        let profile = &mut self.scratch.profile;
+        let from = profile.partition_point(|e| e.t < finish_at);
+        let found = profile[from..]
+            .iter()
+            .take_while(|e| e.t == finish_at)
+            .position(|e| e.owner == Owner::Run(idx));
+        match found {
+            Some(i) => {
+                profile.remove(from + i);
+            }
+            None => {
+                debug_assert!(false, "kept plan lacks a running job's end");
+                self.plan_len = 0;
+            }
+        }
+    }
+
     /// Reshapes a running job to a new allocation (malleability, §3.2).
     fn reshape(&mut self, pos: usize, new_alloc: u32, now: SimTime) {
         self.quiescent = false;
+        self.plan_len = 0;
         Self::progress(&mut self.running[pos], now);
         self.close_segment(pos, now);
         let run = &mut self.running[pos];
@@ -1506,6 +1606,7 @@ impl<'a> Sim<'a> {
     /// overhead, frees its nodes.
     fn suspend(&mut self, pos: usize, now: SimTime) {
         self.quiescent = false;
+        self.plan_len = 0;
         Self::progress(&mut self.running[pos], now);
         self.close_segment(pos, now);
         let run = self.running.remove(pos);
@@ -1597,10 +1698,13 @@ impl<'a> Sim<'a> {
         if matches!(self.cfg.policy, Policy::CarbonAware(_)) || self.cfg.enable_malleability {
             return false;
         }
-        // Conservative replanning mixes absolute times (running-job
-        // completions) with now-relative reservation chains, so merely
-        // advancing `now` can reorder the profile. Only skip once
-        // nothing is running — then the profile shifts uniformly.
+        // Conservative reservations start at absolute times: running
+        // jobs' ends, or an earlier reservation's estimated end, which
+        // is no event. Advancing `now` past such a time can let an entry
+        // start, and a reservation blocked by power is held from `now`,
+        // taking the reservations chained behind it along. Only skip
+        // once nothing is running — then every reservation chains from
+        // `now` and the profile shifts uniformly.
         if matches!(self.cfg.policy, Policy::ConservativeBackfill) && !self.running.is_empty() {
             return false;
         }
@@ -1657,6 +1761,7 @@ impl<'a> Sim<'a> {
                     let job = &self.jobs[idx];
                     let rate = job.speedup.speedup(alloc.min(job.efficient_nodes).max(1));
                     self.start_job(idx, alloc, work + restart * rate, now);
+                    self.plan_len = 0;
                 } else {
                     self.suspended[write] = self.suspended[read];
                     write += 1;
@@ -1708,45 +1813,57 @@ impl<'a> Sim<'a> {
     }
 
     /// Conservative backfilling: plan a reservation for every pending job
-    /// in queue order against the running jobs' remaining walltimes, start
-    /// exactly the jobs whose reservation begins now, and re-plan from the
-    /// queue head after each start. Reservation durations use user
-    /// walltime estimates; actual completions free resources earlier and
-    /// the next pass re-plans.
+    /// in queue order against the running jobs' ends, and start exactly
+    /// the jobs whose reservation begins now. Reservation durations use
+    /// user walltime estimates; actual completions free resources
+    /// earlier and the next pass re-plans.
     ///
-    /// A round stops after the last entry whose minimum allocation fits
-    /// the free nodes ([`PendQueue::fit_end`]); no entry behind it can
-    /// start now (proof sketch in DESIGN.md §6). `backfill_visits`
-    /// counts the entries a round places, `backfill_scanned` the pending
-    /// entries at its start.
+    /// The plan persists between passes: the first [`Sim::plan_len`]
+    /// entries keep the reservations an earlier pass gave them, and a
+    /// pass places entries only from the first reservation an event
+    /// since then can have moved. A start at position p keeps the
+    /// entries ahead of it and continues at p. Placing stops after the
+    /// last entry whose minimum allocation fits the free nodes
+    /// ([`PendQueue::fit_end`]); no entry behind it can start now. Proof
+    /// sketches of each rule are in DESIGN.md §6. `backfill_visits`
+    /// counts the entries a pass places (a slot search each),
+    /// `backfill_scanned` the pending entries at its start and at each
+    /// full rebuild within it.
     #[inline(never)]
     fn conservative_schedule(&mut self, now: SimTime) {
         // The profile lives in a reusable scratch buffer: a steady-state
         // pass allocates nothing.
-        let mut events = std::mem::take(&mut self.scratch.events);
-        let cap = events.capacity();
-        'restart: loop {
-            let free = self.alloc.free();
-            let mut free_now = free as i64;
-            let end = self.pending.fit_end(self.pending.len(), free);
-            self.stats.backfill_scanned += self.pending.len() as u64;
-            if end == 0 {
-                break;
+        let mut profile = std::mem::take(&mut self.scratch.profile);
+        let cap = profile.capacity();
+        self.stats.backfill_scanned += self.pending.len() as u64;
+        let fresh_only =
+            self.cfg.fair_share.is_some() || self.nodes_down > 0 || rebuild_every_pass();
+        let mut keep = if fresh_only { 0 } else { self.plan_len };
+        // Every kept step lies at or after `now`. A running job ending
+        // at `now` still has its Finish queued and a fresh plan leaves it
+        // out; an entry whose reservation begins at `now` is the first
+        // that may start, so it and every entry behind it are re-placed.
+        if keep > 0 {
+            for step in profile.iter().take_while(|e| e.t <= now) {
+                keep = match step.owner {
+                    Owner::Run(_) => 0,
+                    Owner::Res(p) => keep.min(p),
+                };
             }
-            // Availability profile: (time, +freed nodes) from running
-            // jobs, kept sorted by time (ties in insertion order, like
-            // the stable sort the old per-call slot search did) so the
-            // slot search consumes it directly.
-            events.clear();
-            for r in &self.running {
-                if r.finish_at > now {
-                    sorted_insert(&mut events, (r.finish_at, r.alloc as i64));
-                }
+        }
+        let mut end = self.pending.fit_end(self.pending.len(), self.alloc.free());
+        let mut pos = keep;
+        // Set when the plan cannot outlive this pass: a running job's
+        // end at `now` is left out, or an entry reserves blocked at `now`.
+        let mut stale = false;
+        let mut blocked = false;
+        if pos < end {
+            if keep == 0 {
+                stale = !self.rebuild_profile(&mut profile, now);
+            } else {
+                profile.retain(|e| !matches!(e.owner, Owner::Res(p) if p >= keep));
             }
-
-            // The queue does not change within a round, so positions
-            // index it directly.
-            let mut pos = 0;
+            let mut free_now = self.alloc.free() as i64;
             while pos < end {
                 let idx = self.pending[pos];
                 let job = &self.jobs[idx];
@@ -1758,38 +1875,77 @@ impl<'a> Sim<'a> {
                 let dur = job.walltime_estimate;
                 // Find the earliest start ≥ now where `alloc` nodes stay
                 // free for `dur`, given the profile.
-                let start = earliest_slot_sorted(free_now, &events, now, alloc as i64, dur);
+                let start = earliest_slot_sorted(free_now, &profile, now, alloc as i64, dur);
+                self.stats.backfill_visits += 1;
                 if start == now {
                     // Can the job actually start (power check happens only
                     // at real starts)? `choose_alloc` already guarantees
                     // the class minimum when it returns Some.
                     if let Some(actual) = self.choose_alloc(idx, now) {
-                        self.stats.backfill_visits += pos as u64 + 1;
                         self.pending.remove(pos);
                         let work = job.work;
                         self.start_job(idx, actual, work, now);
-                        continue 'restart;
+                        let finish_at = self.running[self.running.len() - 1].finish_at;
+                        free_now = self.alloc.free() as i64;
+                        end = self.pending.fit_end(self.pending.len(), self.alloc.free());
+                        if blocked || finish_at > now + dur || rebuild_every_pass() {
+                            // The entries ahead may have moved: a blocked
+                            // one is held from `now`, and a job that runs
+                            // past its reservation can push them later.
+                            self.stats.backfill_scanned += self.pending.len() as u64;
+                            stale = !self.rebuild_profile(&mut profile, now);
+                            blocked = false;
+                            pos = 0;
+                        } else if finish_at > now {
+                            // The job runs inside the window its plan gave
+                            // it, so the entries ahead keep their slots.
+                            insert_run_end(&mut profile, finish_at, actual, idx);
+                        } else {
+                            stale = true;
+                        }
+                        continue;
                     }
-                    // Blocked: reserve instead. Events at or before
-                    // `now` stay out of the profile (`earliest_slot_sorted`
+                    // Blocked: reserve instead. Steps at or before `now`
+                    // stay out of the profile (`earliest_slot_sorted`
                     // relies on it).
+                    blocked = true;
                     free_now -= alloc as i64;
                 } else {
-                    sorted_insert(&mut events, (start, -(alloc as i64)));
+                    insert_reservation(&mut profile, start, -(alloc as i64), pos);
                 }
                 let end_t = start + dur;
                 if end_t > now {
-                    sorted_insert(&mut events, (end_t, alloc as i64));
+                    insert_reservation(&mut profile, end_t, alloc as i64, pos);
                 }
                 pos += 1;
             }
-            self.stats.backfill_visits += pos as u64;
-            break;
         }
-        if events.capacity() != cap {
+        self.plan_len = if fresh_only || stale || blocked {
+            0
+        } else {
+            pos
+        };
+        if profile.capacity() != cap {
             self.stats.scratch_grows += 1;
         }
-        self.scratch.events = events;
+        self.scratch.profile = profile;
+    }
+
+    /// Refills `profile` with the running jobs' ends alone, the start of
+    /// a fresh plan. Returns false when it left out a job ending at or
+    /// before `now`: its Finish is still queued, so a plan built without
+    /// it holds only for this pass.
+    fn rebuild_profile(&self, profile: &mut Vec<Step>, now: SimTime) -> bool {
+        profile.clear();
+        let mut whole = true;
+        for r in &self.running {
+            if r.finish_at > now {
+                insert_run_end(profile, r.finish_at, r.alloc, r.idx);
+            } else {
+                whole = false;
+            }
+        }
+        whole
     }
 
     /// EASY backfilling around a blocked head job.
@@ -1941,6 +2097,7 @@ impl<'a> Sim<'a> {
         let failures = rng.poisson(lambda);
         if failures > 0 {
             self.quiescent = false;
+            self.plan_len = 0;
         }
         for _ in 0..failures {
             let node = rng.uniform_u64(self.cfg.cluster.nodes as u64) as u32;
@@ -1967,6 +2124,7 @@ impl<'a> Sim<'a> {
             // of the free pool (a just-killed job freed at least one).
             if self.alloc.free() > 0 {
                 self.alloc.claim(1);
+                self.nodes_down += 1;
                 self.queue.schedule(now + model.mttr, Ev::NodeRepaired);
             }
         }
@@ -2228,6 +2386,8 @@ impl<'a> Sim<'a> {
                 Ev::Tick => self.tick(t),
                 Ev::NodeRepaired => {
                     self.quiescent = false;
+                    self.plan_len = 0;
+                    self.nodes_down -= 1;
                     self.alloc.release(1);
                     self.try_schedule(t);
                 }
@@ -2281,7 +2441,7 @@ impl<'a> Sim<'a> {
 /// advances candidate by candidate instead of re-summing per candidate.
 fn earliest_slot_sorted(
     free_now: i64,
-    evs: &[(SimTime, i64)],
+    evs: &[Step],
     now: SimTime,
     alloc: i64,
     dur: SimDuration,
@@ -2294,8 +2454,8 @@ fn earliest_slot_sorted(
         // Fold in every event at or before the candidate; equal-time
         // runs fold together, like the reference's `take_while(<= t0)`,
         // which also means duplicate candidate times are visited once.
-        while consumed < evs.len() && evs[consumed].0 <= candidate {
-            free += evs[consumed].1;
+        while consumed < evs.len() && evs[consumed].t <= candidate {
+            free += evs[consumed].delta;
             consumed += 1;
         }
         if free >= alloc {
@@ -2305,10 +2465,10 @@ fn earliest_slot_sorted(
             let mut ok = true;
             let mut f = free;
             for e in &evs[consumed..] {
-                if e.0 >= t_end {
+                if e.t >= t_end {
                     break;
                 }
-                f += e.1;
+                f += e.delta;
                 if f < alloc {
                     ok = false;
                     break;
@@ -2321,11 +2481,11 @@ fn earliest_slot_sorted(
         if consumed >= evs.len() {
             break;
         }
-        candidate = evs[consumed].0;
+        candidate = evs[consumed].t;
     }
     // No feasible window found (should not happen when alloc ≤ cluster);
     // fall back to after the last event.
-    evs.last().map(|e| e.0).unwrap_or(now)
+    evs.last().map(|e| e.t).unwrap_or(now)
 }
 
 /// Earliest time ≥ `now` at which `alloc` nodes remain continuously free
@@ -3078,9 +3238,16 @@ mod tests {
                         // events, pre-sorted, ties in insertion order —
                         // exactly what the reference's filter + stable
                         // sort produces internally.
-                        let mut sorted: Vec<(SimTime, i64)> =
-                            events.iter().copied().filter(|e| e.0 > now).collect();
-                        sorted.sort_by_key(|e| e.0);
+                        let mut sorted: Vec<Step> = events
+                            .iter()
+                            .filter(|e| e.0 > now)
+                            .map(|&(t, delta)| Step {
+                                t,
+                                delta,
+                                owner: Owner::Run(0),
+                            })
+                            .collect();
+                        sorted.sort_by_key(|e| e.t);
                         assert_eq!(
                             earliest_slot_sorted(free_now, &sorted, now, alloc, d(dur_h)),
                             earliest_slot(free_now, &events, now, alloc, d(dur_h)),
@@ -3531,10 +3698,10 @@ mod tests {
             if starts {
                 assert_eq!(started, vec![1, 3], "job 3 fits before the reservation");
                 assert_eq!(pending_ids(&sim), vec![2, 4, 5, 6]);
-                // Round one placed jobs 2 and 3; round two found no
-                // free node.
+                // The pass placed jobs 2 and 3; after the start no free
+                // node is left, so it placed nothing more.
                 assert_eq!(sim.stats.backfill_visits, 2);
-                assert_eq!(sim.stats.backfill_scanned, 5 + 4);
+                assert_eq!(sim.stats.backfill_scanned, 5);
             } else {
                 assert_eq!(started, vec![1], "job 3 would delay job 2");
                 assert_eq!(pending_ids(&sim), vec![2, 3, 4, 5, 6]);
@@ -3542,5 +3709,336 @@ mod tests {
                 assert_eq!(sim.stats.backfill_scanned, 5);
             }
         }
+    }
+
+    /// What a conservative pass leaves behind: started job ids, pending
+    /// job ids and the profile.
+    type PlanState = (Vec<u64>, Vec<u64>, Vec<Step>);
+
+    fn plan_state(sim: &Sim) -> PlanState {
+        let started = sim.running.iter().map(|r| sim.jobs[r.idx].id.0).collect();
+        (started, pending_ids(sim), sim.scratch.profile.clone())
+    }
+
+    /// Runs `stage` with the plan kept, then with it rebuilt at every
+    /// pass and after every start, and returns both results.
+    fn kept_and_rebuilt<T>(stage: impl Fn() -> T) -> (T, T) {
+        let kept = stage();
+        REBUILD_EVERY_PASS.with(|f| f.set(true));
+        let rebuilt = stage();
+        REBUILD_EVERY_PASS.with(|f| f.set(false));
+        (kept, rebuilt)
+    }
+
+    /// The reservation steps of the entry at `pos`.
+    fn reservation(profile: &[Step], pos: usize) -> Vec<(f64, i64)> {
+        profile
+            .iter()
+            .filter(|e| e.owner == Owner::Res(pos))
+            .map(|e| (e.t.as_hours(), e.delta))
+            .collect()
+    }
+
+    /// 10 nodes: job 1 (4 nodes) ends at 2 h and job 2 (4 nodes) at
+    /// 4 h, so 2 are free. Pending: job 3 (all 10 nodes) reserves at 4 h,
+    /// job 4 (4 nodes) fits between 2 h and job 3, and job 5 (1 node for
+    /// 10 h) must wait behind job 3. `extra` jobs queue after them.
+    fn finish_stage(extra: &[Job]) -> Vec<Job> {
+        let mut jobs = vec![
+            rigid(1, 0.0, 4, 2.0),
+            rigid(2, 0.0, 4, 4.0),
+            rigid(3, 0.0, 10, 1.0),
+            rigid(4, 0.0, 4, 1.0),
+            rigid(5, 0.0, 1, 10.0),
+        ];
+        jobs.extend_from_slice(extra);
+        jobs
+    }
+
+    #[test]
+    fn a_finish_keeps_every_reservation_ahead_of_the_first_that_starts() {
+        let jobs = finish_stage(&[]);
+        let cfg = conservative(10);
+        let (kept, rebuilt) = kept_and_rebuilt(|| {
+            let mut sim = staged(&jobs, &cfg, &[0, 1], &[2, 3, 4]);
+            sim.conservative_schedule(SimTime::ZERO);
+            let first = (plan_state(&sim), sim.plan_len, sim.stats);
+            let at = SimTime::from_hours(2.0);
+            sim.finish_job(JobId(1), at);
+            sim.conservative_schedule(at);
+            (first, plan_state(&sim), sim.plan_len, sim.stats)
+        });
+        let ((first, first_len, first_stats), state, plan_len, stats) = kept;
+        // The first pass placed all three: job 3 at 4 h, job 4 at 2 h and
+        // job 5 after job 3's window.
+        assert_eq!(first_len, 3);
+        assert_eq!(first_stats.backfill_visits, 3);
+        assert_eq!(reservation(&first.2, 0), vec![(4.0, -10), (5.5, 10)]);
+        assert_eq!(reservation(&first.2, 1), vec![(2.0, -4), (3.5, 4)]);
+        // At 2 h job 4's reservation begins: it starts, and only it and
+        // job 5 behind it were placed again. Job 3 kept its slot.
+        assert_eq!(state.0, vec![2, 4]);
+        assert_eq!(state.1, vec![3, 5]);
+        assert_eq!(stats.backfill_visits - first_stats.backfill_visits, 2);
+        assert_eq!(stats.backfill_scanned - first_stats.backfill_scanned, 3);
+        assert_eq!(reservation(&state.2, 0), reservation(&first.2, 0));
+        assert_eq!(plan_len, 2);
+        // The same profile, step for step, as a fresh plan.
+        assert_eq!(state, rebuilt.1);
+        assert_eq!(first, rebuilt.0 .0);
+    }
+
+    #[test]
+    fn a_tail_submit_places_only_the_new_tail() {
+        // Job 6 (2 nodes for 10 h) arrives behind the planned queue.
+        let jobs = finish_stage(&[rigid(6, 0.0, 2, 10.0)]);
+        let cfg = conservative(10);
+        let (kept, rebuilt) = kept_and_rebuilt(|| {
+            let mut sim = staged(&jobs, &cfg, &[0, 1], &[2, 3, 4]);
+            sim.conservative_schedule(SimTime::ZERO);
+            let before = sim.stats;
+            sim.pending_insert(5, SimTime::ZERO);
+            let len_after_submit = sim.plan_len;
+            sim.conservative_schedule(SimTime::ZERO);
+            (
+                plan_state(&sim),
+                len_after_submit,
+                sim.plan_len,
+                sim.stats,
+                before,
+            )
+        });
+        let (state, len_after_submit, plan_len, stats, before) = kept;
+        assert_eq!(len_after_submit, 3, "a tail submit keeps the whole plan");
+        assert_eq!(stats.backfill_visits - before.backfill_visits, 1);
+        assert_eq!(stats.backfill_scanned - before.backfill_scanned, 4);
+        assert_eq!(plan_len, 4);
+        assert_eq!(state.0, vec![1, 2], "job 6 overlaps job 3's window");
+        assert_eq!(state, rebuilt.0);
+    }
+
+    #[test]
+    fn a_start_at_p_keeps_the_entries_ahead_of_it() {
+        // Job 5 (1 node for 1 h, 1.5 h estimated) fits a free node
+        // before job 4's reservation at 2 h: it starts at position 2,
+        // and job 6 (1 node for 10 h) behind it is placed next.
+        let mut jobs = finish_stage(&[rigid(6, 0.0, 1, 10.0)]);
+        jobs[4] = rigid(5, 0.0, 1, 1.0);
+        let cfg = conservative(10);
+        let (kept, rebuilt) = kept_and_rebuilt(|| {
+            let mut sim = staged(&jobs, &cfg, &[0, 1], &[2, 3, 4, 5]);
+            sim.conservative_schedule(SimTime::ZERO);
+            (plan_state(&sim), sim.plan_len, sim.stats)
+        });
+        let (state, plan_len, stats) = kept;
+        assert_eq!(state.0, vec![1, 2, 5]);
+        assert_eq!(state.1, vec![3, 4, 6]);
+        // Jobs 3, 4, 5 and 6, each once: no restart from the head.
+        assert_eq!(stats.backfill_visits, 4);
+        assert_eq!(stats.backfill_scanned, 4);
+        assert_eq!(plan_len, 3);
+        // A restart re-places jobs 3 and 4 and finds the same slots.
+        assert_eq!(rebuilt.2.backfill_visits, 6);
+        assert_eq!(state, rebuilt.0);
+    }
+
+    #[test]
+    fn a_moldable_start_that_outruns_its_reservation_rebuilds_the_plan() {
+        // 8 nodes under a 2.5 kW budget: job 1 (4 × 500 W) ends at 2 h,
+        // leaving 4 nodes but power for only one more. Job 2 (8 nodes,
+        // low power) reserves at 2 h. Job 3 asks for 4 nodes for 1 h
+        // (1.5 h estimated) and fits before it, but is moldable down to
+        // 1 node: the budget gives it 1, so it runs 4 h, past its
+        // window, and job 2 must move to 4 h. Job 4 (1 node for 10 h)
+        // still fits the free nodes, so the plan re-places job 2.
+        let jobs = vec![
+            rigid(1, 0.0, 4, 2.0),
+            JobBuilder::new(2, SimTime::ZERO, 8, SimDuration::from_hours(1.0))
+                .power_per_node(Power::from_watts(10.0))
+                .build(),
+            JobBuilder::new(3, SimTime::ZERO, 4, SimDuration::from_hours(1.0))
+                .class(JobClass::Moldable {
+                    min_nodes: 1,
+                    max_nodes: 4,
+                })
+                .build(),
+            rigid(4, 0.0, 1, 10.0),
+        ];
+        let cfg = SimConfig {
+            power_budget: Some(TimeSeries::constant(
+                SimTime::ZERO,
+                SimDuration::from_hours(1.0),
+                2500.0,
+                100,
+            )),
+            ..conservative(8)
+        };
+        let (kept, rebuilt) = kept_and_rebuilt(|| {
+            let mut sim = staged(&jobs, &cfg, &[0], &[1, 2, 3]);
+            sim.conservative_schedule(SimTime::ZERO);
+            (plan_state(&sim), sim.stats)
+        });
+        let (state, stats) = kept;
+        assert_eq!(state.0, vec![1, 3]);
+        assert_eq!(state.1, vec![2, 4]);
+        assert_eq!(reservation(&state.2, 0), vec![(4.0, -8), (5.5, 8)]);
+        // Jobs 2 and 3, then jobs 2 and 4 on the rebuilt profile.
+        assert_eq!(stats.backfill_visits, 4);
+        assert_eq!(stats.backfill_scanned, 3 + 2);
+        assert_eq!(state, rebuilt.0);
+    }
+
+    /// `n` random jobs on `nodes` nodes for the plan differential:
+    /// rigid, moldable and malleable, a third checkpointable, walltime
+    /// estimates from 0.75× to 3× the runtime, submitted in bursts.
+    fn random_jobs(seed: u64, n: u64, nodes: u32) -> Vec<Job> {
+        let mut rng = sustain_sim_core::rng::RngStream::new(seed);
+        let mut t = 0.0;
+        (0..n)
+            .map(|i| {
+                t += rng.uniform_u64(4) as f64 * 0.25;
+                let req = 1 + rng.uniform_u64(nodes as u64) as u32;
+                let runtime = 0.25 + rng.uniform_u64(16) as f64 * 0.5;
+                let est = runtime * [0.75, 1.0, 1.5, 3.0][rng.uniform_u64(4) as usize];
+                let min_nodes = 1 + rng.uniform_u64(req as u64) as u32;
+                let b = JobBuilder::new(
+                    i,
+                    SimTime::from_hours(t),
+                    req,
+                    SimDuration::from_hours(runtime),
+                )
+                .user(i as u32 % 3)
+                .checkpointable(rng.uniform_u64(3) == 0);
+                let b = match rng.uniform_u64(4) {
+                    0 => b.class(JobClass::Moldable {
+                        min_nodes,
+                        max_nodes: req,
+                    }),
+                    1 => b.class(JobClass::Malleable {
+                        min_nodes,
+                        max_nodes: (2 * req).min(nodes),
+                    }),
+                    _ => b,
+                };
+                b.walltime(SimDuration::from_hours(est)).build()
+            })
+            .collect()
+    }
+
+    /// The eight conservative configurations of the plan differential:
+    /// plain, carbon trace with checkpointing, power budget,
+    /// malleability, failures with checkpointing, priority queues, and
+    /// two mixes.
+    fn differential_configs(seed: u64, nodes: u32) -> Vec<SimConfig> {
+        use crate::queue::{QueueConfig, QueueSet};
+        let mut rng = sustain_sim_core::rng::RngStream::new(seed ^ 0xD1FF);
+        let hourly = SimDuration::from_hours(1.0);
+        // Both series end at a value that lets every job finish: a low
+        // carbon intensity (suspended jobs resume) and the full power.
+        let mut ci: Vec<f64> = (0..96)
+            .map(|_| 50.0 + rng.uniform_u64(400) as f64)
+            .collect();
+        ci.push(50.0);
+        let trace = CarbonTrace::new("t", TimeSeries::new(SimTime::ZERO, hourly, ci));
+        let full = nodes as f64 * 500.0;
+        let mut watts: Vec<f64> = (0..96)
+            .map(|_| full * (0.3 + rng.uniform_u64(8) as f64 * 0.1))
+            .collect();
+        watts.push(full);
+        let budget = TimeSeries::new(SimTime::ZERO, hourly, watts);
+        let failures = FailureModel {
+            node_mtbf: SimDuration::from_days(4.0),
+            mttr: SimDuration::from_hours(3.0),
+            seed,
+        };
+        let queues = QueueSet {
+            queues: vec![
+                QueueConfig {
+                    name: "small".into(),
+                    priority: 5,
+                    min_nodes: 1,
+                    max_nodes: nodes / 4,
+                    max_walltime: SimDuration::from_hours(100.0),
+                },
+                QueueConfig {
+                    name: "big".into(),
+                    priority: 1,
+                    min_nodes: 1,
+                    max_nodes: nodes,
+                    max_walltime: SimDuration::from_hours(100.0),
+                },
+            ],
+        };
+        let plain = SimConfig {
+            policy: Policy::ConservativeBackfill,
+            ..SimConfig::easy(Cluster::new(nodes))
+        };
+        let carbon = SimConfig {
+            carbon_trace: Some(trace.clone()),
+            checkpoint: Some(CheckpointCfg::default()),
+            ..plain.clone()
+        };
+        let power = SimConfig {
+            power_budget: Some(budget.clone()),
+            ..plain.clone()
+        };
+        let malleable = SimConfig {
+            enable_malleability: true,
+            ..plain.clone()
+        };
+        let failing = SimConfig {
+            failures: Some(failures.clone()),
+            checkpoint: Some(CheckpointCfg::default()),
+            ..plain.clone()
+        };
+        let queued = SimConfig {
+            queues: Some(queues.clone()),
+            ..plain.clone()
+        };
+        let mix_a = SimConfig {
+            power_budget: Some(budget),
+            enable_malleability: true,
+            ..carbon.clone()
+        };
+        let mix_b = SimConfig {
+            failures: Some(failures),
+            queues: Some(queues),
+            carbon_trace: Some(trace),
+            checkpoint: Some(CheckpointCfg::default()),
+            ..power.clone()
+        };
+        vec![
+            plain, carbon, power, malleable, failing, queued, mix_a, mix_b,
+        ]
+    }
+
+    /// The outcome as bytes, without the hot-path counters.
+    fn outcome_bytes(mut out: SimOutcome) -> String {
+        out.hot_path = HotPathStats::default();
+        serde_json::to_string(&out).expect("outcome serializes")
+    }
+
+    #[test]
+    fn kept_plan_matches_a_plan_rebuilt_at_every_pass() {
+        let mut visits = [0u64; 2];
+        let mut runs = 0;
+        for seed in 0..25 {
+            let nodes = [16, 24, 32][seed as usize % 3];
+            let jobs = random_jobs(seed, 60, nodes);
+            for (c, cfg) in differential_configs(seed, nodes).iter().enumerate() {
+                let (kept, rebuilt) = kept_and_rebuilt(|| simulate(&jobs, cfg));
+                visits[0] += kept.hot_path.backfill_visits;
+                visits[1] += rebuilt.hot_path.backfill_visits;
+                assert_eq!(
+                    outcome_bytes(kept),
+                    outcome_bytes(rebuilt),
+                    "seed {seed}, configuration {c}"
+                );
+                runs += 1;
+            }
+        }
+        assert_eq!(runs, 200);
+        // The kept plan did less work, so the comparison is not vacuous.
+        assert!(visits[0] < visits[1], "visits kept/rebuilt: {visits:?}");
     }
 }

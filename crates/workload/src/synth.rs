@@ -258,6 +258,9 @@ pub fn generate(config: &WorkloadConfig, horizon: SimDuration, seed: u64) -> Vec
             .build();
         jobs.push(job);
     }
+    // `push` doubles the buffer, so it can hold up to twice the jobs;
+    // the workload cache keeps job sets and weighs only their length.
+    jobs.shrink_to_fit();
     jobs
 }
 

@@ -14,6 +14,23 @@ use std::time::{Duration, Instant};
 
 use sustain_hpc::service::{serve, ServeOptions};
 
+/// CI runs this suite under `SUSTAIN_THREADS=2` as well: honor the env
+/// knob, so the servers size their pools from it and not from the
+/// hardware count.
+fn parallelism_init() {
+    static INIT: std::sync::Once = std::sync::Once::new();
+    INIT.call_once(restore_env_threads);
+}
+
+/// Applies the thread budget `SUSTAIN_THREADS` asks for, or the
+/// default when it is unset.
+fn restore_env_threads() {
+    let applied = sustain_hpc::core::sweep::init_threads_from_env();
+    if applied.expect("valid SUSTAIN_THREADS in CI").is_none() {
+        sustain_hpc::core::sweep::set_threads(0);
+    }
+}
+
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_sustain-hpc"))
 }
@@ -78,6 +95,7 @@ fn cli_body(subcommand: &str, request_json: &str, threads: &str) -> String {
 /// simulation.
 #[test]
 fn concurrent_requests_are_byte_identical_to_the_cli() {
+    parallelism_init();
     let run_req = r#"{"days": 2, "nodes": 600, "policy": "carbon"}"#;
     let sweep_req = r#"{"base": {"days": 2, "nodes": 600}, "axis": "seed", "values": [1, 2, 3]}"#;
     for threads in [1usize, 2] {
@@ -111,7 +129,7 @@ fn concurrent_requests_are_byte_identical_to_the_cli() {
 
         handle.shutdown_and_join();
     }
-    sustain_hpc::core::sweep::set_threads(0);
+    restore_env_threads();
 }
 
 /// Overload: with one worker wedged and the accept queue full, new
@@ -120,6 +138,7 @@ fn concurrent_requests_are_byte_identical_to_the_cli() {
 /// dropped).
 #[test]
 fn overload_returns_429_and_the_stalled_request_still_completes() {
+    parallelism_init();
     let handle = serve(ServeOptions {
         addr: "127.0.0.1:0".to_string(),
         max_inflight: 1,
@@ -196,6 +215,7 @@ fn overload_returns_429_and_the_stalled_request_still_completes() {
 /// exit (the worker drains by answering, never by dropping).
 #[test]
 fn shutdown_cancels_in_flight_requests_with_typed_408() {
+    parallelism_init();
     let handle = serve(ServeOptions::default()).expect("serve");
     let addr = handle.local_addr();
 
@@ -241,6 +261,7 @@ fn shutdown_cancels_in_flight_requests_with_typed_408() {
 /// blocking the drain until every remaining point has simulated.
 #[test]
 fn stalled_sweep_is_cancelled_rather_than_blocking_shutdown() {
+    parallelism_init();
     let handle = serve(ServeOptions::default()).expect("serve");
     let addr = handle.local_addr();
 
@@ -273,6 +294,7 @@ fn stalled_sweep_is_cancelled_rather_than_blocking_shutdown() {
 /// pinning a worker until the peer goes away.
 #[test]
 fn idle_connection_is_timed_out_with_typed_408() {
+    parallelism_init();
     let handle = serve(ServeOptions {
         read_timeout_ms: 200,
         ..ServeOptions::default()
@@ -304,6 +326,7 @@ fn idle_connection_is_timed_out_with_typed_408() {
 /// endpoint, unsupported method, and a config rejection.
 #[test]
 fn error_responses_are_typed_json() {
+    parallelism_init();
     let handle = serve(ServeOptions::default()).expect("serve");
     let addr = handle.local_addr();
 

@@ -1853,8 +1853,9 @@ impl<'a> Sim<'a> {
         }
         let mut end = self.pending.fit_end(self.pending.len(), self.alloc.free());
         let mut pos = keep;
-        // Set when the plan cannot outlive this pass: a running job's
-        // end at `now` is left out, or an entry reserves blocked at `now`.
+        // Either makes the plan hold for this pass only: `stale` when a
+        // running job's end at `now` is left out of the profile,
+        // `blocked` when power blocks an entry whose slot is `now`.
         let mut stale = false;
         let mut blocked = false;
         if pos < end {

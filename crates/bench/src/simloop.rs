@@ -353,6 +353,34 @@ mod tests {
         assert!(saw_easy, "corpus lost its EASY scenarios");
     }
 
+    /// Perf smoke for the time skip: on every EASY scenario the walk
+    /// examines at most a sixteenth of the pending entries it passes over
+    /// (0.046 at worst at smoke scale, the power budget's refusals). The
+    /// rest cannot start: they need more nodes than are free, or would
+    /// outlive the shadow on more nodes than are spare. Catches a walk
+    /// that skips by nodes alone (0.059 to 0.117; five of the six
+    /// scenarios then exceed a sixteenth).
+    #[test]
+    fn easy_backfill_visits_only_jobs_that_can_start() {
+        let mut saw_easy = false;
+        for sc in scenarios(Scale::Smoke) {
+            if !matches!(sc.cfg.policy, Policy::EasyBackfill) {
+                continue;
+            }
+            saw_easy = true;
+            let hp = simulate(&sc.jobs, &sc.cfg).hot_path;
+            assert!(hp.backfill_scanned > 0, "{}: no backfill walk", sc.name);
+            assert!(
+                hp.backfill_visits * 16 <= hp.backfill_scanned,
+                "{}: examined {} of {} pending entries",
+                sc.name,
+                hp.backfill_visits,
+                hp.backfill_scanned
+            );
+        }
+        assert!(saw_easy, "corpus lost its EASY scenarios");
+    }
+
     /// Perf smoke for the conservative exit: on every conservative
     /// scenario the plan places under two thirds of the entries pending
     /// at its rounds' starts (about 0.45 at smoke scale). Each round stops

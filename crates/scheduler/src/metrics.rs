@@ -154,8 +154,11 @@ pub struct HotPathStats {
     pub fs_renorms: u64,
     /// Pending entries the backfill actually worked on. Under EASY:
     /// entries the walk examined (reached the eligibility and
-    /// allocation checks); entries skipped in bulk because their
-    /// minimum allocation exceeds the free nodes are not counted. Under
+    /// allocation checks). Only entries whose minimum allocation passes
+    /// both the node test (at most the free nodes) and the time test
+    /// (at most the spare nodes, or an estimate that ends by the
+    /// shadow) are examined; the rest are skipped in bulk and not
+    /// counted. Under
     /// conservative backfill: entries a plan pass placed (a slot search
     /// each); entries that kept their reservation from an earlier pass,
     /// and the entries behind the last one that could start now, are

@@ -507,6 +507,46 @@ fn rebuild_every_pass() -> bool {
     false
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch: the EASY walk skips only entries that cannot
+    /// fit the free nodes, as before it skipped by time too. The
+    /// differential tests compare it with the full skip; production
+    /// code has no such switch.
+    static NODES_ONLY_WALK: Cell<bool> = const { Cell::new(false) };
+}
+
+#[cfg(test)]
+fn nodes_only_walk() -> bool {
+    NODES_ONLY_WALK.with(Cell::get)
+}
+
+/// Entries per bit mask in [`PendQueue::next_start`].
+const MASK_LANES: usize = 16;
+
+/// Bit k set iff `need[k] <= free`, for up to [`MASK_LANES`] entries.
+/// Branch-free, so a full chunk compiles to vector compares.
+#[inline(always)]
+fn fit_mask(need: &[u32], free: u32) -> u32 {
+    need.iter()
+        .enumerate()
+        .fold(0, |mask, (k, &m)| mask | ((m <= free) as u32) << k)
+}
+
+/// `base` plus the lowest set bit k of `mask` for which `ok(base + k)`
+/// holds, if any.
+#[inline(always)]
+fn first_set(mut mask: u32, base: usize, ok: impl Fn(usize) -> bool) -> Option<usize> {
+    while mask != 0 {
+        let p = base + mask.trailing_zeros() as usize;
+        if ok(p) {
+            return Some(p);
+        }
+        mask &= mask - 1;
+    }
+    None
+}
+
 /// The single pending-order key (see [`Sim::pending_key`]).
 type PendKey = (std::cmp::Reverse<u32>, f64, SimTime, JobId);
 
@@ -549,12 +589,12 @@ type UserSet = std::collections::HashSet<u32, UserBuildHasher>;
 /// through a method that keeps the arrays in lockstep.
 ///
 /// `need` serves the backfilling schedulers: EASY walks scan it
-/// forward ([`PendQueue::next_fit`]) and the conservative plan scans it
-/// backward ([`PendQueue::fit_end`]). FCFS never backfills, so it is
-/// maintained only when something reads it (`track_need`). Likewise
-/// `user` and `counts` serve only the fair-share fix-up, so they are
-/// maintained only under fair share (`track_users`). A scheduler does
-/// not pay for the upkeep of an array it never reads.
+/// forward ([`PendQueue::next_start`]) and the conservative plan scans
+/// it backward ([`PendQueue::fit_end`]). FCFS never backfills, so it is
+/// maintained only when something reads it (`track_need`). `wall`
+/// serves only the EASY walk (`track_wall`), and `user` and `counts`
+/// only the fair-share fix-up (`track_users`). A scheduler does not pay
+/// for the upkeep of an array it never reads.
 #[derive(Default)]
 struct PendQueue {
     idx: Vec<usize>,
@@ -563,6 +603,11 @@ struct PendQueue {
     /// and the conservative plan stops before a tail of such entries.
     /// Backfilling schedulers only (`track_need`).
     need: Vec<u32>,
+    /// Each entry's walltime estimate in seconds: an entry that would
+    /// outlive the EASY shadow can start only within `spare`, so the
+    /// walk skips it in bulk too. EASY and carbon-aware only
+    /// (`track_wall`).
+    wall: Vec<f64>,
     /// Each entry's user id (fair share only; see above). Makes the
     /// fair-share dirty scan in [`Sim::fixup_pending`] a sequential
     /// sweep.
@@ -574,6 +619,7 @@ struct PendQueue {
     /// bulk `copy_within` instead of a per-element test.
     counts: UserMap<u32>,
     track_need: bool,
+    track_wall: bool,
     track_users: bool,
 }
 
@@ -590,6 +636,9 @@ impl PendQueue {
         if self.track_need {
             self.need.insert(pos, job.bounds().0);
         }
+        if self.track_wall {
+            self.wall.insert(pos, job.walltime_estimate.as_secs());
+        }
         if self.track_users {
             self.user.insert(pos, job.user);
             *self.counts.entry(job.user).or_insert(0) += 1;
@@ -604,6 +653,9 @@ impl PendQueue {
         if self.track_need {
             self.need.remove(pos);
         }
+        if self.track_wall {
+            self.wall.remove(pos);
+        }
         self.idx.remove(pos)
     }
 
@@ -617,6 +669,9 @@ impl PendQueue {
         if self.track_need {
             self.need.drain(..n);
         }
+        if self.track_wall {
+            self.wall.drain(..n);
+        }
         self.idx.drain(..n);
     }
 
@@ -626,11 +681,15 @@ impl PendQueue {
     fn refill(&mut self, order: impl Iterator<Item = usize>, jobs: &[Job]) {
         self.idx.clear();
         self.need.clear();
+        self.wall.clear();
         self.user.clear();
         for i in order {
             self.idx.push(i);
             if self.track_need {
                 self.need.push(jobs[i].bounds().0);
+            }
+            if self.track_wall {
+                self.wall.push(jobs[i].walltime_estimate.as_secs());
             }
             if self.track_users {
                 self.user.push(jobs[i].user);
@@ -646,6 +705,9 @@ impl PendQueue {
         self.idx[write] = self.idx[read];
         if self.track_need {
             self.need[write] = self.need[read];
+        }
+        if self.track_wall {
+            self.wall[write] = self.wall[read];
         }
         if self.track_users {
             self.user[write] = self.user[read];
@@ -663,26 +725,50 @@ impl PendQueue {
         if self.track_need {
             self.need.copy_within(from..to, write);
         }
+        if self.track_wall {
+            self.wall.copy_within(from..to, write);
+        }
         if self.track_users {
             self.user.copy_within(from..to, write);
         }
     }
 
-    /// First position at or after `from` whose entry could fit in
-    /// `free` nodes (`need <= free`), or `len` if none can: a linear
-    /// scan over the dense `u32`s, with no `jobs[i]` load per entry.
+    /// First position at or after `from` whose entry could start in an
+    /// EASY walk with `free` nodes free, `spare` nodes spare at the
+    /// `shadow` and the clock at `now` (seconds), or `len` if none can:
+    /// `need <= free && (need <= spare || now + wall <= shadow)`, the
+    /// walk's own start test with the allocation replaced by its lower
+    /// bound `need`.
+    ///
+    /// The node test runs [`MASK_LANES`] entries at a time into a bit
+    /// mask, and the time test only on its set bits: on long queues few
+    /// entries fit the free nodes, and a per-entry branch on the node
+    /// test mispredicts on every one that does.
     #[inline]
-    fn next_fit(&self, from: usize, free: u32) -> usize {
-        debug_assert!(self.track_need);
-        self.need[from..]
-            .iter()
-            .position(|&m| m <= free)
-            .map_or(self.need.len(), |p| from + p)
+    fn next_start(&self, from: usize, free: u32, spare: u32, now: f64, shadow: f64) -> usize {
+        debug_assert!(self.track_wall);
+        #[cfg(test)]
+        if nodes_only_walk() {
+            return self.need[from..]
+                .iter()
+                .position(|&m| m <= free)
+                .map_or(self.need.len(), |p| from + p);
+        }
+        let can_start = |p: usize| self.need[p] <= spare || now + self.wall[p] <= shadow;
+        let mut chunks = self.need[from..].chunks_exact(MASK_LANES);
+        let mut base = from;
+        for chunk in &mut chunks {
+            if let Some(p) = first_set(fit_mask(chunk, free), base, can_start) {
+                return p;
+            }
+            base += MASK_LANES;
+        }
+        first_set(fit_mask(chunks.remainder(), free), base, can_start).unwrap_or(self.need.len())
     }
 
     /// One past the last position before `end` whose entry could fit in
-    /// `free` nodes, or 0 if none can: the reverse of
-    /// [`PendQueue::next_fit`], for the conservative plan's exit.
+    /// `free` nodes, or 0 if none can: the nodes-only reverse of
+    /// [`PendQueue::next_start`], for the conservative plan's exit.
     #[inline]
     fn fit_end(&self, end: usize, free: u32) -> usize {
         debug_assert!(self.track_need);
@@ -722,6 +808,9 @@ impl PendQueue {
         self.idx.truncate(write + len - read);
         if self.track_need {
             self.need.truncate(write + len - read);
+        }
+        if self.track_wall {
+            self.wall.truncate(write + len - read);
         }
         if self.track_users {
             self.user.truncate(write + len - read);
@@ -910,6 +999,7 @@ impl<'a> Sim<'a> {
             alloc: Allocation::new(cfg.cluster.nodes),
             pending: PendQueue {
                 track_need: !matches!(cfg.policy, Policy::Fcfs),
+                track_wall: matches!(cfg.policy, Policy::EasyBackfill | Policy::CarbonAware(_)),
                 track_users: cfg.fair_share.is_some(),
                 ..PendQueue::default()
             },
@@ -1230,6 +1320,9 @@ impl<'a> Sim<'a> {
         if q.track_need {
             q.need.resize(total, 0);
         }
+        if q.track_wall {
+            q.wall.resize(total, 0.0);
+        }
         q.user.resize(total, 0);
         let mut src = clean; // clean entries still at [0..src)
         let mut dst = total; // everything at [dst..total) is placed
@@ -1247,6 +1340,9 @@ impl<'a> Sim<'a> {
                 if q.track_need {
                     q.need.copy_within(pos..src, dst - len);
                 }
+                if q.track_wall {
+                    q.wall.copy_within(pos..src, dst - len);
+                }
                 q.user.copy_within(pos..src, dst - len);
                 dst -= len;
             }
@@ -1254,6 +1350,9 @@ impl<'a> Sim<'a> {
             q.idx[dst] = m.4;
             if q.track_need {
                 q.need[dst] = self.jobs[m.4].bounds().0;
+            }
+            if q.track_wall {
+                q.wall[dst] = self.jobs[m.4].walltime_estimate.as_secs();
             }
             q.user[dst] = self.jobs[m.4].user;
             src = pos;
@@ -1960,11 +2059,16 @@ impl<'a> Sim<'a> {
     /// running power, so once the state holds it holds for every later
     /// job of the walk — visiting them could only re-keep them in place.
     ///
-    /// Likewise, each step jumps over every entry whose minimum
-    /// allocation exceeds the free nodes ([`PendQueue::next_fit`]):
-    /// `choose_alloc` caps the allocation at the free nodes and refuses
-    /// anything below the minimum, and free nodes only fall during the
-    /// walk, so visiting such an entry could only keep it in place.
+    /// Likewise, each step jumps over every entry that could not start
+    /// even with its minimum allocation `need` ([`PendQueue::next_start`]):
+    /// one with `need` above the free nodes, or one that would outlive
+    /// the shadow with `need` above `spare`. `choose_alloc` caps the
+    /// allocation at the free nodes and refuses anything below `need`,
+    /// so the allocation is at least `need` and the start test below
+    /// refuses such an entry. Free nodes and `spare` only fall during the
+    /// walk, `now` and `shadow` are fixed, and the time test is the same
+    /// f64 sum and comparison, so visiting it could only keep it in
+    /// place.
     ///
     /// The skipped calls (`eligible`, `choose_alloc`) mutate nothing but
     /// the lookup counters and the bucket caches, whose values are a
@@ -2027,13 +2131,15 @@ impl<'a> Sim<'a> {
         // out in place — same visit order and intervening mutations as
         // the old remove-and-continue loop, without the O(n) removes.
         // Each step first keeps, in bulk and unvisited, the block of
-        // entries that need more nodes than are free (see above).
+        // entries that cannot start (see above).
         let len = self.pending.len();
+        let (now_s, shadow_s) = (now.as_secs(), shadow.as_secs());
         let mut write = 0;
         let mut read = 0;
         let mut skipped = 0;
         loop {
-            let next = self.pending.next_fit(read, self.alloc.free());
+            let free = self.alloc.free();
+            let next = self.pending.next_start(read, free, spare, now_s, shadow_s);
             self.pending.shift(write, read, next);
             write += next - read;
             skipped += next - read;
@@ -3443,6 +3549,15 @@ mod tests {
         } else {
             assert!(q.need.is_empty());
         }
+        let wall: Vec<f64> = q
+            .iter()
+            .map(|&i| sim.jobs[i].walltime_estimate.as_secs())
+            .collect();
+        if q.track_wall {
+            assert_eq!(q.wall, wall, "`wall` out of step with `idx`");
+        } else {
+            assert!(q.wall.is_empty());
+        }
         if q.track_users {
             let user: Vec<u32> = q.iter().map(|&i| sim.jobs[i].user).collect();
             assert_eq!(q.user, user, "`user` out of step with `idx`");
@@ -3649,6 +3764,165 @@ mod tests {
             assert_eq!(sim.stats.backfill_scanned, 8);
             // Only the entry check's own budget lookup.
             assert!(lookups(&sim) - before <= 1, "the walk examined a job");
+        }
+    }
+
+    /// 12 nodes: job 1 holds 4 of them for 10 h, and the blocked head
+    /// (job 2) needs 10, so 8 nodes are free, the shadow is at 10 h and
+    /// 2 nodes are spare. `extra` jobs queue behind the head.
+    fn shadow_stage(extra: &[Job]) -> Vec<Job> {
+        let mut jobs = vec![rigid(1, 0.0, 4, 10.0), rigid(2, 0.0, 10, 1.0)];
+        jobs.extend_from_slice(extra);
+        jobs
+    }
+
+    /// Runs one backfill walk on [`shadow_stage`] under both EASY
+    /// configs and checks the started jobs, the pending order left
+    /// behind and the walk's visits.
+    fn check_shadow_walk(extra: &[Job], started: &[u64], pending: &[u64], visits: u64) {
+        let jobs = shadow_stage(extra);
+        let mut cfg = SimConfig::easy(Cluster::new(12));
+        cfg.power_budget = Some(ample_budget());
+        for cfg in untracked_and_tracked(cfg) {
+            let queued: Vec<usize> = (1..jobs.len()).collect();
+            let mut sim = staged(&jobs, &cfg, &[0], &queued);
+            assert_eq!(sim.alloc.free(), 8);
+            let before = lookups(&sim);
+            sim.backfill(1, SimTime::ZERO);
+            let ran: Vec<u64> = sim.running.iter().map(|r| jobs[r.idx].id.0).collect();
+            assert_eq!(ran, started);
+            assert_eq!(pending_ids(&sim), pending);
+            assert_lockstep(&sim, 1);
+            assert_eq!(sim.stats.backfill_visits, visits);
+            assert_eq!(sim.stats.backfill_scanned, extra.len() as u64 + 1);
+            // The entry check's own lookup, then per visit one for the
+            // start test and, after a start, one for the exit check.
+            assert!(
+                lookups(&sim) - before <= 1 + 2 * visits,
+                "the walk examined a skipped job"
+            );
+        }
+    }
+
+    #[test]
+    fn backfill_skips_a_job_that_would_outlive_the_shadow_beyond_spare() {
+        // Job 3 fits the 8 free nodes, but it needs 3 > 2 spare nodes
+        // and its 30 h estimate outlives the shadow: it is not visited.
+        check_shadow_walk(&[rigid(3, 0.0, 3, 20.0)], &[1], &[2, 3], 0);
+    }
+
+    #[test]
+    fn backfill_starts_a_short_job_behind_one_that_cannot_start() {
+        // Job 4 (1 node, 1.5 h estimate) ends before the shadow.
+        let extra = [rigid(3, 0.0, 3, 20.0), rigid(4, 0.0, 1, 1.0)];
+        check_shadow_walk(&extra, &[1, 4], &[2, 3], 1);
+    }
+
+    #[test]
+    fn backfill_starts_a_long_job_within_spare_and_draws_spare_down() {
+        // Job 3 outlives the shadow on the 2 spare nodes and starts,
+        // leaving none spare: job 4, its twin, is then skipped unvisited
+        // although 6 nodes are still free. Job 5 is short and starts.
+        let extra = [
+            rigid(3, 0.0, 2, 20.0),
+            rigid(4, 0.0, 2, 20.0),
+            rigid(5, 0.0, 1, 1.0),
+        ];
+        check_shadow_walk(&extra, &[1, 3, 5], &[2, 4], 2);
+    }
+
+    #[test]
+    fn backfill_visits_and_refuses_a_moldable_job_whose_allocation_exceeds_spare() {
+        // Job 3 may run on 2 nodes, which fit the spare, so the skip
+        // cannot pass it over; but it asks for 8, gets all 8 free nodes
+        // and would then outlive the shadow on more than the spare.
+        let moldable = JobBuilder::new(3, SimTime::ZERO, 8, SimDuration::from_hours(20.0))
+            .class(JobClass::Moldable {
+                min_nodes: 2,
+                max_nodes: 8,
+            })
+            .build();
+        check_shadow_walk(&[moldable], &[1], &[2, 3], 1);
+    }
+
+    /// A queue holding only the `need` and `wall` arrays.
+    fn walk_queue(need: Vec<u32>, wall: Vec<f64>) -> PendQueue {
+        PendQueue {
+            idx: (0..need.len()).collect(),
+            need,
+            wall,
+            track_need: true,
+            track_wall: true,
+            ..PendQueue::default()
+        }
+    }
+
+    /// [`PendQueue::next_start`]'s definition, one entry at a time.
+    fn next_start_reference(q: &PendQueue, from: usize, t: (u32, u32, f64, f64)) -> usize {
+        let (free, spare, now, shadow) = t;
+        (from..q.need.len())
+            .find(|&p| q.need[p] <= free && (q.need[p] <= spare || now + q.wall[p] <= shadow))
+            .unwrap_or(q.need.len())
+    }
+
+    #[test]
+    fn next_start_finds_the_first_hit_across_mask_boundaries() {
+        // 40 entries that need 5 nodes, with 4 free. One hit at `at`,
+        // behind decoys that fit the nodes but neither the spare nor the
+        // time left before the shadow, in the same mask and the one
+        // before.
+        let test = (4, 1, 100.0, 200.0);
+        for at in [0usize, 1, 15, 16, 17, 31, 32, 39] {
+            for decoys in [vec![], vec![at.saturating_sub(1)], vec![3, 14, 15, 16, 30]] {
+                let mut need = vec![5; 40];
+                let mut wall = vec![500.0; 40];
+                for &d in decoys.iter().filter(|&&d| d < at) {
+                    need[d] = 2;
+                }
+                need[at] = 2;
+                wall[at] = 100.0;
+                let q = walk_queue(need, wall);
+                for from in [0, 1, 15, 16, at] {
+                    let want = if from <= at { at } else { 40 };
+                    assert_eq!(q.next_start(from, test.0, test.1, test.2, test.3), want);
+                    assert_eq!(next_start_reference(&q, from, test), want);
+                }
+            }
+        }
+        // No hit at all, and a start at the end.
+        let q = walk_queue(vec![2; 40], vec![500.0; 40]);
+        assert_eq!(q.next_start(0, 4, 1, 100.0, 200.0), 40);
+        assert_eq!(q.next_start(40, 4, 1, 100.0, 200.0), 40);
+        // A hit by `spare` alone, and by the time test exactly at the
+        // shadow (`now + wall == shadow` starts).
+        assert_eq!(q.next_start(0, 4, 2, 100.0, 200.0), 0);
+        let mut wall = vec![500.0; 40];
+        wall[39] = 100.0;
+        let q = walk_queue(vec![2; 40], wall);
+        assert_eq!(q.next_start(0, 4, 1, 100.0, 200.0), 39);
+    }
+
+    #[test]
+    fn next_start_matches_a_scan_of_one_entry_at_a_time() {
+        let mut rng = sustain_sim_core::rng::RngStream::new(29);
+        for _ in 0..2_000 {
+            let len = rng.uniform_u64(70) as usize;
+            let need: Vec<u32> = (0..len).map(|_| 1 + rng.uniform_u64(32) as u32).collect();
+            let wall: Vec<f64> = (0..len)
+                .map(|_| rng.uniform_u64(48) as f64 * 900.0)
+                .collect();
+            let q = walk_queue(need, wall);
+            let free = rng.uniform_u64(33) as u32;
+            let spare = rng.uniform_u64(free as u64 + 1) as u32;
+            let now = rng.uniform_u64(8) as f64 * 3600.0;
+            let shadow = now + rng.uniform_u64(24) as f64 * 1800.0;
+            let from = rng.uniform_u64(len as u64 + 1) as usize;
+            let t = (free, spare, now, shadow);
+            assert_eq!(
+                q.next_start(from, free, spare, now, shadow),
+                next_start_reference(&q, from, t),
+                "len {len}, from {from}, {t:?}"
+            );
         }
     }
 
@@ -4041,5 +4315,66 @@ mod tests {
         assert_eq!(runs, 200);
         // The kept plan did less work, so the comparison is not vacuous.
         assert!(visits[0] < visits[1], "visits kept/rebuilt: {visits:?}");
+    }
+
+    /// The EASY configurations of the walk differential: the plan
+    /// differential's eight with EASY backfill, the carbon-aware gate on
+    /// its carbon trace (with and without its power budget), and fair
+    /// share without and with the gate.
+    fn easy_differential_configs(seed: u64, nodes: u32) -> Vec<SimConfig> {
+        let mut cfgs: Vec<SimConfig> = differential_configs(seed, nodes)
+            .into_iter()
+            .map(|cfg| SimConfig {
+                policy: Policy::EasyBackfill,
+                ..cfg
+            })
+            .collect();
+        let gate = Policy::CarbonAware(CarbonAwareCfg::default());
+        let gated = SimConfig {
+            policy: gate.clone(),
+            ..cfgs[1].clone()
+        };
+        let gated_mix = SimConfig {
+            policy: gate,
+            ..cfgs[6].clone()
+        };
+        let fair = SimConfig {
+            fair_share: Some(FairShareCfg::default()),
+            ..cfgs[0].clone()
+        };
+        let fair_gated = SimConfig {
+            fair_share: Some(FairShareCfg::default()),
+            ..gated.clone()
+        };
+        cfgs.extend([gated, gated_mix, fair, fair_gated]);
+        cfgs
+    }
+
+    #[test]
+    fn time_skip_matches_the_nodes_only_walk() {
+        let mut visits = [0u64; 2];
+        let mut runs = 0;
+        for seed in 0..25 {
+            let nodes = [16, 24, 32][seed as usize % 3];
+            let jobs = random_jobs(seed, 60, nodes);
+            for (c, cfg) in easy_differential_configs(seed, nodes).iter().enumerate() {
+                let skip = simulate(&jobs, cfg);
+                NODES_ONLY_WALK.with(|f| f.set(true));
+                let nodes_only = simulate(&jobs, cfg);
+                NODES_ONLY_WALK.with(|f| f.set(false));
+                visits[0] += skip.hot_path.backfill_visits;
+                visits[1] += nodes_only.hot_path.backfill_visits;
+                assert_eq!(
+                    outcome_bytes(skip),
+                    outcome_bytes(nodes_only),
+                    "seed {seed}, configuration {c}"
+                );
+                runs += 1;
+            }
+        }
+        assert_eq!(runs, 300);
+        // The time skip passed over entries the nodes-only walk visited,
+        // so the comparison is not vacuous.
+        assert!(visits[0] < visits[1], "visits skip/nodes-only: {visits:?}");
     }
 }

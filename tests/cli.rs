@@ -283,3 +283,14 @@ fn missing_command_prints_usage() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("usage:"));
 }
+
+#[test]
+fn help_flags_print_usage_and_succeed() {
+    for flag in ["--help", "-h"] {
+        let out = bin().arg(flag).output().unwrap();
+        assert!(out.status.success(), "{flag} failed");
+        let usage = String::from_utf8(out.stdout).unwrap();
+        assert!(usage.starts_with("usage: sustain-hpc"), "{flag}: {usage}");
+        assert!(out.stderr.is_empty(), "{flag} wrote to stderr");
+    }
+}

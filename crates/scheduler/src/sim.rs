@@ -3767,20 +3767,14 @@ mod tests {
         }
     }
 
-    /// 12 nodes: job 1 holds 4 of them for 10 h, and the blocked head
-    /// (job 2) needs 10, so 8 nodes are free, the shadow is at 10 h and
-    /// 2 nodes are spare. `extra` jobs queue behind the head.
-    fn shadow_stage(extra: &[Job]) -> Vec<Job> {
+    /// Runs one backfill walk under both EASY configs and checks the
+    /// started jobs, the pending order left behind and the walk's
+    /// visits. 12 nodes: job 1 holds 4 of them for 10 h, and the blocked
+    /// head (job 2) needs 10, so 8 nodes are free, the shadow is at 10 h
+    /// and 2 nodes are spare. `extra` jobs queue behind the head.
+    fn check_shadow_walk(extra: &[Job], started: &[u64], pending: &[u64], visits: u64) {
         let mut jobs = vec![rigid(1, 0.0, 4, 10.0), rigid(2, 0.0, 10, 1.0)];
         jobs.extend_from_slice(extra);
-        jobs
-    }
-
-    /// Runs one backfill walk on [`shadow_stage`] under both EASY
-    /// configs and checks the started jobs, the pending order left
-    /// behind and the walk's visits.
-    fn check_shadow_walk(extra: &[Job], started: &[u64], pending: &[u64], visits: u64) {
-        let jobs = shadow_stage(extra);
         let mut cfg = SimConfig::easy(Cluster::new(12));
         cfg.power_budget = Some(ample_budget());
         for cfg in untracked_and_tracked(cfg) {

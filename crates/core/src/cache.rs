@@ -124,8 +124,8 @@ fn result_bytes(result: &Arc<ScenarioResult>) -> usize {
         + result.profiles.len() * size_of::<JobCarbonProfile>()
 }
 
-/// The process-wide [`OutcomeCache`] consulted by every
-/// [`run`](crate::scenario::run) variant.
+/// The process-wide [`OutcomeCache`] consulted by
+/// [`scenario::run`](crate::scenario::run).
 ///
 /// Capacity defaults to [`DEFAULT_OUTCOME_CACHE_CAPACITY`] and can be
 /// overridden (first use wins) via `OUTCOME_CACHE_CAP_ENV`, or changed
@@ -173,11 +173,15 @@ mod tests {
     use crate::scenario::run;
     use sustain_grid::region::{Region, RegionProfile};
     use sustain_sim_core::cache::SLOT_BYTES;
+    use sustain_sim_core::ctl::RunCtl;
 
     fn result(days: usize, seed: u64) -> (OutcomeKey, Arc<ScenarioResult>) {
         let mut s = Scenario::baseline("slots", RegionProfile::january_2023(Region::Spain), days);
         s.seed = seed;
-        (OutcomeKey::new(&s), Arc::new(run(&s)))
+        (
+            OutcomeKey::new(&s),
+            Arc::new(run(&s, &RunCtl::unlimited()).unwrap()),
+        )
     }
 
     #[test]

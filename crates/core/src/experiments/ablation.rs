@@ -3,6 +3,7 @@
 //! forecast quality, and backfilling flavour. Each sweep isolates one
 //! knob of the §3 mechanisms and quantifies its trade-off curve.
 
+use crate::experiments::ensure_horizon;
 use crate::experiments::operations::OpsRow;
 use crate::scenario::{run, Scenario};
 use crate::sweep::{calibrated_trace, sweep};
@@ -13,6 +14,7 @@ use sustain_power::carbon_scaler::ScalingPolicy;
 use sustain_power::pue::PueModel;
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::sim::{CarbonAwareCfg, CheckpointCfg, Policy};
+use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::SimError;
 use sustain_sim_core::time::SimDuration;
 use sustain_sim_core::units::Power;
@@ -47,7 +49,12 @@ fn row_from(label: String, r: &crate::scenario::ScenarioResult) -> OpsRow {
 
 /// A1 — green-gate threshold sweep: deeper gates (lower threshold) chase
 /// cleaner hours at the cost of longer waits.
-pub fn green_threshold_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn green_threshold_sweep(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("A1", days)?;
     let profile = RegionProfile::january_2023(region);
     sweep(&[0.80, 0.90, 0.95, 1.00, 1.05], |&threshold| {
         let scenario = Scenario {
@@ -68,13 +75,21 @@ pub fn green_threshold_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsR
             pue: PueModel::efficient_hpc(),
             seed,
         };
-        row_from(format!("gate@{threshold:.2}"), &run(&scenario))
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(row_from(format!("gate@{threshold:.2}"), &r))
     })
+    .into_iter()
+    .collect()
 }
 
 /// A2 — checkpoint-overhead sweep: as writing a checkpoint gets more
 /// expensive, the net benefit of §3.3 suspend/resume shrinks.
-pub(crate) fn checkpoint_overhead_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn checkpoint_overhead_sweep(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("A2", days)?;
     let profile = RegionProfile::january_2023(region);
     let workload = WorkloadConfig {
         checkpointable_fraction: 1.0,
@@ -99,13 +114,21 @@ pub(crate) fn checkpoint_overhead_sweep(region: Region, days: usize, seed: u64) 
             pue: PueModel::efficient_hpc(),
             seed,
         };
-        row_from(format!("ckpt-{overhead_min:.0}min"), &run(&scenario))
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(row_from(format!("ckpt-{overhead_min:.0}min"), &r))
     })
+    .into_iter()
+    .collect()
 }
 
 /// A3 — malleable-adoption sweep: violation time under a dropping power
 /// budget as a function of the malleable job fraction.
-pub(crate) fn malleable_fraction_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn malleable_fraction_sweep(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("A3", days)?;
     let profile = RegionProfile::january_2023(region);
     let trace = calibrated_trace(&profile, days, seed);
     let threshold = ScalingPolicy::Threshold {
@@ -131,8 +154,11 @@ pub(crate) fn malleable_fraction_sweep(region: Region, days: usize, seed: u64) -
             pue: PueModel::efficient_hpc(),
             seed,
         };
-        row_from(format!("malleable-{:.0}%", frac * 100.0), &run(&scenario))
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(row_from(format!("malleable-{:.0}%", frac * 100.0), &r))
     })
+    .into_iter()
+    .collect()
 }
 
 /// A4 — forecast-quality ablation for §3.1: the budget follows forecast
@@ -149,11 +175,12 @@ pub struct ForecastAblationRow {
 }
 
 /// Runs A4.
-pub(crate) fn forecast_scaling_ablation(
+pub fn forecast_scaling_ablation(
     region: Region,
     days: usize,
     seed: u64,
-) -> Vec<ForecastAblationRow> {
+) -> Result<Vec<ForecastAblationRow>, SimError> {
+    ensure_horizon("A4", days)?;
     let profile = RegionProfile::january_2023(region);
     let trace = calibrated_trace(&profile, days, seed);
     let mean_ci = trace.series().stats().mean();
@@ -238,12 +265,17 @@ pub(crate) fn forecast_scaling_ablation(
             policy.budget_series_forecast(&trace, fc.as_mut(), 96),
         ));
     }
-    sweep(&variants, |(label, budget)| run_with(label, budget))
+    Ok(sweep(&variants, |(label, budget)| run_with(label, budget)))
 }
 
 /// A5 — backfilling flavour: FCFS vs EASY vs conservative on the same
 /// workload (no carbon coupling): the classic wait/utilization trade.
-pub fn backfill_flavour_sweep(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn backfill_flavour_sweep(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("A5", days)?;
     let profile = RegionProfile::january_2023(region);
     let flavours = [
         ("fcfs", Policy::Fcfs),
@@ -265,8 +297,11 @@ pub fn backfill_flavour_sweep(region: Region, days: usize, seed: u64) -> Vec<Ops
             pue: PueModel::efficient_hpc(),
             seed,
         };
-        row_from(label.to_string(), &run(&scenario))
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(row_from(label.to_string(), &r))
     })
+    .into_iter()
+    .collect()
 }
 
 /// One row of the A6 failure-resilience sweep.
@@ -289,9 +324,17 @@ pub struct FailureRow {
 /// A6 — checkpointing value under node failures: sweep the per-node MTBF
 /// with and without periodic checkpointing. Without checkpoints, failures
 /// force full reruns and wasted compute explodes as hardware degrades.
-pub fn failure_resilience_sweep(days: usize, seed: u64) -> Vec<FailureRow> {
+/// A6 needs no trace calibration, but a zero-day horizon generates an
+/// empty workload and every row degenerates, so it is rejected as
+/// invalid input.
+pub fn failure_resilience_sweep(days: usize, seed: u64) -> Result<Vec<FailureRow>, SimError> {
     use sustain_scheduler::sim::{simulate, FailureModel, SimConfig};
     use sustain_sim_core::time::SimDuration as D;
+    if days == 0 {
+        return Err(SimError::invalid_input(
+            "A6 days must be >= 1 (a zero-day horizon generates no workload)",
+        ));
+    }
     let workload = WorkloadConfig {
         arrivals_per_hour: 2.0,
         max_nodes: 64,
@@ -307,7 +350,7 @@ pub fn failure_resilience_sweep(days: usize, seed: u64) -> Vec<FailureRow> {
         .iter()
         .flat_map(|&mtbf| [(mtbf, false), (mtbf, true)])
         .collect();
-    sweep(&combos, |&(mtbf_days, checkpointing)| {
+    Ok(sweep(&combos, |&(mtbf_days, checkpointing)| {
         let mut cfg = SimConfig::easy(ablation_cluster());
         if let Some(days) = mtbf_days {
             cfg.failures = Some(FailureModel {
@@ -344,70 +387,7 @@ pub fn failure_resilience_sweep(days: usize, seed: u64) -> Vec<FailureRow> {
                 .sum(),
             makespan_days: out.makespan.as_days(),
         }
-    })
-}
-
-/// Validated [`green_threshold_sweep`]: rejects degenerate horizons with
-/// a typed error instead of panicking in trace calibration.
-pub fn try_green_threshold_sweep(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("A1", days)?;
-    Ok(green_threshold_sweep(region, days, seed))
-}
-
-/// Validated `checkpoint_overhead_sweep`.
-pub fn try_checkpoint_overhead_sweep(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("A2", days)?;
-    Ok(checkpoint_overhead_sweep(region, days, seed))
-}
-
-/// Validated `malleable_fraction_sweep`.
-pub fn try_malleable_fraction_sweep(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("A3", days)?;
-    Ok(malleable_fraction_sweep(region, days, seed))
-}
-
-/// Validated `forecast_scaling_ablation`.
-pub fn try_forecast_scaling_ablation(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<ForecastAblationRow>, SimError> {
-    crate::experiments::ensure_horizon("A4", days)?;
-    Ok(forecast_scaling_ablation(region, days, seed))
-}
-
-/// Validated [`backfill_flavour_sweep`].
-pub fn try_backfill_flavour_sweep(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("A5", days)?;
-    Ok(backfill_flavour_sweep(region, days, seed))
-}
-
-/// Validated [`failure_resilience_sweep`]: A6 needs no trace
-/// calibration, but a zero-day horizon generates an empty workload and
-/// every row degenerates — rejected as invalid input.
-pub fn try_failure_resilience_sweep(days: usize, seed: u64) -> Result<Vec<FailureRow>, SimError> {
-    if days == 0 {
-        return Err(SimError::invalid_input(
-            "A6 days must be >= 1 (a zero-day horizon generates no workload)",
-        ));
-    }
-    Ok(failure_resilience_sweep(days, seed))
+    }))
 }
 
 #[cfg(test)]
@@ -418,7 +398,7 @@ mod tests {
     /// checkpointing cuts redone compute.
     #[test]
     fn a6_checkpointing_pays_off_under_failures() {
-        let rows = failure_resilience_sweep(3, 13);
+        let rows = failure_resilience_sweep(3, 13).unwrap();
         assert_eq!(rows.len(), 8);
         // Reliable hardware: no restarts either way.
         assert_eq!(rows[0].restarts, 0);
@@ -443,7 +423,7 @@ mod tests {
     /// A1: deeper gates buy more green energy at longer tail waits.
     #[test]
     fn a1_threshold_tradeoff() {
-        let rows = green_threshold_sweep(Region::Finland, 7, 5);
+        let rows = green_threshold_sweep(Region::Finland, 7, 5).unwrap();
         assert_eq!(rows.len(), 5);
         // The deepest gate pays the lowest effective CI of the sweep.
         let deepest = &rows[0];
@@ -465,7 +445,7 @@ mod tests {
     /// A2: heavier checkpoints burn more energy for the same science.
     #[test]
     fn a2_checkpoint_overhead_costs_energy() {
-        let rows = checkpoint_overhead_sweep(Region::Finland, 7, 5);
+        let rows = checkpoint_overhead_sweep(Region::Finland, 7, 5).unwrap();
         assert_eq!(rows.len(), 4);
         let cheap = &rows[0];
         let dear = &rows[3];
@@ -480,7 +460,7 @@ mod tests {
     /// A3: more malleable jobs → monotonically fewer budget violations.
     #[test]
     fn a3_malleability_cuts_violations() {
-        let rows = malleable_fraction_sweep(Region::GreatBritain, 7, 7);
+        let rows = malleable_fraction_sweep(Region::GreatBritain, 7, 7).unwrap();
         assert_eq!(rows.len(), 5);
         let first = rows.first().unwrap();
         let last = rows.last().unwrap();
@@ -496,7 +476,7 @@ mod tests {
     /// forecasters deviate less.
     #[test]
     fn a4_forecast_quality_ordering() {
-        let rows = forecast_scaling_ablation(Region::Finland, 7, 9);
+        let rows = forecast_scaling_ablation(Region::Finland, 7, 9).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].label, "live");
         assert_eq!(rows[0].budget_mae_kw, 0.0);
@@ -511,7 +491,7 @@ mod tests {
     /// backfilling aggressiveness.
     #[test]
     fn a5_backfill_flavours() {
-        let rows = backfill_flavour_sweep(Region::Germany, 7, 3);
+        let rows = backfill_flavour_sweep(Region::Germany, 7, 3).unwrap();
         let (fcfs, easy, cons) = (&rows[0], &rows[1], &rows[2]);
         assert!(easy.wait_p50_h <= fcfs.wait_p50_h * 1.001);
         assert!(cons.wait_p50_h <= fcfs.wait_p50_h * 1.001);

@@ -14,6 +14,7 @@ use sustain_carbon_model::memory::StorageTech;
 use sustain_carbon_model::metrics::DesignMetric;
 use sustain_carbon_model::system::SystemInventory;
 use sustain_grid::region::{CI_COAL_G_PER_KWH, CI_HYDRO_G_PER_KWH};
+use sustain_sim_core::error::SimError;
 use sustain_sim_core::time::SimDuration;
 use sustain_sim_core::units::{Carbon, CarbonIntensity};
 
@@ -88,14 +89,19 @@ pub struct RenewableShareRow {
 
 /// Reference cloud-like server for E4 (after Lyu et al. \[39\], whose rule
 /// of thumb the paper quotes): 2.0 t embodied, 350 W average draw, 6-year
-/// life, 395 g/kWh fossil supply — a US-grid-like mix.
-pub(crate) fn renewable_share_sweep(steps: usize) -> Vec<RenewableShareRow> {
-    assert!(steps >= 2);
+/// life, 395 g/kWh fossil supply — a US-grid-like mix. `steps` must be at
+/// least 2, since the sweep interpolates between its endpoints.
+pub fn renewable_share_sweep(steps: usize) -> Result<Vec<RenewableShareRow>, SimError> {
+    if steps < 2 {
+        return Err(SimError::invalid_input(format!(
+            "E4 steps must be >= 2 to span the renewable-share axis, got {steps}"
+        )));
+    }
     let embodied = Carbon::from_kg(2000.0);
     let avg_power_w = 350.0;
     let lifetime_h = SimDuration::from_years(6.0).as_hours();
     let fossil_ci = 395.0;
-    (0..steps)
+    Ok((0..steps)
         .map(|i| {
             let r = i as f64 / (steps - 1) as f64;
             let ci = (1.0 - r) * fossil_ci; // renewables ≈ 0 g marginal
@@ -107,35 +113,22 @@ pub(crate) fn renewable_share_sweep(steps: usize) -> Vec<RenewableShareRow> {
                 embodied_share: embodied.grams() / total,
             }
         })
-        .collect()
-}
-
-/// Validated `renewable_share_sweep`: rejects `steps < 2` (the sweep
-/// interpolates between its endpoints) with a typed error instead of
-/// asserting.
-pub fn try_renewable_share_sweep(
-    steps: usize,
-) -> Result<Vec<RenewableShareRow>, sustain_sim_core::error::SimError> {
-    if steps < 2 {
-        return Err(sustain_sim_core::error::SimError::invalid_input(format!(
-            "E4 steps must be >= 2 to span the renewable-share axis, got {steps}"
-        )));
-    }
-    Ok(renewable_share_sweep(steps))
+        .collect())
 }
 
 /// The renewable fraction at which embodied crosses 50 % of the total
 /// (linear interpolation over the sweep).
-pub fn renewable_fraction_at_half_embodied() -> f64 {
-    let rows = renewable_share_sweep(201);
+pub fn renewable_fraction_at_half_embodied() -> Result<f64, SimError> {
+    let rows = renewable_share_sweep(201)?;
     for w in rows.windows(2) {
         if w[0].embodied_share < 0.5 && w[1].embodied_share >= 0.5 {
             let t = (0.5 - w[0].embodied_share) / (w[1].embodied_share - w[0].embodied_share);
-            return w[0].renewable_fraction
-                + t * (w[1].renewable_fraction - w[0].renewable_fraction);
+            return Ok(
+                w[0].renewable_fraction + t * (w[1].renewable_fraction - w[0].renewable_fraction)
+            );
         }
     }
-    1.0
+    Ok(1.0)
 }
 
 /// E5 — reuse vs recycling: the HDD 275× anchor plus whole-system
@@ -258,7 +251,7 @@ mod tests {
     /// Paper anchor (E4): embodied hits 50 % at 70–75 % renewables.
     #[test]
     fn half_embodied_at_70_to_75_percent_renewables() {
-        let r = renewable_fraction_at_half_embodied();
+        let r = renewable_fraction_at_half_embodied().unwrap();
         assert!(
             (0.70..=0.75).contains(&r),
             "crossover at {r}, expected within [0.70, 0.75]"
@@ -267,7 +260,7 @@ mod tests {
 
     #[test]
     fn renewable_sweep_is_monotone() {
-        let rows = renewable_share_sweep(21);
+        let rows = renewable_share_sweep(21).unwrap();
         let mut last = 0.0;
         for row in &rows {
             assert!(row.embodied_share >= last);

@@ -2,6 +2,7 @@
 //! scaling (E8), malleability under power constraints (E9), and
 //! carbon-aware scheduling + checkpointing (E10).
 
+use crate::experiments::ensure_horizon;
 use crate::scenario::{run, Scenario, ScenarioResult};
 use crate::sweep::{calibrated_trace, sweep};
 use serde::{Deserialize, Serialize};
@@ -9,6 +10,7 @@ use sustain_grid::region::{Region, RegionProfile};
 use sustain_power::carbon_scaler::ScalingPolicy;
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::sim::{CarbonAwareCfg, CheckpointCfg, Policy};
+use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::SimError;
 use sustain_sim_core::units::Power;
 use sustain_workload::synth::WorkloadConfig;
@@ -83,7 +85,12 @@ fn scaling_bounds() -> (Power, Power) {
 /// E8 — carbon-aware power-budget scaling: four §3.1 policies on a
 /// volatile grid, with the static baseline matched to the same mean
 /// budget.
-pub fn carbon_aware_power_scaling(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn carbon_aware_power_scaling(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("E8", days)?;
     let profile = RegionProfile::january_2023(region);
     let trace = calibrated_trace(&profile, days, seed);
     let mean_ci = trace.series().stats().mean();
@@ -148,24 +155,21 @@ pub fn carbon_aware_power_scaling(region: Region, days: usize, seed: u64) -> Vec
             pue: sustain_power::pue::PueModel::efficient_hpc(),
             seed,
         };
-        OpsRow::from_result(*label, &run(&scenario))
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(OpsRow::from_result(*label, &r))
     })
-}
-
-/// Validated [`carbon_aware_power_scaling`]: rejects degenerate horizons
-/// with a typed error instead of panicking in trace calibration.
-pub fn try_carbon_aware_power_scaling(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("E8", days)?;
-    Ok(carbon_aware_power_scaling(region, days, seed))
+    .into_iter()
+    .collect()
 }
 
 /// E9 — malleability under a carbon-driven power budget: the same
 /// workload run rigidly vs with §3.2 reshaping enabled.
-pub fn malleability_under_power(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn malleability_under_power(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("E9", days)?;
     let profile = RegionProfile::january_2023(region);
     let (floor, ceiling) = scaling_bounds();
     let trace = calibrated_trace(&profile, days, seed);
@@ -195,24 +199,22 @@ pub fn malleability_under_power(region: Region, days: usize, seed: u64) -> Vec<O
                 pue: sustain_power::pue::PueModel::efficient_hpc(),
                 seed,
             };
-            OpsRow::from_result(label, &run(&scenario))
+            let r = run(&scenario, &RunCtl::unlimited())?;
+            Ok(OpsRow::from_result(label, &r))
         },
     )
-}
-
-/// Validated [`malleability_under_power`].
-pub fn try_malleability_under_power(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("E9", days)?;
-    Ok(malleability_under_power(region, days, seed))
+    .into_iter()
+    .collect()
 }
 
 /// E10 — carbon-aware scheduling and checkpointing: EASY vs the §3.3
 /// green-period gate vs gate + checkpoint/suspend.
-pub fn carbon_aware_scheduling(region: Region, days: usize, seed: u64) -> Vec<OpsRow> {
+pub fn carbon_aware_scheduling(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OpsRow>, SimError> {
+    ensure_horizon("E10", days)?;
     let profile = RegionProfile::january_2023(region);
     let workload = WorkloadConfig {
         checkpointable_fraction: 0.6,
@@ -243,18 +245,11 @@ pub fn carbon_aware_scheduling(region: Region, days: usize, seed: u64) -> Vec<Op
             pue: sustain_power::pue::PueModel::efficient_hpc(),
             seed,
         };
-        OpsRow::from_result(*label, &run(&scenario))
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(OpsRow::from_result(*label, &r))
     })
-}
-
-/// Validated [`carbon_aware_scheduling`].
-pub fn try_carbon_aware_scheduling(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OpsRow>, SimError> {
-    crate::experiments::ensure_horizon("E10", days)?;
-    Ok(carbon_aware_scheduling(region, days, seed))
+    .into_iter()
+    .collect()
 }
 
 #[cfg(test)]
@@ -265,7 +260,7 @@ mod tests {
     /// than the capacity-matched static baseline.
     #[test]
     fn e8_carbon_aware_scaling_cuts_effective_ci() {
-        let rows = carbon_aware_power_scaling(Region::Finland, 10, 42);
+        let rows = carbon_aware_power_scaling(Region::Finland, 10, 42).unwrap();
         assert_eq!(rows.len(), 4);
         let static_row = &rows[0];
         assert!(static_row.completed > 100, "workload too small");
@@ -284,7 +279,7 @@ mod tests {
     /// throughput.
     #[test]
     fn e9_malleability_tracks_budget() {
-        let rows = malleability_under_power(Region::GreatBritain, 10, 7);
+        let rows = malleability_under_power(Region::GreatBritain, 10, 7).unwrap();
         let rigid = &rows[0];
         let malleable = &rows[1];
         assert!(
@@ -301,7 +296,7 @@ mod tests {
     /// checkpointing lowers it further; waits rise as the price.
     #[test]
     fn e10_carbon_aware_scheduling_shifts_energy_to_green() {
-        let rows = carbon_aware_scheduling(Region::Finland, 10, 11);
+        let rows = carbon_aware_scheduling(Region::Finland, 10, 11).unwrap();
         let easy = &rows[0];
         let gate = &rows[1];
         let ckpt = &rows[2];

@@ -1,6 +1,7 @@
 //! User-facing experiments: over-allocation waste (E11a), green
 //! incentives (E11b), and the Carbon500 ranking (E12).
 
+use crate::experiments::ensure_horizon;
 use crate::scenario::{run, Scenario};
 use crate::sweep::{calibrated_trace, sweep};
 use serde::{Deserialize, Serialize};
@@ -10,6 +11,7 @@ use sustain_grid::region::{Region, RegionProfile};
 use sustain_power::pue::PueModel;
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::sim::Policy;
+use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::SimError;
 use sustain_sim_core::time::SimDuration;
 use sustain_sim_core::units::CarbonIntensity;
@@ -38,11 +40,16 @@ pub struct OverallocationRow {
 
 /// E11a — the §3.4 observation quantified: sweeping the fraction of
 /// over-allocating users raises energy and carbon for the same science.
-pub fn user_overallocation(region: Region, days: usize, seed: u64) -> Vec<OverallocationRow> {
+pub fn user_overallocation(
+    region: Region,
+    days: usize,
+    seed: u64,
+) -> Result<Vec<OverallocationRow>, SimError> {
+    ensure_horizon("E11a", days)?;
     let profile = RegionProfile::january_2023(region);
     // The expensive runs fan out; the excess-vs-baseline columns need the
     // 0 % row's totals, so they are filled in a serial post-pass.
-    let mut rows = sweep(&[0.0, 0.2, 0.4, 0.6], |&frac| {
+    let mut rows: Vec<OverallocationRow> = sweep(&[0.0, 0.2, 0.4, 0.6], |&frac| {
         let workload = WorkloadConfig {
             arrivals_per_hour: 4.0,
             max_nodes: 128,
@@ -64,8 +71,8 @@ pub fn user_overallocation(region: Region, days: usize, seed: u64) -> Vec<Overal
             pue: PueModel::efficient_hpc(),
             seed,
         };
-        let r = run(&scenario);
-        OverallocationRow {
+        let r = run(&scenario, &RunCtl::unlimited())?;
+        Ok(OverallocationRow {
             overallocating_fraction: frac,
             completed: r.outcome.records.len(),
             job_energy_kwh: r.outcome.job_energy.kwh(),
@@ -73,25 +80,16 @@ pub fn user_overallocation(region: Region, days: usize, seed: u64) -> Vec<Overal
             wait_p50_h: r.outcome.wait.median / 3600.0,
             excess_energy_kwh: 0.0,
             excess_carbon_kg: 0.0,
-        }
-    });
+        })
+    })
+    .into_iter()
+    .collect::<Result<_, SimError>>()?;
     let (base_e, base_c) = (rows[0].job_energy_kwh, rows[0].job_carbon_t);
     for row in &mut rows {
         row.excess_energy_kwh = row.job_energy_kwh - base_e;
         row.excess_carbon_kg = (row.job_carbon_t - base_c) * 1000.0;
     }
-    rows
-}
-
-/// Validated [`user_overallocation`]: rejects degenerate horizons with a
-/// typed error instead of panicking in trace calibration.
-pub fn try_user_overallocation(
-    region: Region,
-    days: usize,
-    seed: u64,
-) -> Result<Vec<OverallocationRow>, SimError> {
-    crate::experiments::ensure_horizon("E11a", days)?;
-    Ok(user_overallocation(region, days, seed))
+    Ok(rows)
 }
 
 /// One row of the E11b incentive sweep.
@@ -190,14 +188,14 @@ pub struct BillingDemo {
 }
 
 /// Runs the billing demo on a 7-day Finland scenario.
-pub fn billing_demo(seed: u64) -> BillingDemo {
+pub fn billing_demo(seed: u64) -> Result<BillingDemo, SimError> {
     let profile = RegionProfile::january_2023(Region::Finland);
     let scenario = Scenario {
         cluster: Cluster::new(512),
         seed,
         ..Scenario::baseline("billing", profile.clone(), 7)
     };
-    let r = run(&scenario);
+    let r = run(&scenario, &RunCtl::unlimited())?;
     // Same (profile, days, seed) key the scenario run used — a cache hit.
     let trace = calibrated_trace(&profile, 7, seed);
     let detector = GreenDetector::default();
@@ -211,11 +209,11 @@ pub fn billing_demo(seed: u64) -> BillingDemo {
         green += bill.green_node_hours;
         charged += bill.charged_node_hours;
     }
-    BillingDemo {
+    Ok(BillingDemo {
         node_hours: total,
         green_node_hours: green,
         charged_node_hours: charged,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -226,7 +224,7 @@ mod tests {
     /// monotonically.
     #[test]
     fn e11a_overallocation_wastes_carbon() {
-        let rows = user_overallocation(Region::Germany, 7, 3);
+        let rows = user_overallocation(Region::Germany, 7, 3).unwrap();
         assert_eq!(rows.len(), 4);
         assert_eq!(rows[0].excess_energy_kwh, 0.0);
         for w in rows.windows(2) {
@@ -282,7 +280,7 @@ mod tests {
     /// reduces the bill accordingly.
     #[test]
     fn billing_demo_consistency() {
-        let b = billing_demo(2023);
+        let b = billing_demo(2023).unwrap();
         assert!(b.node_hours > 0.0);
         assert!(b.green_node_hours > 0.0);
         assert!(b.green_node_hours < b.node_hours);

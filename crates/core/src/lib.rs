@@ -29,8 +29,9 @@
 //!     3,
 //! );
 //! scenario.cluster = Cluster::new(600);
-//! let result = run(&scenario);
+//! let result = run(&scenario, &RunCtl::unlimited())?;
 //! assert_eq!(result.outcome.unfinished, 0);
+//! # Ok::<(), SimError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -46,7 +47,7 @@ pub mod sweep;
 
 pub use cache::{global_outcome_cache, init_outcome_cache_cap_from_env, OutcomeKey};
 
-pub use scenario::{run, run_with_ctl, try_run, try_run_with_ctl, Scenario, ScenarioResult};
+pub use scenario::{run, Scenario, ScenarioResult};
 pub use site::{lifetime_report, Site};
 
 /// Convenience prelude: the most commonly used items across the
@@ -54,9 +55,7 @@ pub use site::{lifetime_report, Site};
 pub mod prelude {
     pub use crate::cache::{global_outcome_cache, OutcomeKey};
     pub use crate::experiments::*;
-    pub use crate::scenario::{
-        run, run_with_ctl, try_run, try_run_with_ctl, Scenario, ScenarioResult,
-    };
+    pub use crate::scenario::{run, Scenario, ScenarioResult};
     pub use crate::site::{lifetime_report, Site};
     pub use crate::sweep::{calibrated_trace, set_threads, sweep, SweepJournal, SweepPlan};
     pub use sustain_carbon_model::metrics::DesignMetric;

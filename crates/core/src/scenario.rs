@@ -17,7 +17,7 @@ use sustain_power::carbon_scaler::ScalingPolicy;
 use sustain_power::pue::PueModel;
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::metrics::SimOutcome;
-use sustain_scheduler::sim::{simulate, simulate_with_ctl, CheckpointCfg, Policy, SimConfig};
+use sustain_scheduler::sim::{simulate_with_ctl, CheckpointCfg, Policy, SimConfig};
 use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::{ensure_at_least, ConfigError, SimError, Validate};
 use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
@@ -136,29 +136,19 @@ pub struct ScenarioResult {
     pub grid_mean_ci: f64,
 }
 
-/// Runs a scenario.
-pub fn run(scenario: &Scenario) -> ScenarioResult {
-    match run_inner(scenario, None) {
-        Ok(result) => result,
-        // With no control attached there is no cancellation point, and
-        // the `scenario::run` fault site is infallible (panic-escalating).
-        Err(_) => unreachable!("uncontrolled scenario run cannot be cancelled"),
-    }
-}
-
-/// [`run`] under a cooperative cancellation control: checks `ctl`
-/// before the (potentially cache-filling) trace generation and at
-/// bucket granularity inside the event loop, returning a typed
-/// [`SimError::Cancelled`] stamped with the simulation time reached.
-pub fn run_with_ctl(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
-    run_inner(scenario, Some(ctl))
-}
-
-fn run_inner(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<ScenarioResult, SimError> {
+/// Runs a scenario: validates its whole configuration tree, then serves
+/// the result from the outcome cache or computes and caches it.
+///
+/// An invalid scenario is a typed [`SimError`] before any cache lookup
+/// or simulation work. `ctl` is checked before the (potentially
+/// cache-filling) trace generation and at bucket granularity inside the
+/// event loop; a fired control returns [`SimError::Cancelled`] stamped
+/// with the simulation time reached. Trusted callers pass
+/// [`RunCtl::unlimited`], whose check is two `None` tests.
+pub fn run(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
+    scenario.validate()?;
     sustain_sim_core::faultpoint!(infallible "scenario::run");
-    if let Some(ctl) = ctl {
-        ctl.check(SimTime::ZERO)?;
-    }
+    ctl.check(SimTime::ZERO)?;
     // Whole-result memoization: simulation is pure in the scenario value
     // (seed included), so a completed result can be replayed verbatim. A
     // hit clones out of the shared Arc — byte-equal to the cold run that
@@ -176,7 +166,7 @@ fn run_inner(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<ScenarioResult
 
 /// The actual (uncached) scenario computation: trace → workload →
 /// schedule → carbon accounting.
-fn compute_scenario(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<ScenarioResult, SimError> {
+fn compute_scenario(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
     // Served from the process-wide trace cache: every point of a sweep
     // that shares this (region, days, seed) window reuses one trace.
     let trace = generate_calibrated_arc(&scenario.region, scenario.days, scenario.seed);
@@ -200,11 +190,7 @@ fn compute_scenario(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<Scenari
         tick: SimDuration::from_hours(1.0),
         max_steps: 50_000_000,
     };
-    let outcome = match ctl {
-        Some(ctl) => simulate_with_ctl(&jobs, &cfg, ctl)?,
-        // No control: the event loop skips cancellation checks entirely.
-        None => simulate(&jobs, &cfg),
-    };
+    let outcome = simulate_with_ctl(&jobs, &cfg, ctl)?;
 
     let detector = GreenDetector::default();
     let profiles: Vec<JobCarbonProfile> = outcome
@@ -240,27 +226,14 @@ fn compute_scenario(scenario: &Scenario, ctl: Option<&RunCtl>) -> Result<Scenari
     })
 }
 
-/// Validated [`run`]: checks the scenario's whole configuration tree up
-/// front and returns a typed [`SimError`] instead of panicking deep in
-/// the stack. Prefer this at program boundaries (CLI flags, config
-/// files); [`run`] remains the zero-overhead path for trusted,
-/// already-validated scenarios.
-pub fn try_run(scenario: &Scenario) -> Result<ScenarioResult, SimError> {
-    scenario.validate()?;
-    Ok(run(scenario))
-}
-
-/// [`try_run`] with a cancellation control: validates up front, then
-/// runs under `ctl` like [`run_with_ctl`].
-pub fn try_run_with_ctl(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
-    scenario.validate()?;
-    run_with_ctl(scenario, ctl)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sustain_grid::region::Region;
+
+    fn run_unlimited(scenario: &Scenario) -> ScenarioResult {
+        run(scenario, &RunCtl::unlimited()).unwrap()
+    }
 
     fn small_scenario() -> Scenario {
         let mut s = Scenario::baseline("test", RegionProfile::january_2023(Region::Germany), 7);
@@ -270,7 +243,7 @@ mod tests {
 
     #[test]
     fn baseline_scenario_completes() {
-        let r = run(&small_scenario());
+        let r = run_unlimited(&small_scenario());
         assert_eq!(r.outcome.unfinished, 0);
         assert!(!r.profiles.is_empty());
         assert_eq!(r.profiles.len(), r.outcome.records.len());
@@ -281,24 +254,25 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = run(&small_scenario());
-        let b = run(&small_scenario());
+        let a = run_unlimited(&small_scenario());
+        let b = run_unlimited(&small_scenario());
         assert_eq!(a.outcome.makespan, b.outcome.makespan);
         assert_eq!(a.site.carbon.grams(), b.site.carbon.grams());
     }
 
     #[test]
-    fn try_run_accepts_valid_and_rejects_invalid() {
+    fn run_accepts_valid_and_rejects_invalid() {
+        let ctl = RunCtl::unlimited();
         let ok = {
             let mut s = small_scenario();
             s.days = 3;
             s
         };
-        assert!(try_run(&ok).is_ok());
+        assert!(run(&ok, &ctl).is_ok());
 
         let mut zero_days = small_scenario();
         zero_days.days = 0;
-        let err = try_run(&zero_days).unwrap_err();
+        let err = run(&zero_days, &ctl).unwrap_err();
         assert!(err.to_string().contains("Scenario.days"), "{err}");
 
         // Cluster::new(0) asserts; a deserialized config could still
@@ -308,11 +282,11 @@ mod tests {
             nodes: 0,
             idle_node_power: sustain_sim_core::units::Power::ZERO,
         };
-        assert!(try_run(&empty_cluster).is_err());
+        assert!(run(&empty_cluster, &ctl).is_err());
 
         let mut bad_workload = small_scenario();
         bad_workload.workload.arrivals_per_hour = f64::NAN;
-        let err = try_run(&bad_workload).unwrap_err();
+        let err = run(&bad_workload, &ctl).unwrap_err();
         assert!(err.to_string().contains("arrivals_per_hour"), "{err}");
 
         let mut one_day_synoptic = small_scenario();
@@ -321,7 +295,31 @@ mod tests {
             one_day_synoptic.region.synoptic_std > 0.0,
             "profile must exercise the calibration guard"
         );
-        assert!(try_run(&one_day_synoptic).is_err());
+        assert!(run(&one_day_synoptic, &ctl).is_err());
+    }
+
+    /// Validation precedes the outcome-cache lookup: an invalid scenario
+    /// is rejected with a typed error even when a result sits under its
+    /// key, and counts neither a hit nor a miss. Sibling tests share the
+    /// process-wide cache, so one attempt whose window saw no foreign
+    /// traffic suffices for the counters.
+    #[test]
+    fn invalid_scenarios_are_rejected_before_the_cache_lookup() {
+        let mut s = small_scenario();
+        s.days = 3;
+        s.seed = 0xCAFE_0004;
+        let planted = Arc::new(run_unlimited(&s));
+        s.days = 0;
+        let cache = global_outcome_cache();
+        cache.insert(OutcomeKey::new(&s), planted);
+        let untouched = (0..100).any(|_| {
+            let before = cache.stats();
+            let err = run(&s, &RunCtl::unlimited()).unwrap_err();
+            assert!(matches!(err, SimError::Config(_)), "{err}");
+            let after = cache.stats();
+            (after.hits, after.misses) == (before.hits, before.misses)
+        });
+        assert!(untouched, "an invalid scenario reached the outcome cache");
     }
 
     #[test]
@@ -331,8 +329,8 @@ mod tests {
         s.seed = 0xCAFE_0001; // unique to this test: no cross-test interference
         let cache = global_outcome_cache();
         let before = cache.stats();
-        let cold = run(&s);
-        let warm = run(&s);
+        let cold = run_unlimited(&s);
+        let warm = run_unlimited(&s);
         let after = cache.stats();
         assert!(after.hits > before.hits, "second run must hit");
         let cold_json = serde_json::to_string(&cold).unwrap();
@@ -360,14 +358,14 @@ mod tests {
 
     #[test]
     fn cancelled_runs_are_never_cached() {
-        use sustain_sim_core::ctl::{CancelToken, RunCtl};
+        use sustain_sim_core::ctl::CancelToken;
         let mut s = small_scenario();
         s.days = 3;
         s.seed = 0xCAFE_0003;
         let token = CancelToken::new();
         token.cancel("pre-cancelled");
         let ctl = RunCtl::unlimited().with_token(token);
-        let err = run_with_ctl(&s, &ctl).unwrap_err();
+        let err = run(&s, &ctl).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { .. }));
         let key = OutcomeKey::new(&s);
         assert!(
@@ -381,12 +379,12 @@ mod tests {
         let clean = {
             let mut s = small_scenario();
             s.region = RegionProfile::january_2023(Region::Norway);
-            run(&s)
+            run_unlimited(&s)
         };
         let dirty = {
             let mut s = small_scenario();
             s.region = RegionProfile::january_2023(Region::Poland);
-            run(&s)
+            run_unlimited(&s)
         };
         // Same workload, same energy — carbon tracks the grid.
         assert!((clean.site.energy.kwh() - dirty.site.energy.kwh()).abs() < 1.0);

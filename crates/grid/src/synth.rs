@@ -104,7 +104,9 @@ pub fn generate_hourly(profile: &RegionProfile, days: usize, seed: u64) -> Carbo
 /// ```
 pub fn generate_calibrated(profile: &RegionProfile, days: usize, seed: u64) -> CarbonTrace {
     let trace = generate_hourly(profile, days, seed);
-    if profile.synoptic_std == 0.0 {
+    // Equal daily means leave no spread to rescale: a profile whose mean
+    // sits at the physical floor clamps every sample to it.
+    if profile.synoptic_std == 0.0 || trace.daily_stats().std_dev() == 0.0 {
         return trace;
     }
     trace.with_moments(profile.mean_g_per_kwh, profile.synoptic_std)
@@ -328,6 +330,17 @@ pub fn generate_calibrated_arc(
 mod tests {
     use super::*;
     use crate::region::{Region, RegionProfile};
+
+    #[test]
+    fn calibration_keeps_a_trace_clamped_to_the_floor() {
+        // A 1 g/kWh mean with small swings never reaches the 5 g floor.
+        let mut p = RegionProfile::january_2023(Region::Germany);
+        p.mean_g_per_kwh = 1.0;
+        p.synoptic_std = 0.1;
+        p.noise_std = 0.0;
+        let t = generate_calibrated(&p, 2, 7);
+        assert!(t.series().values().iter().all(|&v| v == MIN_CI_G_PER_KWH));
+    }
 
     #[test]
     fn deterministic_for_same_seed() {

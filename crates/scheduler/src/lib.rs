@@ -26,4 +26,4 @@ pub mod sim;
 pub use cluster::Cluster;
 pub use metrics::{JobRecord, Segment, SimOutcome};
 pub use queue::QueueSet;
-pub use sim::{simulate, try_simulate, CarbonAwareCfg, CheckpointCfg, Policy, SimConfig};
+pub use sim::{simulate, simulate_with_ctl, CarbonAwareCfg, CheckpointCfg, Policy, SimConfig};

@@ -440,8 +440,8 @@ struct Scratch {
     profile: Vec<Step>,
     /// Time-sorted (time, freed nodes) profile for the EASY shadow.
     frees: Vec<(SimTime, u32)>,
-    /// Keyed pending entries for a full fair-share resort (the test
-    /// oracle; the production path repositions incrementally).
+    /// Keyed pending entries: the dirty users' repositioned entries in
+    /// the incremental fix-up, every entry in a legacy resort.
     keyed: Vec<(std::cmp::Reverse<u32>, f64, SimTime, JobId, usize)>,
     /// Per-user decayed-usage memo for one legacy resort.
     usage_memo: UserMap<f64>,
@@ -846,26 +846,6 @@ pub fn init_par_pending_min_from_env() -> Result<Option<usize>, ConfigError> {
     Ok(None)
 }
 
-/// When set, every scheduling pass rebuilds and fully sorts the pending
-/// queue (the pre-incremental reference behavior) instead of
-/// repositioning only dirty users' jobs. Outcomes are byte-identical in
-/// both modes — that is exactly what the oracle tests assert — so the
-/// toggle only trades speed for an independent ordering path.
-static FS_ORACLE_RESORT: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enables/disables the full-resort fair-share oracle for the whole
-/// process. Test-only in spirit, but always compiled so integration
-/// tests and the golden replayer (which live outside this crate's
-/// `#[cfg(test)]`) can drive it.
-#[doc(hidden)]
-pub fn set_fair_share_oracle_resort(on: bool) {
-    FS_ORACLE_RESORT.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-fn fair_share_oracle_resort() -> bool {
-    FS_ORACLE_RESORT.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// Renormalization threshold for the fair-share usage epoch, in
 /// half-lives. Normalized usage grows by `2^(t / half_life - shift)`;
 /// once that exponent would exceed this bound at a recording,
@@ -1167,7 +1147,7 @@ impl<'a> Sim<'a> {
     }
 
     /// THE pending-order key — the one definition the sorted insert,
-    /// the incremental fix-up and the full-resort oracle all use: queue
+    /// the incremental fix-up and its debug ordering check all use: queue
     /// priority (desc), normalized fair-share usage (asc; identically
     /// 0.0 when fair share is off), submit time, then id. The id makes
     /// the key unique, so sorted-insert and full-sort produce the same
@@ -1186,11 +1166,12 @@ impl<'a> Sim<'a> {
     /// the dirty users' jobs (remove + sorted re-insert, O(k log n))
     /// instead of rebuilding and sorting the whole queue. Keys are
     /// unique and the clean entries are already in order, so the result
-    /// equals a full sort exactly — [`Sim::resort_pending_full`] is the
-    /// always-compiled oracle asserting that. A pass with no recordings
-    /// since the last fix-up has provably unchanged order (the key is
-    /// time-invariant) and skips outright — the gate the old
-    /// timestamp-keyed skip could never hit under load.
+    /// equals a full sort exactly. Debug builds assert that after every
+    /// pass: the queue must be strictly increasing under
+    /// [`Sim::pending_key`], the one order a full sort can produce. A
+    /// pass with no recordings since the last fix-up has provably
+    /// unchanged order (the key is time-invariant) and skips outright —
+    /// the gate the old timestamp-keyed skip could never hit under load.
     ///
     /// Once decayed usage approaches the subnormal range the whole
     /// ordering switches — stickily — to [`Sim::resort_pending_legacy`],
@@ -1202,6 +1183,14 @@ impl<'a> Sim<'a> {
             return;
         }
         self.fixup_pending_fs(now);
+        debug_assert!(
+            self.fs_legacy_keys
+                || self.pending.windows(2).all(|w| {
+                    pend_key_cmp(&self.pending_key(w[0]), &self.pending_key(w[1]))
+                        == std::cmp::Ordering::Less
+                }),
+            "fair-share fix-up left the pending queue out of key order"
+        );
     }
 
     /// The fair-share-only body of [`Sim::fixup_pending`], outlined so
@@ -1215,10 +1204,6 @@ impl<'a> Sim<'a> {
         }
         if self.fs_legacy_keys {
             self.resort_pending_legacy(now);
-            return;
-        }
-        if fair_share_oracle_resort() {
-            self.resort_pending_full();
             return;
         }
         if self.fs_dirty.is_empty() {
@@ -1366,38 +1351,6 @@ impl<'a> Sim<'a> {
         self.scratch.keyed = moved;
     }
 
-    /// The pre-incremental reference: rebuild and fully sort the
-    /// pending queue by [`Sim::pending_key`]. Runs on *every* pass in
-    /// oracle mode (so a latently unsorted queue cannot hide behind a
-    /// clean dirty set), allocation-free via the scratch buffer.
-    fn resort_pending_full(&mut self) {
-        self.fs_dirty.clear();
-        if self.pending.len() < 2 {
-            return;
-        }
-        self.stats.resorts_taken += 1;
-        let mut keyed = std::mem::take(&mut self.scratch.keyed);
-        let cap = keyed.capacity();
-        keyed.clear();
-        for &i in self.pending.iter() {
-            keyed.push((
-                std::cmp::Reverse(self.priorities[i]),
-                self.norm_usage(self.jobs[i].user),
-                self.jobs[i].submit,
-                self.jobs[i].id,
-                i,
-            ));
-        }
-        // Unique ids make the order total: unstable sort is exact and,
-        // unlike the stable sort, allocation-free.
-        keyed.sort_unstable_by(|a, b| pend_key_cmp(&(a.0, a.1, a.2, a.3), &(b.0, b.1, b.2, b.3)));
-        self.pending.refill(keyed.iter().map(|k| k.4), self.jobs);
-        if keyed.capacity() != cap {
-            self.stats.scratch_grows += 1;
-        }
-        self.scratch.keyed = keyed;
-    }
-
     /// The reference resort, bit for bit: rebuild and fully sort the
     /// pending queue under per-read legacy `powf` keys at `now`,
     /// memoizing the decay per user. Runs on every pass once the legacy
@@ -1449,7 +1402,7 @@ impl<'a> Sim<'a> {
     }
 
     /// Sorted insert by [`Sim::pending_key`] — the same key the fix-up
-    /// and the oracle use, so the list is in final order immediately.
+    /// uses, so the list is in final order immediately.
     /// O(log n) key evaluations along the binary search path,
     /// allocation-free; the normalized key is time-invariant, so `now`
     /// only matters in the legacy regime (where the insert replays the
@@ -2430,13 +2383,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// Number of event-loop steps between cancellation checks when a
-    /// control is attached. Power-of-two so the gate is a mask; easy
-    /// runs can have zero ticks, so gating on ticks alone would never
-    /// observe a cancellation there.
+    /// Number of event-loop steps between cancellation checks.
+    /// Power-of-two so the gate is a mask; easy runs can have zero
+    /// ticks, so gating on ticks alone would never observe a
+    /// cancellation there.
     const CTL_CHECK_MASK: u64 = 255;
 
-    fn run(mut self, ctl: Option<&RunCtl>) -> Result<SimOutcome, SimError> {
+    fn run(mut self, ctl: &RunCtl) -> Result<SimOutcome, SimError> {
         for (i, job) in self.jobs.iter().enumerate() {
             self.queue.schedule(job.submit, Ev::Submit(i));
         }
@@ -2448,12 +2401,10 @@ impl<'a> Sim<'a> {
             if steps > self.cfg.max_steps {
                 break;
             }
-            if let Some(ctl) = ctl {
-                // Bucket-granularity cancellation: every 256 events or
-                // at any tick, whichever comes first.
-                if steps & Self::CTL_CHECK_MASK == 0 || matches!(ev, Ev::Tick) {
-                    ctl.check(t)?;
-                }
+            // Bucket-granularity cancellation: every 256 events or at
+            // any tick, whichever comes first.
+            if steps & Self::CTL_CHECK_MASK == 0 || matches!(ev, Ev::Tick) {
+                ctl.check(t)?;
             }
             self.account(t);
             match ev {
@@ -2662,32 +2613,27 @@ fn earliest_slot(
 /// assert!((out.records[0].span().as_hours() - 2.0).abs() < 1e-9);
 /// ```
 pub fn simulate(jobs: &[Job], cfg: &SimConfig) -> SimOutcome {
-    match Sim::new(jobs, cfg).run(None) {
+    match Sim::new(jobs, cfg).run(&RunCtl::unlimited()) {
         Ok(out) => out,
-        // With no control attached the loop has no cancellation point.
+        // An unlimited control never fires.
         Err(_) => unreachable!("uncontrolled simulation cannot be cancelled"),
     }
 }
 
-/// [`simulate`] with a cooperative cancellation control: the event loop
-/// checks `ctl` at bucket granularity (every 256 events or at any tick)
-/// and returns [`SimError::Cancelled`] stamped with the simulation time
-/// reached. An unlimited control adds only the per-bucket check.
+/// The checked front door: validates `cfg` up front, returning a typed
+/// [`SimError`] instead of panicking somewhere in the event loop, then
+/// runs under the cooperative cancellation control `ctl`. The event
+/// loop checks `ctl` at bucket granularity (every 256 events or at any
+/// tick) and returns [`SimError::Cancelled`] stamped with the
+/// simulation time reached. Internal invariant asserts remain — they
+/// fire on simulator bugs, not on bad input that got past this gate.
 pub fn simulate_with_ctl(
     jobs: &[Job],
     cfg: &SimConfig,
     ctl: &RunCtl,
 ) -> Result<SimOutcome, SimError> {
-    Sim::new(jobs, cfg).run(Some(ctl))
-}
-
-/// Fallible front door for untrusted configurations: validates `cfg` up
-/// front and returns a typed [`SimError`] instead of panicking somewhere
-/// in the event loop. Internal invariant asserts remain — they fire on
-/// simulator bugs, not on bad input that got past this gate.
-pub fn try_simulate(jobs: &[Job], cfg: &SimConfig) -> Result<SimOutcome, SimError> {
     cfg.validate()?;
-    Ok(simulate(jobs, cfg))
+    Sim::new(jobs, cfg).run(ctl)
 }
 
 #[cfg(test)]
@@ -3654,7 +3600,6 @@ mod tests {
                             sim.finish_job(id, now);
                             sim.fixup_pending(now);
                         }
-                        5 => sim.resort_pending_full(),
                         6 => sim.resort_pending_legacy(now),
                         7 if !sim.pending.is_empty() => {
                             // A start from mid-queue (a head behind

@@ -15,7 +15,7 @@
 
 use serde::{DeError, Deserialize, Serialize, Value};
 use sustain_grid::region::{Region, RegionProfile};
-use sustain_hpc_core::scenario::{run_with_ctl, Scenario, ScenarioResult};
+use sustain_hpc_core::scenario::{run, Scenario, ScenarioResult};
 use sustain_hpc_core::sweep::{point_seed, SweepJournal, SweepPlan};
 use sustain_scheduler::cluster::Cluster;
 use sustain_scheduler::sim::{CarbonAwareCfg, Policy};
@@ -157,7 +157,7 @@ impl RunRequest {
 
     /// Materializes the scenario this request describes. Structural
     /// errors (unknown region/policy) surface here; value-range errors
-    /// surface from `Scenario::validate` inside `try_run`.
+    /// surface from `Scenario::validate` inside `scenario::run`.
     pub fn to_scenario(&self) -> Result<Scenario, ConfigError> {
         let region = parse_region(&self.region)?;
         let mut scenario = Scenario::baseline(
@@ -224,9 +224,8 @@ pub(crate) fn run_body_with_ctl(
     token: Option<&CancelToken>,
 ) -> Result<String, SimError> {
     let scenario = req.to_scenario()?;
-    scenario.validate()?;
     let ctl = request_ctl(req.timeout_ms, token);
-    let result = run_with_ctl(&scenario, &ctl)?;
+    let result = run(&scenario, &ctl)?;
     serde_json::to_string_pretty(&result)
         .map_err(|e| SimError::invalid_input(format!("cannot serialize result: {e}")))
 }
@@ -519,8 +518,7 @@ pub fn sweep_body_with_ctl(
         journal,
         ..SweepPlan::new(&scenarios, &ctl)
     };
-    let runs =
-        plan.run(|scenario, _| run_with_ctl(scenario, &ctl).map(|r| sweep_row(scenario.seed, r)))?;
+    let runs = plan.run(|scenario, _| run(scenario, &ctl).map(|r| sweep_row(scenario.seed, r)))?;
     render_sweep_response(req, runs.into_iter().map(|run| run.result).collect())
 }
 

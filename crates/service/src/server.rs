@@ -1019,11 +1019,9 @@ mod tests {
             ..api::RunRequest::default()
         };
         let scenario = run.to_scenario().unwrap();
-        let result = sustain_hpc_core::scenario::run_with_ctl(
-            &scenario,
-            &sustain_sim_core::ctl::RunCtl::unlimited(),
-        )
-        .unwrap();
+        let result =
+            sustain_hpc_core::scenario::run(&scenario, &sustain_sim_core::ctl::RunCtl::unlimited())
+                .unwrap();
         assert_streams_like_its_tree(&result);
 
         let row: api::SweepRow = serde_json::from_str(

@@ -76,7 +76,7 @@ impl fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Top-level error returned by fallible simulation and experiment
-/// entry points (`try_simulate`, `try_run`, `SweepPlan::run`, …).
+/// entry points (`simulate_with_ctl`, `scenario::run`, `SweepPlan::run`, …).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SimError {
     /// A configuration value failed boundary validation.

@@ -9,7 +9,7 @@ use sustain_hpc_core::prelude::*;
 use sustain_telemetry::accounting::aggregate_by_user;
 use sustain_telemetry::export;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // --- Fig. 2: daily marginal carbon intensity across Europe. ---
     let fig2 = fig2_carbon_intensity(2023);
     println!("=== Fig. 2 — daily marginal carbon intensity, January 2023 ===");
@@ -52,7 +52,7 @@ fn main() {
         "{:>11} {:>6} {:>12} {:>10} {:>13} {:>12}",
         "over-frac", "jobs", "energy/kWh", "carbon/t", "excess kWh", "excess kg"
     );
-    for r in user_overallocation(Region::Germany, 7, 3) {
+    for r in user_overallocation(Region::Germany, 7, 3)? {
         println!(
             "{:>10.0}% {:>6} {:>12.0} {:>10.2} {:>13.0} {:>12.0}",
             r.overallocating_fraction * 100.0,
@@ -81,7 +81,7 @@ fn main() {
     }
 
     // --- Billing demo on a real scheduled week. ---
-    let bill = billing_demo(2023);
+    let bill = billing_demo(2023)?;
     println!("\n=== §3.4 billing demo (one scheduled week, 50 % green discount) ===");
     println!("node-hours consumed : {:>10.0}", bill.node_hours);
     println!("  of which green    : {:>10.0}", bill.green_node_hours);
@@ -94,7 +94,7 @@ fn main() {
         3,
     );
     scenario.cluster = Cluster::new(600);
-    let result = run(&scenario);
+    let result = run(&scenario, &RunCtl::unlimited())?;
     let by_user = aggregate_by_user(&result.profiles);
     println!("\n=== per-user carbon accounts (3-day sample, top 5 by carbon) ===");
     let mut users: Vec<_> = by_user.iter().collect();
@@ -119,4 +119,5 @@ fn main() {
         csv.len(),
         csv.lines().next().unwrap_or("")
     );
+    Ok(())
 }

@@ -9,7 +9,7 @@
 
 use sustain_hpc_core::prelude::*;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // --- Fig. 1: embodied carbon by component. ---
     println!("=== Fig. 1 — embodied carbon by component (tCO2e) ===");
     println!(
@@ -81,7 +81,7 @@ fn main() {
     // --- E4: the renewable rule of thumb. ---
     println!(
         "\nembodied reaches 50 % of total at {:.1} % renewables (paper: 70-75 %)",
-        renewable_fraction_at_half_embodied() * 100.0
+        renewable_fraction_at_half_embodied()? * 100.0
     );
 
     // --- E13: chiplet/fab optimization. ---
@@ -112,4 +112,5 @@ fn main() {
             row.rank, row.name, row.efficiency, row.hourly_carbon_kg
         );
     }
+    Ok(())
 }

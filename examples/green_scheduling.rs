@@ -38,11 +38,11 @@ fn print_rows(rows: &[OpsRow]) {
     }
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let days = 14;
 
     println!("=== E8 — §3.1 carbon-aware power-budget scaling (Finland, {days} d) ===");
-    let rows = carbon_aware_power_scaling(Region::Finland, days, 42);
+    let rows = carbon_aware_power_scaling(Region::Finland, days, 42)?;
     print_rows(&rows);
     let static_ci = rows[0].effective_job_ci;
     for r in &rows[1..] {
@@ -54,7 +54,7 @@ fn main() {
     }
 
     println!("\n=== E9 — §3.2 malleability under a carbon-driven power budget (GB, {days} d) ===");
-    let rows = malleability_under_power(Region::GreatBritain, days, 7);
+    let rows = malleability_under_power(Region::GreatBritain, days, 7)?;
     print_rows(&rows);
     println!(
         "  malleability cuts budget-violation time {:.0} s -> {:.0} s",
@@ -62,7 +62,7 @@ fn main() {
     );
 
     println!("\n=== E10 — §3.3 carbon-aware scheduling + checkpointing (Finland, {days} d) ===");
-    let rows = carbon_aware_scheduling(Region::Finland, days, 11);
+    let rows = carbon_aware_scheduling(Region::Finland, days, 11)?;
     print_rows(&rows);
     println!(
         "  green gate moves green-energy share {:.1} % -> {:.1} % (ckpt: {:.1} %)",
@@ -70,4 +70,5 @@ fn main() {
         rows[1].green_energy_fraction * 100.0,
         rows[2].green_energy_fraction * 100.0
     );
+    Ok(())
 }

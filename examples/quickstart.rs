@@ -9,7 +9,7 @@
 use sustain_hpc_core::prelude::*;
 use sustain_telemetry::report;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // 1. A grid region: Finland, January 2023 (volatile, mid-carbon).
     let region = RegionProfile::january_2023(Region::Finland);
 
@@ -24,7 +24,7 @@ fn main() {
     };
 
     // 3. Run it.
-    let result = run(&scenario);
+    let result = run(&scenario, &RunCtl::unlimited())?;
 
     println!("=== quickstart: one week on the Finnish grid ===");
     println!("grid mean intensity : {:>8.1} g/kWh", result.grid_mean_ci);
@@ -67,4 +67,5 @@ fn main() {
         println!("\n--- largest job's carbon report ---");
         print!("{}", report::to_text(&report::render(profile)));
     }
+    Ok(())
 }

@@ -296,10 +296,12 @@ fn sim_err<T>(r: Result<T, SimError>) -> Result<T, String> {
     r.map_err(|e| e.to_string())
 }
 
-/// `--stats`: prints the process-wide simulator hot-path counters
-/// accumulated across every simulation this invocation ran (stderr, so
-/// JSON output stays pipeable).
-fn print_hot_path_stats() {
+/// `--stats`: prints the process-wide counters accumulated across
+/// everything this invocation ran (stderr, so JSON output stays
+/// pipeable): the simulator hot path, the memoization caches (outcome
+/// and workload), and self-healing (retries, heals, quarantines,
+/// tombstone replays).
+fn print_stats() {
     let s = sustain_hpc::scheduler::metrics::hot_path_totals();
     let skip_pct = if s.schedule_passes + s.schedule_skips > 0 {
         100.0 * s.schedule_skips as f64 / (s.schedule_passes + s.schedule_skips) as f64
@@ -326,13 +328,6 @@ fn print_hot_path_stats() {
         "sim backfill: {} of {} pending entries visited",
         s.backfill_visits, s.backfill_scanned
     );
-    print_memo_cache_stats();
-}
-
-/// `--stats`: prints the process-wide memoization-cache counters
-/// (stderr, like the hot-path stats) — outcome cache (whole scenario
-/// results) and workload cache (synthesized job batches).
-fn print_memo_cache_stats() {
     let o = sustain_hpc::core::cache::global_outcome_cache().stats();
     let w = sustain_hpc::workload::synth::global_workload_cache().stats();
     eprintln!(
@@ -343,13 +338,6 @@ fn print_memo_cache_stats() {
         "workload cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
         w.hits, w.misses, w.evictions, w.len, w.capacity
     );
-    print_self_healing_stats();
-}
-
-/// `--stats`: prints the process-wide self-healing counters (stderr,
-/// like the others) — how many units of work were retried, healed,
-/// quarantined, or replayed from a tombstone.
-fn print_self_healing_stats() {
     let r = sustain_hpc::sim_core::retry::retry_stats();
     eprintln!(
         "self healing: {} retries, {} healed, {} quarantined, {} tombstone skips \
@@ -371,33 +359,29 @@ fn run_one(name: &str, args: &Args) -> Result<(), String> {
         "fig1" => write_json(out, "fig1", &fig1_embodied_breakdown()),
         "table1" => write_json(out, "table1", &table1_lrz_lifetimes()),
         "fig2" => write_json(out, "fig2", &fig2_carbon_intensity(seed)),
-        "e4" => write_json(out, "e4", &sim_err(try_renewable_share_sweep(21))?),
+        "e4" => write_json(out, "e4", &sim_err(renewable_share_sweep(21))?),
         "e5" => write_json(out, "e5", &claim_reuse_vs_recycle()),
         "e6" => write_json(out, "e6", &dse_carbon_metrics()),
         "e7" => write_json(out, "e7", &budget_tradeoff()),
         "e8" => write_json(
             out,
             "e8",
-            &sim_err(try_carbon_aware_power_scaling(Region::Finland, days, seed))?,
+            &sim_err(carbon_aware_power_scaling(Region::Finland, days, seed))?,
         ),
         "e9" => write_json(
             out,
             "e9",
-            &sim_err(try_malleability_under_power(
-                Region::GreatBritain,
-                days,
-                seed,
-            ))?,
+            &sim_err(malleability_under_power(Region::GreatBritain, days, seed))?,
         ),
         "e10" => write_json(
             out,
             "e10",
-            &sim_err(try_carbon_aware_scheduling(Region::Finland, days, seed))?,
+            &sim_err(carbon_aware_scheduling(Region::Finland, days, seed))?,
         ),
         "e11a" => write_json(
             out,
             "e11a",
-            &sim_err(try_user_overallocation(Region::Germany, days.min(7), seed))?,
+            &sim_err(user_overallocation(Region::Germany, days.min(7), seed))?,
         ),
         "e11b" => write_json(out, "e11b", &green_incentives(Region::Finland, seed)),
         "e12" => write_json(out, "e12", &carbon500()),
@@ -406,16 +390,12 @@ fn run_one(name: &str, args: &Args) -> Result<(), String> {
         "a1" => write_json(
             out,
             "a1",
-            &sim_err(try_green_threshold_sweep(
-                Region::Finland,
-                days.min(7),
-                seed,
-            ))?,
+            &sim_err(green_threshold_sweep(Region::Finland, days.min(7), seed))?,
         ),
         "a2" => write_json(
             out,
             "a2",
-            &sim_err(try_checkpoint_overhead_sweep(
+            &sim_err(checkpoint_overhead_sweep(
                 Region::Finland,
                 days.min(7),
                 seed,
@@ -424,7 +404,7 @@ fn run_one(name: &str, args: &Args) -> Result<(), String> {
         "a3" => write_json(
             out,
             "a3",
-            &sim_err(try_malleable_fraction_sweep(
+            &sim_err(malleable_fraction_sweep(
                 Region::GreatBritain,
                 days.min(7),
                 seed,
@@ -433,7 +413,7 @@ fn run_one(name: &str, args: &Args) -> Result<(), String> {
         "a4" => write_json(
             out,
             "a4",
-            &sim_err(try_forecast_scaling_ablation(
+            &sim_err(forecast_scaling_ablation(
                 Region::Finland,
                 days.min(7),
                 seed,
@@ -442,16 +422,12 @@ fn run_one(name: &str, args: &Args) -> Result<(), String> {
         "a5" => write_json(
             out,
             "a5",
-            &sim_err(try_backfill_flavour_sweep(
-                Region::Germany,
-                days.min(7),
-                seed,
-            ))?,
+            &sim_err(backfill_flavour_sweep(Region::Germany, days.min(7), seed))?,
         ),
         "a6" => write_json(
             out,
             "a6",
-            &sim_err(try_failure_resilience_sweep(days.min(5), seed))?,
+            &sim_err(failure_resilience_sweep(days.min(5), seed))?,
         ),
         "site" => {
             let reports = vec![
@@ -463,6 +439,22 @@ fn run_one(name: &str, args: &Args) -> Result<(), String> {
         }
         other => Err(format!("unknown experiment: {other}; try `list`")),
     }
+}
+
+/// `all`: every experiment in [`EXPERIMENTS`] order, then the trace
+/// cache's counters (stderr), which show how much trace synthesis the
+/// shared cache saved across the whole suite.
+fn run_all(args: &Args) -> Result<(), String> {
+    for (name, desc) in EXPERIMENTS {
+        eprintln!("=== {name}: {desc}");
+        run_one(name, args)?;
+    }
+    let stats = sustain_hpc::core::sweep::global_trace_cache().stats();
+    eprintln!(
+        "trace cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
+        stats.hits, stats.misses, stats.evictions, stats.len, stats.capacity
+    );
+    Ok(())
 }
 
 const USAGE: &str = "usage: sustain-hpc <experiment|all|list|run|sweep|serve> [--out DIR] [--seed N] [--days N] [--threads N] [--stats] [--request FILE] [--timeout SECS] [--journal FILE] [--retry-failed] [--addr HOST:PORT] [--max-inflight N] [--queue-depth N] [--read-timeout-ms N]";
@@ -487,97 +479,54 @@ fn main() -> ExitCode {
     if let Some(n) = args.threads {
         sustain_hpc::core::sweep::set_threads(n);
     }
-    match args.command.as_str() {
+    let result = match args.command.as_str() {
         "list" => {
             println!("available experiments:");
             for (name, desc) in EXPERIMENTS {
                 println!("  {name:<8} {desc}");
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
-        "all" => {
-            for (name, desc) in EXPERIMENTS {
-                eprintln!("=== {name}: {desc}");
-                if let Err(e) = run_one(name, &args) {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            let stats = sustain_hpc::core::sweep::global_trace_cache().stats();
-            eprintln!(
-                "trace cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
-                stats.hits, stats.misses, stats.evictions, stats.len, stats.capacity
-            );
-            if args.stats {
-                print_hot_path_stats();
-            }
-            ExitCode::SUCCESS
-        }
-        "run" => match load_request::<sustain_hpc::service::RunRequest>(&args.request).and_then(
-            |mut req| {
+        "all" => run_all(&args),
+        "run" => {
+            load_request::<sustain_hpc::service::RunRequest>(&args.request).and_then(|mut req| {
                 if let Some(ms) = timeout_ms_of(&args) {
                     req.timeout_ms = Some(ms);
                 }
-                sustain_hpc::service::run_body(&req).map_err(|e| e.to_string())
-            },
-        ) {
-            Ok(body) => {
+                let body = sustain_hpc::service::run_body(&req).map_err(|e| e.to_string())?;
                 println!("{body}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        "sweep" => {
-            match load_request::<sustain_hpc::service::SweepRequest>(&args.request).and_then(
-                |mut req| {
-                    if let Some(ms) = timeout_ms_of(&args) {
-                        req.timeout_ms = Some(ms);
-                    }
-                    // Journaled sweeps self-heal: transient failures
-                    // retry, exhausted points quarantine as tombstones,
-                    // and `--retry-failed` re-runs quarantined points.
-                    let journal = args.journal.clone().map(|path| SweepJournal {
-                        path,
-                        retry_failed: args.retry_failed,
-                    });
-                    sustain_hpc::service::sweep_body_with_ctl(&req, None, journal)
-                        .map_err(|e| e.to_string())
-                },
-            ) {
-                Ok(body) => {
-                    println!("{body}");
-                    if args.stats {
-                        print_self_healing_stats();
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+                Ok(())
+            })
         }
-        "serve" => match serve_forever(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        cmd => match run_one(cmd, &args) {
-            Ok(()) => {
-                if args.stats {
-                    print_hot_path_stats();
+        "sweep" => {
+            load_request::<sustain_hpc::service::SweepRequest>(&args.request).and_then(|mut req| {
+                if let Some(ms) = timeout_ms_of(&args) {
+                    req.timeout_ms = Some(ms);
                 }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+                // Journaled sweeps self-heal: transient failures retry,
+                // exhausted points quarantine as tombstones, and
+                // `--retry-failed` re-runs quarantined points.
+                let journal = args.journal.clone().map(|path| SweepJournal {
+                    path,
+                    retry_failed: args.retry_failed,
+                });
+                let body = sustain_hpc::service::sweep_body_with_ctl(&req, None, journal)
+                    .map_err(|e| e.to_string())?;
+                println!("{body}");
+                Ok(())
+            })
+        }
+        "serve" => serve_forever(&args),
+        cmd => run_one(cmd, &args),
+    };
+    if args.stats {
+        print_stats();
+    }
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -65,7 +65,7 @@ fn run_corpus_json(scenarios: &[Scenario]) -> Vec<String> {
     scenarios
         .iter()
         .map(|s| {
-            let r = try_run(s).expect("valid scenario");
+            let r = run(s, &RunCtl::unlimited()).expect("valid scenario");
             serde_json::to_string(&r).expect("serializable")
         })
         .collect()
@@ -133,16 +133,19 @@ fn capacity_one_memoizes_repeats_and_survives_eviction() {
     let cache = global_outcome_cache();
     cache.set_capacity(1);
 
-    let a1 = serde_json::to_string(&try_run(&scenarios[0]).expect("valid")).expect("json");
+    let a1 = serde_json::to_string(&run(&scenarios[0], &RunCtl::unlimited()).expect("valid"))
+        .expect("json");
     let before = cache.stats();
-    let a2 = serde_json::to_string(&try_run(&scenarios[0]).expect("valid")).expect("json");
+    let a2 = serde_json::to_string(&run(&scenarios[0], &RunCtl::unlimited()).expect("valid"))
+        .expect("json");
     assert!(cache.stats().hits > before.hits, "back-to-back repeat hits");
     assert_eq!(a1, a2);
 
     // Evict with a different scenario, then re-run the first: a miss,
     // but byte-identical output.
-    let _ = try_run(&scenarios[1]).expect("valid");
-    let a3 = serde_json::to_string(&try_run(&scenarios[0]).expect("valid")).expect("json");
+    let _ = run(&scenarios[1], &RunCtl::unlimited()).expect("valid");
+    let a3 = serde_json::to_string(&run(&scenarios[0], &RunCtl::unlimited()).expect("valid"))
+        .expect("json");
     assert_eq!(a1, a3, "recomputation after eviction is byte-identical");
     assert!(cache.stats().evictions > 0, "capacity 1 must have evicted");
 }

@@ -139,8 +139,8 @@ fn hash_equal_scenarios_produce_byte_equal_results() {
     let cache = global_outcome_cache();
     cache.set_capacity(0);
     let result = std::panic::catch_unwind(|| {
-        let ra = try_run(&a).expect("valid scenario");
-        let rb = try_run(&b).expect("valid scenario");
+        let ra = run(&a, &RunCtl::unlimited()).expect("valid scenario");
+        let rb = run(&b, &RunCtl::unlimited()).expect("valid scenario");
         (
             serde_json::to_string(&ra).expect("serializable"),
             serde_json::to_string(&rb).expect("serializable"),

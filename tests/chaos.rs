@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use sustain_hpc::core::prelude::*;
 use sustain_hpc::grid::synth::TraceCache;
-use sustain_hpc::scheduler::sim::{try_simulate, SimConfig};
+use sustain_hpc::scheduler::sim::{simulate_with_ctl, SimConfig};
 use sustain_hpc::sim_core::units::Power;
 
 /// CI also runs this harness under `SUSTAIN_THREADS=2`: honor the env
@@ -53,10 +53,10 @@ fn small_scenario(days: usize, seed: u64) -> Scenario {
 }
 
 proptest! {
-    /// `try_run` with adversarial workload/region/checkpoint/scaling
-    /// floats: must return `Ok` or a typed `Err`, never unwind.
+    /// `scenario::run` with adversarial workload/region/checkpoint/
+    /// scaling floats: must return `Ok` or a typed `Err`, never unwind.
     #[test]
-    fn scenario_try_run_never_unwinds(
+    fn scenario_run_never_unwinds(
         days in 0usize..3,
         seed in 0u64..1_000_000,
         w_arr in 0usize..EVIL.len(),
@@ -95,8 +95,8 @@ proptest! {
                 ci_high: EVIL[sc_val] + 1.0,
             }),
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| try_run(&s)));
-        prop_assert!(outcome.is_ok(), "try_run unwound instead of returning Err");
+        let outcome = catch_unwind(AssertUnwindSafe(|| run(&s, &RunCtl::unlimited())));
+        prop_assert!(outcome.is_ok(), "run unwound instead of returning Err");
         // Known-bad inputs must be *rejected*, not silently accepted.
         if let Ok(result) = outcome {
             if EVIL[w_arr].is_nan() || EVIL[r_mean] <= 0.0 || days < 2 {
@@ -105,10 +105,11 @@ proptest! {
         }
     }
 
-    /// `try_simulate` with degenerate simulator configs: zero tick, zero
-    /// max_steps, empty cluster, inverted hysteresis — typed errors only.
+    /// `simulate_with_ctl` with degenerate simulator configs: zero tick,
+    /// zero max_steps, empty cluster, inverted hysteresis — typed errors
+    /// only.
     #[test]
-    fn sim_config_try_simulate_never_unwinds(
+    fn sim_config_simulate_with_ctl_never_unwinds(
         nodes in 0u32..4,
         tick_sel in 0usize..3,
         steps_sel in 0usize..3,
@@ -134,8 +135,9 @@ proptest! {
             resume_threshold_fraction: EVIL[ck_hi],
             ..CheckpointCfg::default()
         });
-        let outcome = catch_unwind(AssertUnwindSafe(|| try_simulate(&[], &cfg)));
-        prop_assert!(outcome.is_ok(), "try_simulate unwound");
+        let outcome =
+            catch_unwind(AssertUnwindSafe(|| simulate_with_ctl(&[], &cfg, &RunCtl::unlimited())));
+        prop_assert!(outcome.is_ok(), "simulate_with_ctl unwound");
         if let Ok(result) = outcome {
             if nodes == 0 || tick_sel == 0 || steps_sel == 0 || EVIL[ck_lo].is_nan() {
                 prop_assert!(result.is_err(), "degenerate SimConfig accepted");
@@ -181,15 +183,15 @@ proptest! {
 fn experiment_entry_points_reject_degenerate_days() {
     for days in [0usize, 1] {
         let errs: Vec<SimError> = [
-            try_carbon_aware_power_scaling(Region::Finland, days, 1).err(),
-            try_malleability_under_power(Region::GreatBritain, days, 1).err(),
-            try_carbon_aware_scheduling(Region::Finland, days, 1).err(),
-            try_green_threshold_sweep(Region::Finland, days, 1).err(),
-            try_checkpoint_overhead_sweep(Region::Finland, days, 1).err(),
-            try_malleable_fraction_sweep(Region::GreatBritain, days, 1).err(),
-            try_forecast_scaling_ablation(Region::Finland, days, 1).err(),
-            try_backfill_flavour_sweep(Region::Germany, days, 1).err(),
-            try_user_overallocation(Region::Germany, days, 1).err(),
+            carbon_aware_power_scaling(Region::Finland, days, 1).err(),
+            malleability_under_power(Region::GreatBritain, days, 1).err(),
+            carbon_aware_scheduling(Region::Finland, days, 1).err(),
+            green_threshold_sweep(Region::Finland, days, 1).err(),
+            checkpoint_overhead_sweep(Region::Finland, days, 1).err(),
+            malleable_fraction_sweep(Region::GreatBritain, days, 1).err(),
+            forecast_scaling_ablation(Region::Finland, days, 1).err(),
+            backfill_flavour_sweep(Region::Germany, days, 1).err(),
+            user_overallocation(Region::Germany, days, 1).err(),
         ]
         .into_iter()
         .map(|e| e.expect("days < 2 must be rejected"))
@@ -199,20 +201,20 @@ fn experiment_entry_points_reject_degenerate_days() {
         }
     }
     // A6 needs no calibration: days=1 is legal, days=0 is not.
-    assert!(try_failure_resilience_sweep(0, 1).is_err());
+    assert!(failure_resilience_sweep(0, 1).is_err());
     // E4's axis needs two endpoints.
-    assert!(try_renewable_share_sweep(0).is_err());
-    assert!(try_renewable_share_sweep(1).is_err());
+    assert!(renewable_share_sweep(0).is_err());
+    assert!(renewable_share_sweep(1).is_err());
 }
 
 /// The minimal valid horizon goes through end to end.
 #[test]
 fn experiment_entry_points_accept_minimal_valid_inputs() {
-    let rows = try_backfill_flavour_sweep(Region::Germany, 2, 7).expect("valid horizon");
+    let rows = backfill_flavour_sweep(Region::Germany, 2, 7).expect("valid horizon");
     assert_eq!(rows.len(), 3);
-    let rows = try_renewable_share_sweep(2).expect("two steps span the axis");
+    let rows = renewable_share_sweep(2).expect("two steps span the axis");
     assert_eq!(rows.len(), 2);
-    let rows = try_failure_resilience_sweep(1, 7).expect("one day is legal for A6");
+    let rows = failure_resilience_sweep(1, 7).expect("one day is legal for A6");
     assert_eq!(rows.len(), 8);
 }
 

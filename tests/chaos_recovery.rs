@@ -105,7 +105,7 @@ fn seeded_sweep(
         master_seed: Some(11),
         ..SweepPlan::new(scenarios, ctl)
     };
-    plan.run(|s, _| try_run(s).map(|r| r.grid_mean_ci))
+    plan.run(|s, _| run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci))
         .map(|runs| runs.into_iter().map(|run| run.result).collect())
 }
 
@@ -296,8 +296,8 @@ fn a_faulted_outcome_fill_leaves_the_cache_usable() {
     // byte-identical result.
     let cache = global_outcome_cache();
     let before = cache.stats();
-    let first = try_run(&scenario).expect("retry after a fill panic");
-    let second = try_run(&scenario).expect("cached rerun");
+    let first = run(&scenario, &RunCtl::unlimited()).expect("retry after a fill panic");
+    let second = run(&scenario, &RunCtl::unlimited()).expect("cached rerun");
     let after = cache.stats();
     assert!(
         after.hits > before.hits,
@@ -321,7 +321,7 @@ fn tokens_and_deadlines_cancel_runs_and_sweeps_with_typed_errors() {
     let token = CancelToken::new();
     token.cancel("unplugged");
     let ctl = RunCtl::unlimited().with_token(token.clone());
-    match try_run_with_ctl(&small_scenario(fresh_seed()), &ctl) {
+    match run(&small_scenario(fresh_seed()), &ctl) {
         Err(SimError::Cancelled {
             at_sim_time,
             reason,
@@ -333,7 +333,7 @@ fn tokens_and_deadlines_cancel_runs_and_sweeps_with_typed_errors() {
     }
 
     let ctl = RunCtl::unlimited().with_deadline(Deadline::after_millis(1));
-    match try_run_with_ctl(&heavy_scenario(), &ctl) {
+    match run(&heavy_scenario(), &ctl) {
         Err(SimError::Cancelled { reason, .. }) => {
             assert!(
                 reason.contains("deadline"),
@@ -452,7 +452,7 @@ fn every_fault_site_is_on_an_exercised_path() {
     let scenarios: Vec<Scenario> = (0..2).map(|_| small_scenario(fresh_seed())).collect();
     let ctl = RunCtl::unlimited();
     let results = journaled(&scenarios, &path, &ctl, 11)
-        .run(|s, _| try_run(s).map(|r| r.grid_mean_ci))
+        .run(|s, _| run(s, &RunCtl::unlimited()).map(|r| r.grid_mean_ci))
         .expect("coverage sweep");
     assert!(results.iter().all(|r| r.result.is_ok()));
     std::fs::remove_file(&path).ok();

@@ -277,6 +277,27 @@ fn run_subcommand_defaults_and_rejects_bad_requests() {
 }
 
 #[test]
+fn run_stats_flag_prints_counters_and_leaves_stdout_unchanged() {
+    let plain = bin().arg("run").output().unwrap();
+    let stats = bin().args(["run", "--stats"]).output().unwrap();
+    assert!(plain.status.success() && stats.status.success());
+    let err = String::from_utf8(stats.stderr).unwrap();
+    for line in ["sim hot path:", "outcome cache:", "self healing:"] {
+        assert!(
+            err.contains(line),
+            "`run --stats` stderr lacks {line:?}: {err:?}"
+        );
+    }
+    assert!(!String::from_utf8(plain.stderr)
+        .unwrap()
+        .contains("sim hot path:"));
+    assert_eq!(
+        plain.stdout, stats.stdout,
+        "--stats must not change the result body"
+    );
+}
+
+#[test]
 fn missing_command_prints_usage() {
     let out = bin().output().unwrap();
     assert!(!out.status.success());

@@ -17,7 +17,7 @@ fn scenario(region: Region, days: usize) -> Scenario {
 /// account.
 #[test]
 fn energy_accounting_is_consistent_across_layers() {
-    let r = run(&scenario(Region::Germany, 5));
+    let r = run(&scenario(Region::Germany, 5), &RunCtl::unlimited()).unwrap();
     let profile_sum: f64 = r.profiles.iter().map(|p| p.energy.kwh()).sum();
     assert!(
         (profile_sum - r.outcome.job_energy.kwh()).abs() < 1e-6 * profile_sum.max(1.0),
@@ -36,7 +36,7 @@ fn energy_accounting_is_consistent_across_layers() {
 /// total, and the effective CI lies within the trace's range.
 #[test]
 fn carbon_accounting_is_consistent() {
-    let r = run(&scenario(Region::Finland, 5));
+    let r = run(&scenario(Region::Finland, 5), &RunCtl::unlimited()).unwrap();
     let profile_carbon: f64 = r.profiles.iter().map(|p| p.carbon.grams()).sum();
     let job_carbon = r.outcome.carbon.grams() - (r.outcome.carbon.grams() - profile_carbon);
     assert!(job_carbon <= r.outcome.carbon.grams());
@@ -65,7 +65,7 @@ fn policies_complete_same_work() {
         let mut s = scenario(Region::GreatBritain, 5);
         s.region = region.clone();
         s.policy = policy;
-        results.push(run(&s));
+        results.push(run(&s, &RunCtl::unlimited()).unwrap());
     }
     let (fcfs, easy, carbon) = (&results[0], &results[1], &results[2]);
     assert_eq!(fcfs.outcome.records.len(), easy.outcome.records.len());
@@ -89,7 +89,7 @@ fn power_budget_respected_at_starts() {
     s.scaling = Some(ScalingPolicy::Static {
         budget: Power::from_kw(120.0),
     });
-    let r = run(&s);
+    let r = run(&s, &RunCtl::unlimited()).unwrap();
     // Static budget → zero violations ever.
     assert_eq!(r.outcome.budget_violation_seconds, 0.0);
     // No instant may have running power above budget: check segment-wise.
@@ -118,7 +118,7 @@ fn power_profile_respects_static_budget() {
     s.scaling = Some(ScalingPolicy::Static {
         budget: Power::from_kw(120.0),
     });
-    let r = run(&s);
+    let r = run(&s, &RunCtl::unlimited()).unwrap();
     let horizon = r.outcome.makespan;
     let profile = power_profile(&r.outcome.records, SimDuration::from_mins(10.0), horizon);
     for (i, &w) in profile.values().iter().enumerate() {
@@ -150,8 +150,8 @@ fn carbon_gate_reduces_effective_ci_and_bills_less_green_hours() {
     easy.policy = Policy::EasyBackfill;
     let mut gated = scenario(Region::Finland, 7);
     gated.policy = Policy::CarbonAware(CarbonAwareCfg::default());
-    let re = run(&easy);
-    let rg = run(&gated);
+    let re = run(&easy, &RunCtl::unlimited()).unwrap();
+    let rg = run(&gated, &RunCtl::unlimited()).unwrap();
     assert!(
         rg.outcome.effective_job_ci < re.outcome.effective_job_ci,
         "gated {} vs easy {}",
@@ -180,7 +180,7 @@ fn checkpointing_preserves_completion() {
     s.workload.checkpointable_fraction = 1.0;
     s.checkpoint = Some(CheckpointCfg::default());
     s.policy = Policy::EasyBackfill;
-    let r = run(&s);
+    let r = run(&s, &RunCtl::unlimited()).unwrap();
     assert_eq!(r.outcome.unfinished, 0);
     let suspended_jobs = r
         .outcome
@@ -204,7 +204,7 @@ fn checkpointing_preserves_completion() {
 /// with 100 % green energy must pay below-mean CI.
 #[test]
 fn green_jobs_pay_less() {
-    let r = run(&scenario(Region::Finland, 7));
+    let r = run(&scenario(Region::Finland, 7), &RunCtl::unlimited()).unwrap();
     let trace = generate_calibrated(&RegionProfile::january_2023(Region::Finland), 7, 2023);
     let mean = trace.series().stats().mean();
     for p in &r.profiles {
@@ -223,7 +223,7 @@ fn green_jobs_pay_less() {
 #[test]
 fn reprofile_matches_scenario_profiles() {
     let s = scenario(Region::Germany, 3);
-    let r = run(&s);
+    let r = run(&s, &RunCtl::unlimited()).unwrap();
     let trace = generate_calibrated(&s.region, s.days, s.seed);
     let det = GreenDetector::default();
     for (rec, stored) in r.outcome.records.iter().zip(&r.profiles) {

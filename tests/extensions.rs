@@ -69,7 +69,7 @@ fn dram_reuse_material_savings() {
 /// waits between FCFS and EASY.
 #[test]
 fn conservative_sits_between_fcfs_and_easy() {
-    let rows = backfill_flavour_sweep(Region::Germany, 5, 3);
+    let rows = backfill_flavour_sweep(Region::Germany, 5, 3).unwrap();
     let (fcfs, easy, cons) = (&rows[0], &rows[1], &rows[2]);
     assert_eq!(fcfs.completed, easy.completed);
     assert_eq!(easy.completed, cons.completed);
@@ -90,7 +90,7 @@ fn multi_queue_scenario_completes() {
     let queues = QueueSet::typical(600);
     scenario.queues = Some(queues.clone());
     scenario.workload.max_nodes = 512;
-    let r = run(&scenario);
+    let r = run(&scenario, &RunCtl::unlimited()).unwrap();
     assert!(!r.outcome.records.is_empty());
     // Jobs no queue admits (e.g. >150 nodes AND >24 h walltime) are
     // rejected; everything else completes. Cross-check the count against

@@ -19,10 +19,15 @@
 //! The `hot_path` counter block is excluded from the snapshot: counters
 //! describe how much work the loop did, not what it decided, and they
 //! are exactly what a perf PR is expected to change.
+//!
+//! Test builds keep debug assertions, so the fair-share scenarios also
+//! check the simulator's pending-order invariant at every scheduling
+//! pass: the incrementally repositioned queue must be strictly
+//! increasing under the unique pending key, the order a full resort
+//! would produce.
 
 use serde::{Serialize, Value};
 use std::path::PathBuf;
-use std::sync::Mutex;
 use sustain_hpc::prelude::*;
 use sustain_hpc::scheduler::metrics::SimOutcome;
 use sustain_hpc::scheduler::queue::QueueSet;
@@ -48,19 +53,8 @@ fn golden_path(name: &str) -> PathBuf {
         .join(format!("{name}.json"))
 }
 
-/// Serializes the fair-share scenarios. The oracle toggle is process-
-/// global and tests run concurrently, so without it one scenario's
-/// oracle replay would flip a sibling's production replay into full
-/// resorts, and the sibling could switch the toggle off in the middle
-/// of this scenario's oracle replay.
-static ORACLE_TOGGLE: Mutex<()> = Mutex::new(());
-
 /// Compares (or, under `GOLDEN_REGEN=1`, rewrites) one scenario.
 fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
-    let _guard = cfg
-        .fair_share
-        .is_some()
-        .then(|| ORACLE_TOGGLE.lock().unwrap_or_else(|p| p.into_inner()));
     let got = canonical(&simulate(jobs, cfg));
     let path = golden_path(name);
     if std::env::var("GOLDEN_REGEN").as_deref() == Ok("1") {
@@ -84,21 +78,6 @@ fn check(name: &str, jobs: &[Job], cfg: &SimConfig) {
             .map(|(i, (a, b))| format!("#{}: got `{a}` want `{b}`", i + 1))
             .unwrap_or_else(|| "(prefix equal; lengths differ)".into()),
     );
-    // Fair-share scenarios additionally replay in full-resort oracle
-    // mode: the incremental repositioning and the rebuild-and-sort
-    // reference must land on the same bytes. `_guard` holds
-    // `ORACLE_TOGGLE` for both replays.
-    if cfg.fair_share.is_some() {
-        sustain_hpc::scheduler::sim::set_fair_share_oracle_resort(true);
-        let got = canonical(&simulate(jobs, cfg));
-        sustain_hpc::scheduler::sim::set_fair_share_oracle_resort(false);
-        assert!(
-            got == want,
-            "scenario `{name}` in full-resort oracle mode diverged from \
-             its golden snapshot: the incremental pending order is not \
-             equivalent to the full resort"
-        );
-    }
 }
 
 /// Deterministic synthetic trace: diurnal + weekly swing, 100–320 g/kWh,

@@ -108,7 +108,7 @@ fn lrz_embodied_dominates() {
 /// embodied carbon accounts for 50% of the total carbon emissions".
 #[test]
 fn renewable_rule_of_thumb() {
-    let crossover = renewable_fraction_at_half_embodied();
+    let crossover = renewable_fraction_at_half_embodied().unwrap();
     assert!(
         (0.70..=0.75).contains(&crossover),
         "embodied hits 50 % at {crossover}"

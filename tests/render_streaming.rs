@@ -28,25 +28,25 @@ fn every_experiment_streams_like_its_value_tree() {
     assert_streams_like_its_tree("fig1", &fig1_embodied_breakdown());
     assert_streams_like_its_tree("table1", &table1_lrz_lifetimes());
     assert_streams_like_its_tree("fig2", &fig2_carbon_intensity(seed));
-    assert_streams_like_its_tree("e4", &try_renewable_share_sweep(21).unwrap());
+    assert_streams_like_its_tree("e4", &renewable_share_sweep(21).unwrap());
     assert_streams_like_its_tree("e5", &claim_reuse_vs_recycle());
     assert_streams_like_its_tree("e6", &dse_carbon_metrics());
     assert_streams_like_its_tree("e7", &budget_tradeoff());
     assert_streams_like_its_tree(
         "e8",
-        &try_carbon_aware_power_scaling(Region::Finland, days, seed).unwrap(),
+        &carbon_aware_power_scaling(Region::Finland, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "e9",
-        &try_malleability_under_power(Region::GreatBritain, days, seed).unwrap(),
+        &malleability_under_power(Region::GreatBritain, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "e10",
-        &try_carbon_aware_scheduling(Region::Finland, days, seed).unwrap(),
+        &carbon_aware_scheduling(Region::Finland, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "e11a",
-        &try_user_overallocation(Region::Germany, days, seed).unwrap(),
+        &user_overallocation(Region::Germany, days, seed).unwrap(),
     );
     assert_streams_like_its_tree("e11b", &green_incentives(Region::Finland, seed));
     assert_streams_like_its_tree("e12", &carbon500());
@@ -54,25 +54,25 @@ fn every_experiment_streams_like_its_value_tree() {
     assert_streams_like_its_tree("e14", &countdown_savings(Region::Germany, seed));
     assert_streams_like_its_tree(
         "a1",
-        &try_green_threshold_sweep(Region::Finland, days, seed).unwrap(),
+        &green_threshold_sweep(Region::Finland, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "a2",
-        &try_checkpoint_overhead_sweep(Region::Finland, days, seed).unwrap(),
+        &checkpoint_overhead_sweep(Region::Finland, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "a3",
-        &try_malleable_fraction_sweep(Region::GreatBritain, days, seed).unwrap(),
+        &malleable_fraction_sweep(Region::GreatBritain, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "a4",
-        &try_forecast_scaling_ablation(Region::Finland, days, seed).unwrap(),
+        &forecast_scaling_ablation(Region::Finland, days, seed).unwrap(),
     );
     assert_streams_like_its_tree(
         "a5",
-        &try_backfill_flavour_sweep(Region::Germany, days, seed).unwrap(),
+        &backfill_flavour_sweep(Region::Germany, days, seed).unwrap(),
     );
-    assert_streams_like_its_tree("a6", &try_failure_resilience_sweep(days, seed).unwrap());
+    assert_streams_like_its_tree("a6", &failure_resilience_sweep(days, seed).unwrap());
     assert_streams_like_its_tree(
         "site",
         &[

@@ -14,7 +14,7 @@ const SEEDS: [u64; 3] = [101, 202, 303];
 #[test]
 fn e8_ordering_holds_across_seeds() {
     for seed in SEEDS {
-        let rows = carbon_aware_power_scaling(Region::Finland, 10, seed);
+        let rows = carbon_aware_power_scaling(Region::Finland, 10, seed).unwrap();
         let static_ci = rows[0].effective_job_ci;
         for row in &rows[1..] {
             assert!(
@@ -38,7 +38,7 @@ fn e8_ordering_holds_across_seeds() {
 #[test]
 fn e9_ordering_holds_across_seeds() {
     for seed in SEEDS {
-        let rows = malleability_under_power(Region::GreatBritain, 10, seed);
+        let rows = malleability_under_power(Region::GreatBritain, 10, seed).unwrap();
         assert!(
             rows[1].violation_s < rows[0].violation_s,
             "seed {seed}: malleable {} !< rigid {}",
@@ -54,7 +54,7 @@ fn e9_ordering_holds_across_seeds() {
 #[test]
 fn e10_ordering_holds_across_seeds() {
     for seed in SEEDS {
-        let rows = carbon_aware_scheduling(Region::Finland, 10, seed);
+        let rows = carbon_aware_scheduling(Region::Finland, 10, seed).unwrap();
         let (easy, gate) = (&rows[0], &rows[1]);
         assert!(
             gate.effective_job_ci < easy.effective_job_ci,

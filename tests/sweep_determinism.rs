@@ -17,9 +17,11 @@ use sustain_hpc::grid::region::{Region, RegionProfile};
 #[test]
 fn a1_parallel_bytes_match_serial() {
     set_threads(1);
-    let serial = serde_json::to_vec(&green_threshold_sweep(Region::Finland, 3, 5)).unwrap();
+    let serial =
+        serde_json::to_vec(&green_threshold_sweep(Region::Finland, 3, 5).unwrap()).unwrap();
     set_threads(4);
-    let parallel = serde_json::to_vec(&green_threshold_sweep(Region::Finland, 3, 5)).unwrap();
+    let parallel =
+        serde_json::to_vec(&green_threshold_sweep(Region::Finland, 3, 5).unwrap()).unwrap();
     set_threads(0);
     assert_eq!(serial, parallel, "A1 must not depend on thread count");
 }
@@ -41,9 +43,9 @@ fn region_grid_parallel_bytes_match_serial() {
 #[test]
 fn a6_failure_model_parallel_bytes_match_serial() {
     set_threads(1);
-    let serial = serde_json::to_vec(&failure_resilience_sweep(2, 13)).unwrap();
+    let serial = serde_json::to_vec(&failure_resilience_sweep(2, 13).unwrap()).unwrap();
     set_threads(4);
-    let parallel = serde_json::to_vec(&failure_resilience_sweep(2, 13)).unwrap();
+    let parallel = serde_json::to_vec(&failure_resilience_sweep(2, 13).unwrap()).unwrap();
     set_threads(0);
     assert_eq!(serial, parallel, "A6 must not depend on thread count");
 }

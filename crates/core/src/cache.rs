@@ -178,10 +178,7 @@ mod tests {
     fn result(days: usize, seed: u64) -> (OutcomeKey, Arc<ScenarioResult>) {
         let mut s = Scenario::baseline("slots", RegionProfile::january_2023(Region::Spain), days);
         s.seed = seed;
-        (
-            OutcomeKey::new(&s),
-            Arc::new(run(&s, &RunCtl::unlimited()).unwrap()),
-        )
+        (OutcomeKey::new(&s), run(&s, &RunCtl::unlimited()).unwrap())
     }
 
     #[test]

@@ -145,23 +145,24 @@ pub struct ScenarioResult {
 /// event loop; a fired control returns [`SimError::Cancelled`] stamped
 /// with the simulation time reached. Trusted callers pass
 /// [`RunCtl::unlimited`], whose check is two `None` tests.
-pub fn run(scenario: &Scenario, ctl: &RunCtl) -> Result<ScenarioResult, SimError> {
+pub fn run(scenario: &Scenario, ctl: &RunCtl) -> Result<Arc<ScenarioResult>, SimError> {
     scenario.validate()?;
     sustain_sim_core::faultpoint!(infallible "scenario::run");
     ctl.check(SimTime::ZERO)?;
     // Whole-result memoization: simulation is pure in the scenario value
     // (seed included), so a completed result can be replayed verbatim. A
-    // hit clones out of the shared Arc — byte-equal to the cold run that
-    // filled it. Cancelled/failed runs never reach the insert below, so
-    // only values of the pure function are ever served.
+    // hit hands out the cache's shared Arc, the very value the cold run
+    // that filled it returned, so nothing is copied. Cancelled/failed
+    // runs never reach the insert below, so only values of the pure
+    // function are ever served.
     let cache = global_outcome_cache();
     let key = OutcomeKey::new(scenario);
     if let Some(hit) = cache.lookup(&key) {
-        return Ok((*hit).clone());
+        return Ok(hit);
     }
     sustain_sim_core::faultpoint!(infallible "scenario::outcome_fill");
     let result = compute_scenario(scenario, ctl)?;
-    Ok((*cache.insert(key, Arc::new(result))).clone())
+    Ok(cache.insert(key, Arc::new(result)))
 }
 
 /// The actual (uncached) scenario computation: trace → workload →
@@ -231,7 +232,7 @@ mod tests {
     use super::*;
     use sustain_grid::region::Region;
 
-    fn run_unlimited(scenario: &Scenario) -> ScenarioResult {
+    fn run_unlimited(scenario: &Scenario) -> Arc<ScenarioResult> {
         run(scenario, &RunCtl::unlimited()).unwrap()
     }
 
@@ -308,7 +309,7 @@ mod tests {
         let mut s = small_scenario();
         s.days = 3;
         s.seed = 0xCAFE_0004;
-        let planted = Arc::new(run_unlimited(&s));
+        let planted = run_unlimited(&s);
         s.days = 0;
         let cache = global_outcome_cache();
         cache.insert(OutcomeKey::new(&s), planted);

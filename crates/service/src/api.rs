@@ -425,10 +425,10 @@ fn sweep_scenarios(req: &SweepRequest) -> Result<Vec<Scenario>, SimError> {
 }
 
 /// Collapses one scenario result into its sweep summary row.
-fn sweep_row(seed: u64, r: ScenarioResult) -> SweepRow {
+fn sweep_row(seed: u64, r: &ScenarioResult) -> SweepRow {
     let wait_mean_secs = r.outcome.wait.mean;
     SweepRow {
-        name: r.name,
+        name: r.name.clone(),
         seed,
         jobs: r.outcome.records.len(),
         unfinished: r.outcome.unfinished,
@@ -518,7 +518,7 @@ pub fn sweep_body_with_ctl(
         journal,
         ..SweepPlan::new(&scenarios, &ctl)
     };
-    let runs = plan.run(|scenario, _| run(scenario, &ctl).map(|r| sweep_row(scenario.seed, r)))?;
+    let runs = plan.run(|scenario, _| run(scenario, &ctl).map(|r| sweep_row(scenario.seed, &r)))?;
     render_sweep_response(req, runs.into_iter().map(|run| run.result).collect())
 }
 

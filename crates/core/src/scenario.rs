@@ -20,14 +20,15 @@ use sustain_scheduler::metrics::SimOutcome;
 use sustain_scheduler::sim::{simulate_with_ctl, CheckpointCfg, Policy, SimConfig};
 use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::{ensure_at_least, ConfigError, SimError, Validate};
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::time::{SimDuration, SimTime};
 use sustain_sim_core::units::Carbon;
 use sustain_telemetry::accounting::{profile_job, site_account, JobCarbonProfile, SiteAccount};
 use sustain_workload::synth::{generate_arc, WorkloadConfig};
 
-/// A complete simulation scenario.
-#[derive(Debug, Clone)]
+/// A complete simulation scenario. Its `Serialize` stream is its
+/// canonical hash (`sim-core::hash`): the outcome cache key, the sweep
+/// dedupe key and the service's `ETag`.
+#[derive(Debug, Clone, Serialize)]
 pub struct Scenario {
     /// Scenario name (used in reports).
     pub name: String,
@@ -74,23 +75,6 @@ impl Scenario {
             pue: PueModel::efficient_hpc(),
             seed: 2023,
         }
-    }
-}
-
-impl CanonicalHash for Scenario {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_str(&self.name);
-        self.cluster.canonical_hash_into(hasher);
-        self.region.canonical_hash_into(hasher);
-        hasher.write_usize(self.days);
-        self.workload.canonical_hash_into(hasher);
-        self.policy.canonical_hash_into(hasher);
-        self.queues.canonical_hash_into(hasher);
-        self.scaling.canonical_hash_into(hasher);
-        self.checkpoint.canonical_hash_into(hasher);
-        hasher.write_bool(self.malleable);
-        self.pue.canonical_hash_into(hasher);
-        hasher.write_u64(self.seed);
     }
 }
 

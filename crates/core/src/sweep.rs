@@ -61,7 +61,7 @@ use sustain_grid::synth::generate_calibrated_arc;
 use sustain_grid::trace::CarbonTrace;
 use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::{env_knob_usize, ConfigError, SimError};
-use sustain_sim_core::hash::CanonicalHash;
+use sustain_sim_core::hash::{fnv1a, CanonicalHash};
 use sustain_sim_core::retry::{self, RetryPolicy};
 use sustain_sim_core::rng::RngStream;
 use sustain_sim_core::time::SimTime;
@@ -385,17 +385,6 @@ fn run_point<R>(index: usize, body: impl FnOnce() -> Result<R, SimError>) -> Res
 // where H is the FNV-1a hash of the payload or tombstone JSON.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a 64-bit, used to fingerprint journaled point payloads. Stable
-/// across platforms and already the idiom used by the trace cache key.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 fn journal_io_error(action: &str, err: impl std::fmt::Display) -> SimError {
     SimError::Faulted {
         unit: "sweep journal".to_string(),
@@ -432,7 +421,7 @@ impl<R> JournalWriter<R> {
         };
         let body = serde_json::to_string(&body)
             .map_err(|e| journal_io_error("serializing journal payload", e))?;
-        let hash = fnv1a_64(body.as_bytes());
+        let hash = fnv1a(body.as_bytes());
         slots.iter().try_for_each(|index| {
             let line = format!(
                 "{{\"index\":{index},\"seed\":{seed},\"hash\":\"{hash:016x}\",\"{key}\":{body}{attempts}}}\n"
@@ -498,7 +487,7 @@ fn parse_journal_line<R>(
     let body = tombstone.unwrap_or(&value["payload"]);
     let body_json =
         serde_json::to_string(body).map_err(|e| format!("payload re-serialization: {e}"))?;
-    let expected = format!("{:016x}", fnv1a_64(body_json.as_bytes()));
+    let expected = format!("{:016x}", fnv1a(body_json.as_bytes()));
     if hash != expected {
         return Err(format!(
             "hash mismatch at point {index}: journal says {hash}, payload hashes to {expected}"

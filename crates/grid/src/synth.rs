@@ -13,7 +13,7 @@ use crate::trace::CarbonTrace;
 use std::sync::{Arc, OnceLock};
 use sustain_sim_core::cache::LruCache;
 use sustain_sim_core::error::{env_knob_usize, ConfigError};
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
+use sustain_sim_core::hash::CanonicalHash;
 use sustain_sim_core::rng::RngStream;
 use sustain_sim_core::series::TimeSeries;
 use sustain_sim_core::time::{SimDuration, SimTime};
@@ -117,10 +117,10 @@ pub fn generate_calibrated(profile: &RegionProfile, days: usize, seed: u64) -> C
 ///
 /// `RegionProfile` holds `f64` parameters (no `Eq`/`Hash`), and experiment
 /// code freely mutates individual fields (e.g. zeroing `synoptic_std`), so
-/// the key hashes the name bytes plus the exact bit patterns of all seven
-/// parameters rather than keying on a `Region` enum. Bit-pattern hashing is
-/// exact: two profiles collide only if generation would produce the same
-/// trace anyway (modulo 64-bit FNV collisions).
+/// the key is the profile's canonical hash — every field its `Serialize`
+/// emits, floats by exact bit pattern — rather than a `Region` enum. Two
+/// profiles collide only if generation would produce the same trace
+/// anyway (modulo 64-bit FNV collisions).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceKey {
     profile_fingerprint: u64,
@@ -136,30 +136,6 @@ impl TraceKey {
             days,
             seed,
         }
-    }
-}
-
-impl CanonicalHash for RegionProfile {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_str(&self.name);
-        for param in [
-            self.mean_g_per_kwh,
-            self.diurnal_amplitude,
-            self.solar_dip,
-            self.synoptic_std,
-            self.synoptic_corr_hours,
-            self.noise_std,
-            self.weekend_drop,
-        ] {
-            hasher.write_f64(param);
-        }
-    }
-}
-
-impl CanonicalHash for CarbonTrace {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_str(self.name());
-        self.series().canonical_hash_into(hasher);
     }
 }
 

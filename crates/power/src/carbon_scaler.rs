@@ -15,7 +15,6 @@ use sustain_grid::trace::CarbonTrace;
 use sustain_sim_core::error::{
     ensure_finite, ensure_non_negative, ensure_ordered, ConfigError, Validate,
 };
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::series::TimeSeries;
 use sustain_sim_core::units::{CarbonIntensity, Power};
 
@@ -98,49 +97,6 @@ impl Validate for ScalingPolicy {
                 ensure_non_negative(CTX, "ceiling", ceiling.watts())?;
                 ensure_ordered(CTX, "floor", floor.watts(), "ceiling", ceiling.watts())?;
                 ensure_non_negative(CTX, "kg_per_hour", kg_per_hour)
-            }
-        }
-    }
-}
-
-impl CanonicalHash for ScalingPolicy {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        match *self {
-            ScalingPolicy::Static { budget } => {
-                hasher.write_tag(0);
-                budget.canonical_hash_into(hasher);
-            }
-            ScalingPolicy::Linear {
-                floor,
-                ceiling,
-                ci_low,
-                ci_high,
-            } => {
-                hasher.write_tag(1);
-                floor.canonical_hash_into(hasher);
-                ceiling.canonical_hash_into(hasher);
-                hasher.write_f64(ci_low);
-                hasher.write_f64(ci_high);
-            }
-            ScalingPolicy::Threshold {
-                floor,
-                ceiling,
-                threshold,
-            } => {
-                hasher.write_tag(2);
-                floor.canonical_hash_into(hasher);
-                ceiling.canonical_hash_into(hasher);
-                hasher.write_f64(threshold);
-            }
-            ScalingPolicy::CarbonRateCap {
-                floor,
-                ceiling,
-                kg_per_hour,
-            } => {
-                hasher.write_tag(3);
-                floor.canonical_hash_into(hasher);
-                ceiling.canonical_hash_into(hasher);
-                hasher.write_f64(kg_per_hour);
             }
         }
     }

@@ -7,7 +7,6 @@
 //! power.
 
 use serde::{Deserialize, Serialize};
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::units::Power;
 
 /// Load-dependent PUE model: `facility = it + fixed_overhead +
@@ -19,13 +18,6 @@ pub struct PueModel {
     /// Overhead proportional to IT load (cooling per watt, conversion
     /// losses).
     pub variable_coefficient: f64,
-}
-
-impl CanonicalHash for PueModel {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.fixed_overhead.canonical_hash_into(hasher);
-        hasher.write_f64(self.variable_coefficient);
-    }
 }
 
 impl PueModel {

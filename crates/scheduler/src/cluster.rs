@@ -6,7 +6,6 @@
 //! identity.
 
 use serde::{Deserialize, Serialize};
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::units::Power;
 
 /// Static description of the simulated cluster.
@@ -32,13 +31,6 @@ impl Cluster {
     pub fn with_idle_power(mut self, p: Power) -> Cluster {
         self.idle_node_power = p;
         self
-    }
-}
-
-impl CanonicalHash for Cluster {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_u32(self.nodes);
-        self.idle_node_power.canonical_hash_into(hasher);
     }
 }
 

@@ -9,25 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 use sustain_sim_core::error::{ConfigError, Validate};
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::time::SimDuration;
 use sustain_workload::job::Job;
-
-impl CanonicalHash for QueueConfig {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_str(&self.name);
-        hasher.write_u32(self.priority);
-        hasher.write_u32(self.min_nodes);
-        hasher.write_u32(self.max_nodes);
-        self.max_walltime.canonical_hash_into(hasher);
-    }
-}
-
-impl CanonicalHash for QueueSet {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.queues.canonical_hash_into(hasher);
-    }
-}
 
 /// One queue (partition) definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

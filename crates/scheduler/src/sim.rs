@@ -27,7 +27,6 @@ use sustain_grid::trace::CarbonTrace;
 use sustain_sim_core::ctl::RunCtl;
 use sustain_sim_core::error::{ensure_ordered, ensure_positive, ConfigError, SimError, Validate};
 use sustain_sim_core::event::{EventId, EventQueue};
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
 use sustain_sim_core::series::TimeSeries;
 use sustain_sim_core::time::{SimDuration, SimTime};
 use sustain_sim_core::units::{Carbon, Energy, Power};
@@ -321,70 +320,6 @@ impl Validate for SimConfig {
             return Err(ConfigError::new("SimConfig", "max_steps", "must be >= 1"));
         }
         Ok(())
-    }
-}
-
-impl CanonicalHash for Policy {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        match self {
-            Policy::Fcfs => hasher.write_tag(0),
-            Policy::EasyBackfill => hasher.write_tag(1),
-            Policy::ConservativeBackfill => hasher.write_tag(2),
-            Policy::CarbonAware(cfg) => {
-                hasher.write_tag(3);
-                cfg.canonical_hash_into(hasher);
-            }
-        }
-    }
-}
-
-impl CanonicalHash for CarbonAwareCfg {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.green_threshold_fraction);
-        self.short_job_cutoff.canonical_hash_into(hasher);
-        self.max_delay.canonical_hash_into(hasher);
-    }
-}
-
-impl CanonicalHash for FailureModel {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.node_mtbf.canonical_hash_into(hasher);
-        self.mttr.canonical_hash_into(hasher);
-        hasher.write_u64(self.seed);
-    }
-}
-
-impl CanonicalHash for FairShareCfg {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.half_life.canonical_hash_into(hasher);
-    }
-}
-
-impl CanonicalHash for CheckpointCfg {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.suspend_threshold_fraction);
-        hasher.write_f64(self.resume_threshold_fraction);
-        self.checkpoint_overhead.canonical_hash_into(hasher);
-        self.restart_overhead.canonical_hash_into(hasher);
-        self.min_remaining.canonical_hash_into(hasher);
-        self.interval.canonical_hash_into(hasher);
-    }
-}
-
-impl CanonicalHash for SimConfig {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.cluster.canonical_hash_into(hasher);
-        self.policy.canonical_hash_into(hasher);
-        self.queues.canonical_hash_into(hasher);
-        self.carbon_trace.canonical_hash_into(hasher);
-        self.power_budget.canonical_hash_into(hasher);
-        self.checkpoint.canonical_hash_into(hasher);
-        self.fair_share.canonical_hash_into(hasher);
-        self.failures.canonical_hash_into(hasher);
-        hasher.write_bool(self.enable_malleability);
-        self.reshape_cost.canonical_hash_into(hasher);
-        self.tick.canonical_hash_into(hasher);
-        hasher.write_u64(self.max_steps);
     }
 }
 

@@ -4,12 +4,17 @@
 //! and seed, which makes whole-result memoization sound — but only if two
 //! configurations that would simulate identically also hash identically,
 //! and two that would diverge never collide by construction (modulo 64-bit
-//! FNV collisions). [`CanonicalHash`] provides that fingerprint: each
-//! config type feeds every semantically meaningful field through a
-//! [`CanonicalHasher`] in a fixed, documented order, using the same
-//! FNV-1a-64 discipline as the sweep journal and the trace-cache key.
+//! FNV collisions). [`CanonicalHash`] provides that fingerprint for every
+//! [`Serialize`] type: a [`CanonicalHasher`] is a [`Sink`] that folds the
+//! value's serialization event stream into FNV-1a-64 ([`fnv1a`], the one
+//! copy of the function in the workspace).
 //!
 //! ## Canonical encoding rules
+//!
+//! The encoding *is* the `Serialize` event stream, so a type's field list
+//! is spelled once, in its `#[derive(Serialize)]`. A field left out of
+//! `Serialize` is left out of the key. Each event writes a distinct tag
+//! byte, then its payload:
 //!
 //! * **Floats** are encoded by IEEE-754 bit pattern
 //!   (`f64::to_bits().to_le_bytes()`). This is deliberately exact:
@@ -17,19 +22,58 @@
 //!   hash differently. Hash equality means bit-level input equality, which
 //!   is precisely the determinism contract of the simulator (a sign bit
 //!   can change downstream arithmetic).
-//! * **Strings and slices** are length-prefixed so that adjacent fields
-//!   cannot alias (`("ab", "c")` vs `("a", "bc")`).
-//! * **Enums** write a discriminant tag byte before their payload.
-//! * **`Option`** writes a `0`/`1` tag byte, then the payload if present.
-//!
-//! Types implement [`CanonicalHash`] in the crate that defines them; the
-//! top-level `Scenario` fingerprint in `sustain-hpc-core` composes them.
+//! * **Strings and object keys** are length-prefixed, and a key's tag
+//!   differs from a string's, so adjacent values cannot alias
+//!   (`("ab", "c")` vs `("a", "bc")`).
+//! * **Arrays and objects** are bracketed by begin/end events, so nesting
+//!   is part of the key (`[[1],[]]` vs `[[],[1]]`).
+//! * **Structs** hash their field names along with their values, and
+//!   **enum variants** their variant names: the derive sends both through
+//!   [`Sink::field`].
+//! * **`Option`** follows serde: `None` is the `null` event and `Some(x)`
+//!   is `x`. That aliases `None` with `Some(None)` in an
+//!   `Option<Option<_>>` and with `Some(unit)` in an `Option<UnitStruct>`;
+//!   no hashed type has either.
 
-/// Incremental FNV-1a-64 hasher over a canonical byte encoding.
-///
-/// The constants match the journal hashing in `core::sweep` and the
-/// `TraceKey` fingerprint in `sustain-grid`: offset basis
-/// `0xCBF2_9CE4_8422_2325`, prime `0x0000_0100_0000_01B3`.
+use serde::{Serialize, Sink};
+
+/// FNV-1a-64 offset basis.
+const OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+/// FNV-1a-64 prime.
+const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a-64 of `bytes`: the hash behind RNG label seeding, the sweep
+/// journal checksum and [`CanonicalHasher`].
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(OFFSET_BASIS, bytes)
+}
+
+/// Continues an FNV-1a-64 hash at `state` over `bytes`.
+fn fnv1a_from(state: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(PRIME))
+}
+
+/// The tag byte each [`Sink`] event writes ahead of its payload.
+#[repr(u8)]
+enum Tag {
+    Null,
+    Bool,
+    U64,
+    I64,
+    F64,
+    Str,
+    BeginArray,
+    Element,
+    EndArray,
+    BeginObject,
+    Key,
+    EndObject,
+}
+
+/// Incremental FNV-1a-64 over a value's serialization events (see the
+/// module docs for the encoding).
 #[derive(Debug, Clone)]
 pub struct CanonicalHasher {
     state: u64,
@@ -42,70 +86,29 @@ impl Default for CanonicalHasher {
 }
 
 impl CanonicalHasher {
-    /// FNV-1a-64 offset basis.
-    pub(crate) const OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-    /// FNV-1a-64 prime.
-    pub(crate) const PRIME: u64 = 0x0000_0100_0000_01B3;
-
     /// Start a new hash at the FNV offset basis.
     pub fn new() -> CanonicalHasher {
         CanonicalHasher {
-            state: Self::OFFSET_BASIS,
+            state: OFFSET_BASIS,
         }
     }
 
-    /// Mix raw bytes (no length prefix — callers that need framing use
-    /// [`write_str`](Self::write_str) / [`write_len`](Self::write_len)).
-    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= b as u64;
-            self.state = self.state.wrapping_mul(Self::PRIME);
-        }
+    /// Mixes one event: its tag byte, then its payload.
+    fn event(&mut self, tag: Tag, payload: &[u8]) {
+        self.state = fnv1a_from(fnv1a_from(self.state, &[tag as u8]), payload);
     }
 
-    /// Mix a single byte — used for enum discriminants and bool/Option
-    /// tags.
-    pub fn write_tag(&mut self, tag: u8) {
-        self.write_bytes(&[tag]);
+    /// Mixes a length-prefixed string event.
+    fn text(&mut self, tag: Tag, s: &str) {
+        self.event(tag, &(s.len() as u64).to_le_bytes());
+        self.state = fnv1a_from(self.state, s.as_bytes());
     }
 
-    /// Mix a `bool` as a tag byte (`0` / `1`).
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_tag(v as u8);
-    }
-
-    /// Mix a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Mix a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Mix a `usize`, widened to `u64` so the hash is identical across
-    /// pointer widths.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Mix a collection length prefix (alias for
-    /// [`write_usize`](Self::write_usize), named for intent).
-    pub(crate) fn write_len(&mut self, len: usize) {
-        self.write_usize(len);
-    }
-
-    /// Mix an `f64` by exact bit pattern. `-0.0 != 0.0` and NaN payloads
-    /// are significant — see the module docs for why.
+    /// Mixes an `f64` by exact bit pattern (the [`Sink::f64`] event).
+    /// `-0.0 != 0.0` and NaN payloads are significant — see the module
+    /// docs for why.
     pub fn write_f64(&mut self, v: f64) {
-        self.write_bytes(&v.to_bits().to_le_bytes());
-    }
-
-    /// Mix a string, length-prefixed to prevent field aliasing.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_len(s.len());
-        self.write_bytes(s.as_bytes());
+        self.event(Tag::F64, &v.to_bits().to_le_bytes());
     }
 
     /// The 64-bit fingerprint of everything written so far.
@@ -114,146 +117,61 @@ impl CanonicalHasher {
     }
 }
 
-/// A canonical, content-addressed 64-bit fingerprint of a value.
-///
-/// Implementations must write every field that influences simulation, in
-/// a fixed order, using the framing rules in the module docs. Two values
-/// hash equal iff their canonical encodings are byte-identical.
-pub trait CanonicalHash {
-    /// Feed this value's canonical encoding into `hasher`.
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher);
+// `field` keeps its default (`key`): struct field names and enum variant
+// tags are part of the key.
+impl Sink for CanonicalHasher {
+    fn null(&mut self) {
+        self.event(Tag::Null, &[]);
+    }
+    fn bool(&mut self, v: bool) {
+        self.event(Tag::Bool, &[v as u8]);
+    }
+    fn u64(&mut self, v: u64) {
+        self.event(Tag::U64, &v.to_le_bytes());
+    }
+    fn i64(&mut self, v: i64) {
+        self.event(Tag::I64, &v.to_le_bytes());
+    }
+    fn f64(&mut self, v: f64) {
+        self.write_f64(v);
+    }
+    fn str(&mut self, v: &str) {
+        self.text(Tag::Str, v);
+    }
+    fn begin_array(&mut self) {
+        self.event(Tag::BeginArray, &[]);
+    }
+    fn element(&mut self) {
+        self.event(Tag::Element, &[]);
+    }
+    fn end_array(&mut self) {
+        self.event(Tag::EndArray, &[]);
+    }
+    fn begin_object(&mut self) {
+        self.event(Tag::BeginObject, &[]);
+    }
+    fn key(&mut self, key: &str) {
+        self.text(Tag::Key, key);
+    }
+    fn end_object(&mut self) {
+        self.event(Tag::EndObject, &[]);
+    }
+}
 
-    /// The standalone FNV-1a-64 fingerprint of this value.
+/// A canonical, content-addressed 64-bit fingerprint of a value: the
+/// [`CanonicalHasher`] digest of its [`Serialize`] stream. Two values
+/// hash equal iff they serialize to the same events with the same float
+/// bits.
+pub trait CanonicalHash {
+    /// The FNV-1a-64 fingerprint of this value.
+    fn canonical_hash(&self) -> u64;
+}
+
+impl<T: Serialize + ?Sized> CanonicalHash for T {
     fn canonical_hash(&self) -> u64 {
         let mut hasher = CanonicalHasher::new();
-        self.canonical_hash_into(&mut hasher);
+        self.serialize(&mut hasher);
         hasher.finish()
-    }
-}
-
-impl CanonicalHash for bool {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_bool(*self);
-    }
-}
-
-impl CanonicalHash for u32 {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_u32(*self);
-    }
-}
-
-impl CanonicalHash for u64 {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_u64(*self);
-    }
-}
-
-impl CanonicalHash for usize {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_usize(*self);
-    }
-}
-
-impl CanonicalHash for f64 {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(*self);
-    }
-}
-
-impl CanonicalHash for str {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_str(self);
-    }
-}
-
-impl CanonicalHash for String {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_str(self);
-    }
-}
-
-impl<T: CanonicalHash + ?Sized> CanonicalHash for &T {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        (**self).canonical_hash_into(hasher);
-    }
-}
-
-impl<T: CanonicalHash> CanonicalHash for Option<T> {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        match self {
-            None => hasher.write_tag(0),
-            Some(v) => {
-                hasher.write_tag(1);
-                v.canonical_hash_into(hasher);
-            }
-        }
-    }
-}
-
-impl<T: CanonicalHash> CanonicalHash for [T] {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_len(self.len());
-        for v in self {
-            v.canonical_hash_into(hasher);
-        }
-    }
-}
-
-impl<T: CanonicalHash> CanonicalHash for Vec<T> {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.as_slice().canonical_hash_into(hasher);
-    }
-}
-
-impl<A: CanonicalHash, B: CanonicalHash> CanonicalHash for (A, B) {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.0.canonical_hash_into(hasher);
-        self.1.canonical_hash_into(hasher);
-    }
-}
-
-impl CanonicalHash for crate::time::SimTime {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.as_secs());
-    }
-}
-
-impl CanonicalHash for crate::time::SimDuration {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.as_secs());
-    }
-}
-
-impl CanonicalHash for crate::units::Power {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.watts());
-    }
-}
-
-impl CanonicalHash for crate::units::Energy {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.joules());
-    }
-}
-
-impl CanonicalHash for crate::units::Carbon {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.grams());
-    }
-}
-
-impl CanonicalHash for crate::units::CarbonIntensity {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.grams_per_kwh());
-    }
-}
-
-impl CanonicalHash for crate::series::TimeSeries {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        self.start().canonical_hash_into(hasher);
-        self.step().canonical_hash_into(hasher);
-        self.values().canonical_hash_into(hasher);
     }
 }
 
@@ -265,16 +183,15 @@ mod tests {
 
     #[test]
     fn matches_reference_fnv1a() {
-        // FNV-1a-64 of "a" is a published reference value.
-        let mut h = CanonicalHasher::new();
-        h.write_bytes(b"a");
-        assert_eq!(h.finish(), 0xAF63_DC4C_8601_EC8C);
+        // FNV-1a-64 of "" and "a" are published reference values.
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 
     #[test]
     fn length_prefix_prevents_field_aliasing() {
-        let ab_c = ("ab".to_string(), "c".to_string()).canonical_hash();
-        let a_bc = ("a".to_string(), "bc".to_string()).canonical_hash();
+        let ab_c = ("ab", "c").canonical_hash();
+        let a_bc = ("a", "bc").canonical_hash();
         assert_ne!(ab_c, a_bc);
     }
 
@@ -285,6 +202,9 @@ mod tests {
         let nan2 = f64::from_bits(0x7FF8_0000_0000_0002);
         assert_ne!(nan1.canonical_hash(), nan2.canonical_hash());
         assert_eq!(1.5f64.canonical_hash(), 1.5f64.canonical_hash());
+        let mut hasher = CanonicalHasher::new();
+        hasher.write_f64(1.5);
+        assert_eq!(hasher.finish(), 1.5f64.canonical_hash());
     }
 
     #[test]
@@ -294,10 +214,54 @@ mod tests {
     }
 
     #[test]
+    fn none_differs_from_some_empty_string() {
+        let none: Option<&str> = None;
+        assert_ne!(none.canonical_hash(), Some("").canonical_hash());
+    }
+
+    #[test]
     fn vec_length_prefix_distinguishes_splits() {
         let a: Vec<u64> = vec![1, 2];
         let b: Vec<u64> = vec![1, 2, 0];
         assert_ne!(a.canonical_hash(), b.canonical_hash());
+        let split: (Vec<u64>, Vec<u64>) = (vec![1], vec![2]);
+        let joined: (Vec<u64>, Vec<u64>) = (vec![1, 2], vec![]);
+        assert_ne!(split.canonical_hash(), joined.canonical_hash());
+    }
+
+    #[test]
+    fn brackets_frame_nesting() {
+        let a: Vec<Vec<u64>> = vec![vec![1], vec![]];
+        let b: Vec<Vec<u64>> = vec![vec![], vec![1]];
+        assert_ne!(a.canonical_hash(), b.canonical_hash());
+    }
+
+    #[test]
+    fn object_key_differs_from_equal_string_value() {
+        let mut key = CanonicalHasher::new();
+        key.key("x");
+        let mut value = CanonicalHasher::new();
+        value.str("x");
+        assert_ne!(key.finish(), value.finish());
+    }
+
+    #[test]
+    fn enum_variants_with_equal_payloads_differ() {
+        #[derive(Serialize)]
+        enum Policy {
+            Fcfs,
+            EasyBackfill,
+            Gate(u64),
+            Cap(u64),
+        }
+        assert_ne!(
+            Policy::Fcfs.canonical_hash(),
+            Policy::EasyBackfill.canonical_hash()
+        );
+        assert_ne!(
+            Policy::Gate(1).canonical_hash(),
+            Policy::Cap(1).canonical_hash()
+        );
     }
 
     #[test]
@@ -305,6 +269,12 @@ mod tests {
         let base = TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(1.0), vec![1.0, 2.0]);
         let same = TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(1.0), vec![1.0, 2.0]);
         assert_eq!(base.canonical_hash(), same.canonical_hash());
+        let start = TimeSeries::new(
+            SimTime::from_hours(1.0),
+            SimDuration::from_hours(1.0),
+            vec![1.0, 2.0],
+        );
+        assert_ne!(base.canonical_hash(), start.canonical_hash());
         let step = TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(2.0), vec![1.0, 2.0]);
         assert_ne!(base.canonical_hash(), step.canonical_hash());
         let vals = TimeSeries::new(SimTime::ZERO, SimDuration::from_hours(1.0), vec![1.0, 2.5]);

@@ -11,6 +11,7 @@
 //! runtime sampler of a workload generator cannot perturb each other when
 //! one of them draws an extra variate.
 
+use crate::hash::fnv1a;
 use rand::RngCore;
 
 /// SplitMix64 step, used for seeding and label hashing.
@@ -21,17 +22,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// FNV-1a hash of a label, for deriving stream seeds from names.
-#[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 /// A deterministic xoshiro256++ stream.

@@ -18,7 +18,7 @@ use sustain_sim_core::error::{
     ensure_at_least, ensure_finite, ensure_fraction, ensure_non_negative, ensure_ordered,
     ensure_positive, env_knob_usize, ConfigError, Validate,
 };
-use sustain_sim_core::hash::{CanonicalHash, CanonicalHasher};
+use sustain_sim_core::hash::CanonicalHash;
 use sustain_sim_core::rng::RngStream;
 use sustain_sim_core::time::{SimDuration, SimTime, HOUR};
 use sustain_sim_core::units::Power;
@@ -118,25 +118,6 @@ impl Validate for WorkloadConfig {
         ensure_non_negative(CTX, "node_power_range_w.0", lo)?;
         ensure_non_negative(CTX, "node_power_range_w.1", hi)?;
         ensure_ordered(CTX, "node_power_range_w.0", lo, "node_power_range_w.1", hi)
-    }
-}
-
-impl CanonicalHash for WorkloadConfig {
-    fn canonical_hash_into(&self, hasher: &mut CanonicalHasher) {
-        hasher.write_f64(self.arrivals_per_hour);
-        hasher.write_f64(self.diurnal_amplitude);
-        hasher.write_f64(self.runtime_log_mean);
-        hasher.write_f64(self.runtime_log_std);
-        self.max_runtime.canonical_hash_into(hasher);
-        hasher.write_u32(self.max_nodes);
-        hasher.write_f64(self.malleable_fraction);
-        hasher.write_f64(self.checkpointable_fraction);
-        hasher.write_f64(self.overallocating_fraction);
-        hasher.write_f64(self.overallocation_mean_factor);
-        hasher.write_f64(self.walltime_overestimate_mean);
-        hasher.write_u32(self.users);
-        hasher.write_f64(self.node_power_range_w.0);
-        hasher.write_f64(self.node_power_range_w.1);
     }
 }
 

@@ -46,8 +46,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use sustain_hpc::core::prelude::*;
+use sustain_hpc::core::sweep::global_trace_cache;
 use sustain_hpc::core::{lifetime_report, Site};
 use sustain_hpc::grid::region::Region;
+use sustain_hpc::sim_core::cache::CacheStats;
+use sustain_hpc::workload::synth::global_workload_cache;
 
 /// Everything the CLI can run, with one-line descriptions.
 const EXPERIMENTS: &[(&str, &str)] = &[
@@ -298,8 +301,8 @@ fn sim_err<T>(r: Result<T, SimError>) -> Result<T, String> {
 
 /// `--stats`: prints the process-wide counters accumulated across
 /// everything this invocation ran (stderr, so JSON output stays
-/// pipeable): the simulator hot path, the memoization caches (outcome
-/// and workload), and self-healing (retries, heals, quarantines,
+/// pipeable): the simulator hot path, the memoization caches (outcome,
+/// workload and trace), and self-healing (retries, heals, quarantines,
 /// tombstone replays).
 fn print_stats() {
     let s = sustain_hpc::scheduler::metrics::hot_path_totals();
@@ -328,16 +331,9 @@ fn print_stats() {
         "sim backfill: {} of {} pending entries visited",
         s.backfill_visits, s.backfill_scanned
     );
-    let o = sustain_hpc::core::cache::global_outcome_cache().stats();
-    let w = sustain_hpc::workload::synth::global_workload_cache().stats();
-    eprintln!(
-        "outcome cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
-        o.hits, o.misses, o.evictions, o.len, o.capacity
-    );
-    eprintln!(
-        "workload cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
-        w.hits, w.misses, w.evictions, w.len, w.capacity
-    );
+    print_cache_stats("outcome", global_outcome_cache().stats());
+    print_cache_stats("workload", global_workload_cache().stats());
+    print_cache_stats("trace", global_trace_cache().stats());
     let r = sustain_hpc::sim_core::retry::retry_stats();
     eprintln!(
         "self healing: {} retries, {} healed, {} quarantined, {} tombstone skips \
@@ -449,12 +445,17 @@ fn run_all(args: &Args) -> Result<(), String> {
         eprintln!("=== {name}: {desc}");
         run_one(name, args)?;
     }
-    let stats = sustain_hpc::core::sweep::global_trace_cache().stats();
-    eprintln!(
-        "trace cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
-        stats.hits, stats.misses, stats.evictions, stats.len, stats.capacity
-    );
+    print_cache_stats("trace", global_trace_cache().stats());
     Ok(())
+}
+
+/// One memoization cache's counters on stderr, as `--stats` and `all`
+/// print them.
+fn print_cache_stats(name: &str, c: CacheStats) {
+    eprintln!(
+        "{name} cache: {} hits, {} misses, {} evictions, {} live entries (capacity {})",
+        c.hits, c.misses, c.evictions, c.len, c.capacity
+    );
 }
 
 const USAGE: &str = "usage: sustain-hpc <experiment|all|list|run|sweep|serve> [--out DIR] [--seed N] [--days N] [--threads N] [--stats] [--request FILE] [--timeout SECS] [--journal FILE] [--retry-failed] [--addr HOST:PORT] [--max-inflight N] [--queue-depth N] [--read-timeout-ms N]";

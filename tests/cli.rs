@@ -282,7 +282,13 @@ fn run_stats_flag_prints_counters_and_leaves_stdout_unchanged() {
     let stats = bin().args(["run", "--stats"]).output().unwrap();
     assert!(plain.status.success() && stats.status.success());
     let err = String::from_utf8(stats.stderr).unwrap();
-    for line in ["sim hot path:", "outcome cache:", "self healing:"] {
+    for line in [
+        "sim hot path:",
+        "outcome cache:",
+        "workload cache:",
+        "trace cache:",
+        "self healing:",
+    ] {
         assert!(
             err.contains(line),
             "`run --stats` stderr lacks {line:?}: {err:?}"
